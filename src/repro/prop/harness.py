@@ -32,6 +32,7 @@ from repro.engine import Document, MapStage, PipelineRunner
 from repro.annotation.dictionary import DictionaryEntry, DomainDictionary
 from repro.annotation.matcher import AnnotationEngine
 from repro.exec import BACKEND_KINDS, make_backend
+from repro.faults import FaultPlan, FaultSpec, InjectedFault, injecting
 from repro.mining.assoc2d import associate
 from repro.mining.index import field_key
 from repro.mining.olap import concept_cube
@@ -271,28 +272,7 @@ def run_batch(case, kind=None, shards=0):
             backend.close()
 
 
-class _PropCrash(RuntimeError):
-    """The injected consumer death (never escapes the harness)."""
-
-
-class _CrashOnce:
-    """Failpoint hook: die on the N-th ``batch-committed`` event."""
-
-    def __init__(self, crash_after):
-        """``crash_after`` is the 1-based committed-batch to die on."""
-        self.crash_after = crash_after
-        self.commits = 0
-
-    def __call__(self, event):
-        """Raise :class:`_PropCrash` at the scheduled commit."""
-        if event != "batch-committed":
-            return
-        self.commits += 1
-        if self.commits == self.crash_after:
-            raise _PropCrash(f"injected crash at commit {self.commits}")
-
-
-def _build_consumer(case, checkpoint_path=None, crash_after=None):
+def _build_consumer(case, checkpoint_path=None):
     """A fresh streaming consumer over ``case``'s corpus.
 
     Arrival order is (time bucket, generation order) — deterministic,
@@ -314,9 +294,6 @@ def _build_consumer(case, checkpoint_path=None, crash_after=None):
         checkpoint_interval=case.checkpoint_interval,
         workers=case.workers,
         backend=case.backend,
-        failpoint=(
-            _CrashOnce(crash_after) if crash_after is not None else None
-        ),
     )
 
 
@@ -330,12 +307,20 @@ def run_stream_reference(case):
 def run_stream_resumed(case, tmpdir):
     """Final index state after an injected crash and a cold resume."""
     checkpoint_path = os.path.join(tmpdir, "prop-checkpoint.json")
-    with _build_consumer(
-        case, checkpoint_path, crash_after=case.crash_after
-    ) as crashed:
+    crash = FaultPlan(
+        seed=case.seed,
+        specs=[
+            FaultSpec(
+                point="stream.batch-committed", kind="fatal",
+                after=case.crash_after - 1, times=1,
+            )
+        ],
+    )
+    with _build_consumer(case, checkpoint_path) as crashed:
         try:
-            crashed.run()
-        except _PropCrash:
+            with injecting(crash.injector()):
+                crashed.run()
+        except InjectedFault:
             pass  # scheduled death; resume from the checkpoint below
     with _build_consumer(case, checkpoint_path) as resumed:
         resumed.restore()

@@ -51,13 +51,15 @@ def stamp_checksum(payload):
 def verify_checksum(payload, source="payload"):
     """Verify a stamped payload; returns it with the stamp removed.
 
-    Raises :class:`IntegrityError` when the recorded checksum does not
-    match the recomputed one.  A payload with no stamp passes —
-    pre-checksum files (older format versions) stay loadable; their
-    protection simply starts at the next save.
+    Raises :class:`IntegrityError` when the stamp is missing or the
+    recorded checksum does not match the recomputed one — a damaged
+    stamp key must not let a payload through unverified.
     """
     if CHECKSUM_KEY not in payload:
-        return dict(payload)
+        raise IntegrityError(
+            f"{source} carries no {CHECKSUM_KEY!r} stamp; the file is "
+            f"torn or corrupted"
+        )
     recorded = payload[CHECKSUM_KEY]
     actual = checksum_payload(payload)
     if recorded != actual:

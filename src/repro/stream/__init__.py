@@ -12,8 +12,9 @@ Section IV-D).  This subsystem turns the one-shot stage graphs of
   :class:`StreamConsumer` with bounded-queue backpressure and
   at-least-once, idempotent delivery;
 * :mod:`~repro.stream.window` — :class:`WindowedAnalytics`, sliding-
-  window relative-frequency / association / trend snapshots maintained
-  by delta updates yet bit-identical to the batch mining functions;
+  window relative-frequency / association / trend snapshots: the
+  batch mining functions run on an index of the window's live
+  documents;
 * :mod:`~repro.stream.checkpoint` — atomic, checksummed JSON
   checkpoints of offset + index + window (with fallback to the
   previous good copy on corruption) so a killed consumer resumes

@@ -9,11 +9,12 @@ round-trip functions — and writes are atomic (temp file +
 ``os.replace``) so a crash *during* checkpointing leaves the previous
 checkpoint intact rather than a torn file.
 
-On top of atomicity, version-3 checkpoints are defended in depth:
+On top of atomicity, checkpoints are defended in depth:
 
-* every payload carries a SHA-256 stamp
-  (:mod:`repro.store.integrity`), so silent on-disk corruption is
-  detected at load time rather than resurfacing as a wrong answer;
+* every payload carries a mandatory SHA-256 stamp
+  (:mod:`repro.store.integrity`), so silent on-disk corruption —
+  including a damaged or missing stamp — is detected at load time
+  rather than resurfacing as a wrong answer;
 * each save rotates the previous file to ``<path>.prev`` first, so a
   corrupted current checkpoint falls back to the last good one
   automatically (at-least-once delivery makes the older offset safe);
@@ -31,15 +32,10 @@ from repro.mining.sharded import make_concept_index, shard_count_of
 from repro.obs import get_metrics
 from repro.store.integrity import IntegrityError, decode_stamped, stamp_checksum
 
-#: Format version stamped into every checkpoint payload.  Version 3
-#: adds the SHA-256 integrity stamp; version 2 added the optional
-#: ``layout`` key to index snapshots (sharded layouts).
+#: Format version stamped into every checkpoint payload, and the only
+#: one :meth:`Checkpointer.load` reads.  Version 3 carries the SHA-256
+#: integrity stamp and the optional sharded ``layout`` key.
 CHECKPOINT_VERSION = 3
-
-#: Payload versions :meth:`Checkpointer.load` accepts.  Versions 1
-#: and 2 carry no integrity stamp and load unverified (their
-#: protection starts at the next save, which rewrites as version 3).
-SUPPORTED_CHECKPOINT_VERSIONS = (1, 2, 3)
 
 
 class CheckpointCorrupt(ValueError):
@@ -54,8 +50,7 @@ def index_to_state(index):
     which is exactly what :func:`index_from_state` needs to rebuild an
     equal index.  A sharded index additionally records its layout
     (``{"kind": "sharded", "shards": N}``); single indexes omit the
-    key entirely, so their snapshots stay readable by version-1
-    builds.
+    key entirely.
     """
     keep_documents = index.keeps_documents
     documents = []
@@ -83,8 +78,8 @@ def index_from_state(state, shards=None):
 
     ``shards`` overrides the layout recorded in the snapshot: pass
     ``0`` to force a single index, ``N >= 1`` to (re-)shard, ``None``
-    to honour the snapshot's own layout (version-1 snapshots carry
-    none and restore as a single index).  Re-sharding is lossless —
+    to honour the snapshot's own layout (a snapshot without one
+    restores as a single index).  Re-sharding is lossless —
     shard routing is a pure function of ``doc_id``, so the same
     documents land in the same shards regardless of the layout they
     were saved under.
@@ -218,13 +213,11 @@ class Checkpointer:
         if payload is None:
             return None
         version = payload.get("version")
-        if version not in SUPPORTED_CHECKPOINT_VERSIONS:
-            supported = ", ".join(
-                str(v) for v in SUPPORTED_CHECKPOINT_VERSIONS
-            )
+        if version != CHECKPOINT_VERSION:
             raise ValueError(
                 f"checkpoint {self.path!r} has format version "
-                f"{version!r}; this build reads versions {supported}"
+                f"{version!r}; this build reads version "
+                f"{CHECKPOINT_VERSION}"
             )
         return payload
 

@@ -130,16 +130,17 @@ class StreamConsumer:
     surviving document; ``checkpointer`` an optional
     :class:`~repro.stream.checkpoint.Checkpointer`.
 
-    ``failpoint`` is a test hook: a callable invoked with event names
-    (``"batch-committed"``, ``"checkpoint-written"``) that may raise to
-    simulate a crash at the worst possible moment.
+    Every commit boundary is a named fault point
+    (``stream.batch-committed``, ``stream.checkpoint-written``): a
+    :class:`~repro.faults.FaultPlan` armed with
+    :func:`~repro.faults.injecting` crashes the consumer at the worst
+    possible moment.
     """
 
     def __init__(self, source, stages, window=None, checkpointer=None,
                  batch_docs=32, queue_capacity=4, checkpoint_interval=4,
                  runner_batch_size=64, workers=0, backend=None,
-                 clock=None, failpoint=None, tracer=None, metrics=None,
-                 epochs=None):
+                 clock=None, tracer=None, metrics=None, epochs=None):
         """Wire the consumer; raises on an unsafe index stage.
 
         ``workers`` / ``backend`` are the embedded runner's execution
@@ -175,7 +176,6 @@ class StreamConsumer:
         self.queue_capacity = queue_capacity
         self.checkpoint_interval = checkpoint_interval
         self._clock = clock if clock is not None else time.perf_counter
-        self._failpoint = failpoint
         self._index_stage = None
         for stage in stages:
             if isinstance(stage, ConceptIndexStage):
@@ -307,15 +307,10 @@ class StreamConsumer:
                 index = self.index
                 for document in result.documents:
                     doc_id = document.doc_id
-                    text = (
-                        index.text_of(doc_id)
-                        if index.keeps_documents else None
-                    )
                     self.window.ingest(
                         doc_id,
                         index.keys_of(doc_id),
                         index.timestamp_of(doc_id),
-                        text=text,
                     )
             batch_span.tag("fresh", len(fresh))
             batch_span.tag("skipped", len(records) - len(fresh))
@@ -342,7 +337,7 @@ class StreamConsumer:
         if self.window is not None:
             metrics.gauge("stream.window_docs").set(len(self.window))
         self._publish_epoch()
-        self._fire("batch-committed")
+        fault_point("stream.batch-committed")
         if (
             self.checkpointer is not None
             and self._since_checkpoint >= self.checkpoint_interval
@@ -388,19 +383,6 @@ class StreamConsumer:
         self.close()
         return False
 
-    def _fire(self, event):
-        """Hit the event's fault point, then the legacy test hook.
-
-        Every commit boundary doubles as a named ambient fault point
-        (``stream.batch-committed``, ``stream.checkpoint-written``) so
-        chaos plans can crash the consumer at the worst possible
-        moments without wiring a ``failpoint`` callable in; the
-        callable hook is kept for targeted single-crash tests.
-        """
-        fault_point(f"stream.{event}")
-        if self._failpoint is not None:
-            self._failpoint(event)
-
     def _publish_epoch(self):
         """Publish the committed state as an immutable epoch snapshot.
 
@@ -444,7 +426,7 @@ class StreamConsumer:
         self._since_checkpoint = 0
         self.report.checkpoints += 1
         metrics.counter("stream.checkpoints").inc()
-        self._fire("checkpoint-written")
+        fault_point("stream.checkpoint-written")
         return self
 
     def restore(self):
@@ -473,8 +455,8 @@ class StreamConsumer:
         The configured stage graph's index layout is authoritative:
         the snapshot is rebuilt into however many shards the stage was
         wired with (zero for a single index), so a consumer upgraded
-        to a sharded layout restores pre-sharding (version-1)
-        checkpoints transparently — and vice versa.
+        to a sharded layout restores single-index checkpoints
+        transparently — and vice versa.
         """
         restored_index = index_from_state(
             state["index"],

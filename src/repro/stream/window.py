@@ -1,41 +1,33 @@
-"""Sliding-window analytics maintained by delta updates.
+"""Sliding-window analytics: the batch mining functions over live documents.
 
-The batch mining functions (:mod:`repro.mining.relfreq`,
-:mod:`repro.mining.assoc2d`, :mod:`repro.mining.trends`) rescan
-posting lists on every call — fine for a one-shot study, wasteful for
-a stream where "the increase and decrease of occurrences of each
-concept in a certain period" (paper Section IV-D) must be available
-after every micro-batch.  :class:`WindowedAnalytics` keeps the last
+A stream needs "the increase and decrease of occurrences of each
+concept in a certain period" (paper Section IV-D) after every
+micro-batch.  :class:`WindowedAnalytics` keeps the last
 ``window_buckets`` integer time buckets of documents in a
-window-scoped :class:`~repro.mining.index.ConceptIndex` and maintains
-every counter the registered analyses need *incrementally*: each
-ingest or evict applies a ±1 delta to
+window-scoped :class:`~repro.mining.index.ConceptIndex`: ingest adds
+or upserts one document, and advancing the newest bucket evicts every
+document that falls below the window floor.
 
-* per-``(key, bucket)`` occurrence counts (trend series),
-* per-cell co-occurrence counts for each registered
-  :class:`AssocSpec` (2-D association),
-* focus-subset totals and per-candidate intersection counts for each
-  registered :class:`RelFreqSpec` (relative frequency).
-
-Snapshot methods then assemble results from those counters with the
-*same* arithmetic, result types and sort orders as the batch
-functions, so a snapshot is bit-identical to running the batch
-function over an index holding exactly the window's documents — the
-equivalence the test suite asserts.
+Each snapshot is one call to the batch mining function —
+:func:`~repro.mining.assoc2d.associate`,
+:func:`~repro.mining.relfreq.relative_frequency`,
+:func:`~repro.mining.trends.trend_series` or
+:func:`~repro.mining.trends.emerging_concepts` — on that index, so a
+snapshot equals the batch result over exactly the window's documents
+by construction.
 """
 
 from dataclasses import dataclass
 
-from repro.mining.assoc2d import AssociationCell, AssociationTable
+from repro.mining.assoc2d import associate
 from repro.mining.index import ConceptIndex
-from repro.mining.relfreq import RelevancyResult
-from repro.mining.trends import observed_bucket_range, trend_slope
-from repro.util.intervals import lift_lower_bound, lift_point_estimate
+from repro.mining.relfreq import relative_frequency
+from repro.mining.trends import emerging_concepts, trend_series
 
 
 @dataclass(frozen=True)
 class AssocSpec:
-    """A registered 2-D association kept incrementally up to date.
+    """A registered 2-D association read from the window.
 
     Dimensions follow the batch convention: ``("concept", category)``
     or ``("field", name)``.
@@ -49,7 +41,7 @@ class AssocSpec:
 
 @dataclass(frozen=True)
 class RelFreqSpec:
-    """A registered relative-frequency query kept incrementally.
+    """A registered relative-frequency query read from the window.
 
     ``focus_keys`` is a tuple of full concept keys selecting the focus
     subset (documents carrying *all* of them); ``candidate_dimension``
@@ -61,27 +53,8 @@ class RelFreqSpec:
     min_focus_count: int = 1
 
 
-def _normalise_assoc(spec):
-    """Tuple-ize an :class:`AssocSpec`'s dimension fields."""
-    return AssocSpec(
-        row_dimension=tuple(spec.row_dimension),
-        col_dimension=tuple(spec.col_dimension),
-        confidence=spec.confidence,
-        interval_method=spec.interval_method,
-    )
-
-
-def _normalise_relfreq(spec):
-    """Tuple-ize a :class:`RelFreqSpec`'s key and dimension fields."""
-    return RelFreqSpec(
-        focus_keys=tuple(tuple(key) for key in spec.focus_keys),
-        candidate_dimension=tuple(spec.candidate_dimension),
-        min_focus_count=spec.min_focus_count,
-    )
-
-
 class WindowedAnalytics:
-    """A sliding window of documents with delta-maintained analytics.
+    """A sliding window of documents with batch-computed snapshots.
 
     ``window_buckets`` is the window width in integer time buckets:
     after a document with bucket ``t`` arrives, only documents with
@@ -90,39 +63,32 @@ class WindowedAnalytics:
     ingested — so window state never depends on arrival order beyond
     the in-window upsert semantics.
 
-    Re-ingesting a live ``doc_id`` replaces it (deltas for the old
-    keys are reversed first), mirroring the at-least-once/idempotent
-    contract of the stream consumer.
+    Re-ingesting a live ``doc_id`` replaces it, mirroring the
+    at-least-once/idempotent contract of the stream consumer.
     """
 
-    def __init__(self, window_buckets, assoc_specs=(), relfreq_specs=(),
-                 keep_documents=False):
-        """Register the analyses to maintain over the window."""
+    def __init__(self, window_buckets, assoc_specs=(), relfreq_specs=()):
+        """Register the analyses the snapshots answer."""
         if window_buckets < 1:
             raise ValueError("window_buckets must be >= 1")
         self.window_buckets = int(window_buckets)
-        self.assoc_specs = [_normalise_assoc(s) for s in assoc_specs]
-        self.relfreq_specs = [_normalise_relfreq(s) for s in relfreq_specs]
-        self._keep_documents = keep_documents
+        self.assoc_specs = list(assoc_specs)
+        self.relfreq_specs = list(relfreq_specs)
         self._reset()
 
     def _reset(self):
         """Blank every window structure (fresh or pre-restore)."""
-        self._index = ConceptIndex(keep_documents=self._keep_documents)
+        self._index = ConceptIndex()
         self._by_bucket = {}  # bucket -> [doc_id, ...] in ingest order
         self._max_bucket = None
         self.late_dropped = 0
         self.evicted = 0
-        self._key_buckets = {}  # key -> {bucket: count}
-        self._pair_counts = [{} for _ in self.assoc_specs]
-        self._focus_totals = [0 for _ in self.relfreq_specs]
-        self._focus_counts = [{} for _ in self.relfreq_specs]
 
     # ------------------------------------------------------------------
     # ingest / evict
     # ------------------------------------------------------------------
 
-    def ingest(self, doc_id, keys, timestamp, text=None):
+    def ingest(self, doc_id, keys, timestamp):
         """Add one document to the window; returns False if late.
 
         ``keys`` is the document's full concept-key set (as produced
@@ -139,25 +105,20 @@ class WindowedAnalytics:
         if floor is not None and timestamp < floor:
             self.late_dropped += 1
             return False
-        keys = {tuple(key) for key in keys}
         if doc_id in self._index:
             self._forget(doc_id)
         self._index.add_keys(
-            doc_id, keys, timestamp=timestamp, text=text,
-            on_duplicate="raise",
+            doc_id, keys, timestamp=timestamp, on_duplicate="raise"
         )
         self._by_bucket.setdefault(timestamp, []).append(doc_id)
-        self._apply(keys, timestamp, +1)
         if self._max_bucket is None or timestamp > self._max_bucket:
             self._max_bucket = timestamp
             self._evict_below(self.window_floor)
         return True
 
     def _forget(self, doc_id):
-        """Reverse one live document's deltas and drop it everywhere."""
-        keys = self._index.keys_of(doc_id)
+        """Drop one live document from the index and its bucket."""
         timestamp = self._index.timestamp_of(doc_id)
-        self._apply(keys, timestamp, -1)
         self._by_bucket[timestamp].remove(doc_id)
         if not self._by_bucket[timestamp]:
             del self._by_bucket[timestamp]
@@ -171,42 +132,6 @@ class WindowedAnalytics:
                 self._forget(doc_id)
                 self.evicted += 1
 
-    def _apply(self, keys, timestamp, sign):
-        """Apply one document's ±1 deltas to every counter."""
-        for key in keys:
-            buckets = self._key_buckets.setdefault(key, {})
-            buckets[timestamp] = buckets.get(timestamp, 0) + sign
-            if buckets[timestamp] == 0:
-                del buckets[timestamp]
-                if not buckets:
-                    del self._key_buckets[key]
-        for spec, pairs in zip(self.assoc_specs, self._pair_counts):
-            row_values = [
-                key[2] for key in keys if key[:2] == spec.row_dimension
-            ]
-            col_values = [
-                key[2] for key in keys if key[:2] == spec.col_dimension
-            ]
-            for row_value in row_values:
-                for col_value in col_values:
-                    cell = (row_value, col_value)
-                    pairs[cell] = pairs.get(cell, 0) + sign
-                    if pairs[cell] == 0:
-                        del pairs[cell]
-        for position, spec in enumerate(self.relfreq_specs):
-            if not all(key in keys for key in spec.focus_keys):
-                continue
-            self._focus_totals[position] += sign
-            counts = self._focus_counts[position]
-            for key in keys:
-                if (
-                    key[:2] == spec.candidate_dimension
-                    and key not in spec.focus_keys
-                ):
-                    counts[key] = counts.get(key, 0) + sign
-                    if counts[key] == 0:
-                        del counts[key]
-
     # ------------------------------------------------------------------
     # window state
     # ------------------------------------------------------------------
@@ -215,11 +140,6 @@ class WindowedAnalytics:
     def index(self):
         """The window-scoped concept index (read it, don't mutate it)."""
         return self._index
-
-    @property
-    def max_bucket(self):
-        """Highest time bucket seen so far (None before any ingest)."""
-        return self._max_bucket
 
     @property
     def window_floor(self):
@@ -237,161 +157,81 @@ class WindowedAnalytics:
         return len(self._index)
 
     # ------------------------------------------------------------------
-    # snapshots (bit-identical to the batch mining functions)
+    # snapshots: the batch mining functions on the window index
     # ------------------------------------------------------------------
 
     def trend_snapshot(self, key, buckets=None):
         """``(bucket, count)`` series for ``key`` over the window.
 
-        Matches :func:`repro.mining.trends.trend_series` on an index
-        holding exactly the window's documents, including the
-        zero-filled observed bucket range when ``buckets`` is None.
+        :func:`~repro.mining.trends.trend_series` on the window index.
         """
-        counts = self._key_buckets.get(tuple(key), {})
-        if buckets is None:
-            buckets = observed_bucket_range(counts)
-        return [(bucket, counts.get(bucket, 0)) for bucket in buckets]
+        return trend_series(self._index, key, buckets=buckets)
 
     def emerging_snapshot(self, dimension, buckets=None, min_total=3):
         """Rising concepts of a dimension, steepest slope first.
 
-        Matches :func:`repro.mining.trends.emerging_concepts` over the
-        window's documents.
+        :func:`~repro.mining.trends.emerging_concepts` on the window
+        index.
         """
-        results = []
-        for key in self._index.keys_of_dimension(dimension):
-            series = self.trend_snapshot(key, buckets=buckets)
-            total = sum(count for _, count in series)
-            if total < min_total:
-                continue
-            results.append((key, trend_slope(series), total))
-        results.sort(key=lambda item: (-item[1], item[0]))
-        return results
+        return emerging_concepts(
+            self._index, dimension, buckets=buckets, min_total=min_total
+        )
 
     def assoc_snapshot(self, spec_index=0):
         """The registered association's table over the window.
 
-        Matches :func:`repro.mining.assoc2d.associate` over the
-        window's documents (same cells, same interval-bounded
-        strengths, same drill-down), built from the maintained pair
-        counters instead of posting-list intersections.
+        :func:`~repro.mining.assoc2d.associate` on the window index;
+        raises ``ValueError`` on an empty window.
         """
-        spec = self.assoc_specs[spec_index]
-        pairs = self._pair_counts[spec_index]
-        grand_total = len(self._index)
-        if grand_total == 0:
+        if not len(self._index):
             raise ValueError("cannot analyse an empty window")
-        row_values = self._index.values_of_dimension(spec.row_dimension)
-        col_values = self._index.values_of_dimension(spec.col_dimension)
-        row_totals = {
-            value: self._index.count(spec.row_dimension + (value,))
-            for value in row_values
-        }
-        col_totals = {
-            value: self._index.count(spec.col_dimension + (value,))
-            for value in col_values
-        }
-        cells = {}
-        for row_value in row_values:
-            for col_value in col_values:
-                count = pairs.get((row_value, col_value), 0)
-                strength = lift_lower_bound(
-                    count,
-                    row_totals[row_value],
-                    col_totals[col_value],
-                    grand_total,
-                    confidence=spec.confidence,
-                    method=spec.interval_method,
-                )
-                point = lift_point_estimate(
-                    count,
-                    row_totals[row_value],
-                    col_totals[col_value],
-                    grand_total,
-                )
-                cells[(row_value, col_value)] = AssociationCell(
-                    row_value=row_value,
-                    col_value=col_value,
-                    count=count,
-                    row_total=row_totals[row_value],
-                    col_total=col_totals[col_value],
-                    grand_total=grand_total,
-                    strength=strength,
-                    point_lift=point,
-                )
-        return AssociationTable(
+        spec = self.assoc_specs[spec_index]
+        return associate(
             self._index, spec.row_dimension, spec.col_dimension,
-            cells, row_values, col_values,
+            confidence=spec.confidence,
+            interval_method=spec.interval_method,
         )
 
     def relfreq_snapshot(self, spec_index=0):
         """The registered relevancy ranking over the window.
 
-        Matches :func:`repro.mining.relfreq.relative_frequency` over
-        the window's documents, built from the maintained focus
-        counters.
+        :func:`~repro.mining.relfreq.relative_frequency` on the window
+        index.
         """
         spec = self.relfreq_specs[spec_index]
-        focus_total = self._focus_totals[spec_index]
-        focus_counts = self._focus_counts[spec_index]
-        overall_total = len(self._index)
-        results = []
-        for key in self._index.keys_of_dimension(spec.candidate_dimension):
-            if key in spec.focus_keys:
-                continue
-            focus_count = focus_counts.get(key, 0)
-            if focus_count < spec.min_focus_count:
-                continue
-            results.append(
-                RelevancyResult(
-                    key=key,
-                    focus_count=focus_count,
-                    focus_total=focus_total,
-                    overall_count=self._index.count(key),
-                    overall_total=overall_total,
-                )
-            )
-        results.sort(key=lambda r: (-r.relative_frequency, r.key))
-        return results
+        return relative_frequency(
+            self._index, spec.focus_keys, spec.candidate_dimension,
+            min_focus_count=spec.min_focus_count,
+        )
 
     # ------------------------------------------------------------------
     # checkpoint round trip
     # ------------------------------------------------------------------
 
     def to_state(self):
-        """JSON-safe snapshot of the window's documents and cursor.
-
-        Counters are *not* serialised: they are a pure function of the
-        surviving documents replayed in insertion order, so
-        :meth:`restore_state` rebuilds them exactly — smaller
-        checkpoints, no drift between the two representations.
-        """
-        docs = []
-        for doc_id in self._index.document_ids:
-            entry = {
-                "doc_id": doc_id,
-                "keys": sorted(
-                    list(key) for key in self._index.keys_of(doc_id)
-                ),
-                "timestamp": self._index.timestamp_of(doc_id),
-            }
-            if self._keep_documents:
-                entry["text"] = self._index.text_of(doc_id)
-            docs.append(entry)
+        """JSON-safe snapshot of the window's documents and cursor."""
         return {
             "window_buckets": self.window_buckets,
             "max_bucket": self._max_bucket,
             "late_dropped": self.late_dropped,
             "evicted": self.evicted,
-            "documents": docs,
+            "documents": [
+                {
+                    "doc_id": doc_id,
+                    "keys": sorted(
+                        list(key) for key in self._index.keys_of(doc_id)
+                    ),
+                    "timestamp": self._index.timestamp_of(doc_id),
+                }
+                for doc_id in self._index.document_ids
+            ],
         }
 
     def restore_state(self, state):
         """Rebuild the window from a :meth:`to_state` snapshot.
 
         Documents are re-ingested in their original insertion order,
-        which reproduces every counter bit-for-bit (ingests and evicts
-        of departed documents cancelled exactly in the live run).
+        which reproduces the window index and its bucket lists exactly.
         """
         if state["window_buckets"] != self.window_buckets:
             raise ValueError(
@@ -401,12 +241,7 @@ class WindowedAnalytics:
             )
         self._reset()
         for entry in state["documents"]:
-            self.ingest(
-                entry["doc_id"],
-                [tuple(key) for key in entry["keys"]],
-                entry["timestamp"],
-                text=entry.get("text"),
-            )
+            self.ingest(entry["doc_id"], entry["keys"], entry["timestamp"])
         self._max_bucket = state["max_bucket"]
         self.late_dropped = state["late_dropped"]
         self.evicted = state["evicted"]

@@ -119,10 +119,19 @@ class TestCorruptionFallback:
         # .prev where a *current*-copy failure would have found it.
         assert checkpointer.load()["offset"] == 8
 
-    def test_legacy_unstamped_payload_still_loads(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text(json.dumps({"version": 2, "offset": 5}))
-        assert Checkpointer(path).load()["offset"] == 5
+    def test_damaged_stamp_key_falls_back(self, tmp_path):
+        # Regression: a payload whose stamp key itself was damaged used
+        # to load unverified, tampered offset included.
+        checkpointer = Checkpointer(tmp_path / "ck.json")
+        checkpointer.save({"offset": 7})
+        checkpointer.save({"offset": 8})
+        with open(checkpointer.path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["sha2X6"] = payload.pop("sha256")
+        payload["offset"] = 9
+        with open(checkpointer.path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        assert checkpointer.load() == {"offset": 7, "version": 3}
 
 
 class TestRetries:

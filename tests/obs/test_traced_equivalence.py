@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.engine import Document, FunctionStage, MapStage, PipelineRunner
+from repro.faults import FaultPlan, FaultSpec, InjectedFault, injecting
 from repro.linking.fagin import fagin_merge
 from repro.mining.stage import ConceptIndexStage
 from repro.obs import MetricsRegistry, Tracer, activated
@@ -127,10 +128,6 @@ CITIES = ["seattle", "boston", "denver"]
 CARS = ["suv", "compact", "luxury"]
 
 
-class Crash(RuntimeError):
-    """Simulated consumer death at a failpoint."""
-
-
 def _make_pairs(n=40, seed=5):
     """Deterministic (timestamp, document) arrivals; fresh each call."""
     rng = random.Random(seed)
@@ -151,16 +148,8 @@ def _filter(document):
         document.discard("filter", "synthetic noise")
 
 
-def _build(checkpoint_path=None, crash_on=None, crash_at=None):
+def _build(checkpoint_path=None):
     """A fresh consumer over a freshly generated stream."""
-    seen = {"count": 0}
-
-    def failpoint(event):
-        if event == crash_on:
-            seen["count"] += 1
-            if seen["count"] >= crash_at:
-                raise Crash(f"{event} #{seen['count']}")
-
     return StreamConsumer(
         MemorySource(_make_pairs()),
         [
@@ -176,8 +165,23 @@ def _build(checkpoint_path=None, crash_on=None, crash_at=None):
         ),
         batch_docs=7,
         checkpoint_interval=2,
-        failpoint=failpoint if crash_on else None,
     )
+
+
+def _crashing(event, crash_at):
+    """Arm a fatal fault at the consumer's ``event`` commit boundary.
+
+    It fires on the ``crash_at``-th hit and on every later one.
+    """
+    plan = FaultPlan(
+        seed=0,
+        specs=[
+            FaultSpec(
+                point=f"stream.{event}", kind="fatal", after=crash_at - 1
+            )
+        ],
+    )
+    return injecting(plan.injector())
 
 
 def _assert_same_final_state(resumed, reference):
@@ -209,10 +213,10 @@ class TestStreamEquivalence:
 
         tracer = Tracer()
         with activated(tracer, MetricsRegistry()):
-            crashed = _build(
-                tmp_path / "ck.json", "batch-committed", crash_at
-            )
-            with pytest.raises(Crash):
+            crashed = _build(tmp_path / "ck.json")
+            with _crashing("batch-committed", crash_at), pytest.raises(
+                InjectedFault
+            ):
                 crashed.run()
             resumed = _build(tmp_path / "ck.json")
             resumed.restore()

@@ -35,9 +35,10 @@ class TestChecksum:
     def test_verify_strips_the_stamp(self):
         assert verify_checksum(stamp_checksum(PAYLOAD)) == PAYLOAD
 
-    def test_unstamped_payload_passes(self):
-        # Pre-checksum format versions must stay loadable.
-        assert verify_checksum(dict(PAYLOAD)) == PAYLOAD
+    def test_unstamped_payload_rejected(self):
+        # A missing stamp is damage, not an older format.
+        with pytest.raises(IntegrityError, match="no 'sha256' stamp"):
+            verify_checksum(dict(PAYLOAD), source="unit payload")
 
     def test_mismatch_raises(self):
         stamped = stamp_checksum(PAYLOAD)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.mining.index import ConceptIndex, concept_key, field_key
+from repro.store.integrity import encode_stamped
 from repro.stream import Checkpointer, index_from_state, index_to_state
 from repro.stream.checkpoint import CHECKPOINT_VERSION
 
@@ -57,7 +58,7 @@ class TestCheckpointer:
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
-        path.write_text(json.dumps({"version": 99, "offset": 0}))
+        path.write_bytes(encode_stamped({"version": 99, "offset": 0}))
         with pytest.raises(ValueError, match="format version 99"):
             Checkpointer(path).load()
 

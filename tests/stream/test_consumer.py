@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.engine import Document, FunctionStage
+from repro.faults import FaultPlan, FaultSpec, InjectedFault, injecting
 from repro.mining.stage import ConceptIndexStage
 from repro.stream import (
     AssocSpec,
@@ -30,10 +31,6 @@ CARS = ["suv", "compact", "luxury"]
 N_DOCS = 61  # not a multiple of batch_docs: exercises a ragged tail
 BATCH_DOCS = 7
 CHECKPOINT_INTERVAL = 2
-
-
-class Crash(RuntimeError):
-    """Simulated consumer death at a failpoint."""
 
 
 def _make_pairs(n=N_DOCS, seed=5):
@@ -59,20 +56,8 @@ def _filter(document):
         document.discard("filter", "synthetic noise")
 
 
-def _build(checkpoint_path=None, crash_on=None, crash_at=None):
-    """A fresh consumer over a freshly generated stream.
-
-    ``crash_on``/``crash_at``: raise :class:`Crash` on the
-    ``crash_at``-th occurrence of the named failpoint event.
-    """
-    seen = {"count": 0}
-
-    def failpoint(event):
-        if event == crash_on:
-            seen["count"] += 1
-            if seen["count"] >= crash_at:
-                raise Crash(f"{event} #{seen['count']}")
-
+def _build(checkpoint_path=None):
+    """A fresh consumer over a freshly generated stream."""
     return StreamConsumer(
         MemorySource(_make_pairs()),
         [
@@ -87,8 +72,23 @@ def _build(checkpoint_path=None, crash_on=None, crash_at=None):
         ),
         batch_docs=BATCH_DOCS,
         checkpoint_interval=CHECKPOINT_INTERVAL,
-        failpoint=failpoint if crash_on else None,
     )
+
+
+def _crashing(event, crash_at):
+    """Arm a fatal fault at the consumer's ``event`` commit boundary.
+
+    It fires on the ``crash_at``-th hit and on every later one.
+    """
+    plan = FaultPlan(
+        seed=0,
+        specs=[
+            FaultSpec(
+                point=f"stream.{event}", kind="fatal", after=crash_at - 1
+            )
+        ],
+    )
+    return injecting(plan.injector())
 
 
 def _assert_same_final_state(resumed, reference):
@@ -115,9 +115,10 @@ class TestCrashResume:
         reference = _build()
         reference.run()
 
-        crashed = _build(tmp_path / "ck.json", "batch-committed",
-                         crash_at)
-        with pytest.raises(Crash):
+        crashed = _build(tmp_path / "ck.json")
+        with _crashing("batch-committed", crash_at), pytest.raises(
+            InjectedFault
+        ):
             crashed.run()
 
         resumed = _build(tmp_path / "ck.json")
@@ -138,9 +139,10 @@ class TestCrashResume:
         reference = _build()
         reference.run()
 
-        crashed = _build(tmp_path / "ck.json", "checkpoint-written",
-                         crash_at)
-        with pytest.raises(Crash):
+        crashed = _build(tmp_path / "ck.json")
+        with _crashing("checkpoint-written", crash_at), pytest.raises(
+            InjectedFault
+        ):
             crashed.run()
 
         resumed = _build(tmp_path / "ck.json")
@@ -153,13 +155,13 @@ class TestCrashResume:
         reference = _build()
         reference.run()
 
-        first = _build(tmp_path / "ck.json", "batch-committed", 5)
-        with pytest.raises(Crash):
+        first = _build(tmp_path / "ck.json")
+        with _crashing("batch-committed", 5), pytest.raises(InjectedFault):
             first.run()
 
-        second = _build(tmp_path / "ck.json", "batch-committed", 2)
+        second = _build(tmp_path / "ck.json")
         assert second.restore()
-        with pytest.raises(Crash):
+        with _crashing("batch-committed", 2), pytest.raises(InjectedFault):
             second.run()
 
         third = _build(tmp_path / "ck.json")

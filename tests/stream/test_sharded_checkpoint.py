@@ -6,9 +6,11 @@ import random
 import pytest
 
 from repro.engine import Document, FunctionStage
+from repro.faults import FaultPlan, FaultSpec, InjectedFault, injecting
 from repro.mining.index import ConceptIndex, concept_key, field_key
 from repro.mining.sharded import ShardedConceptIndex, shard_count_of
 from repro.mining.stage import ConceptIndexStage
+from repro.store.integrity import encode_stamped
 from repro.stream import (
     AssocSpec,
     Checkpointer,
@@ -18,10 +20,7 @@ from repro.stream import (
     index_from_state,
     index_to_state,
 )
-from repro.stream.checkpoint import (
-    CHECKPOINT_VERSION,
-    SUPPORTED_CHECKPOINT_VERSIONS,
-)
+from repro.stream.checkpoint import CHECKPOINT_VERSION
 
 CITIES = ["seattle", "boston", "denver"]
 CARS = ["suv", "compact", "luxury"]
@@ -58,7 +57,7 @@ class TestShardedIndexState:
         assert rebuilt.document_ids == index.document_ids
 
     def test_v1_state_restores_as_single_index(self):
-        # A pre-sharding checkpoint payload carries no layout key.
+        # A single-index checkpoint payload carries no layout key.
         state = index_to_state(_fill(ConceptIndex()))
         rebuilt = index_from_state(state)
         assert isinstance(rebuilt, ConceptIndex)
@@ -83,18 +82,16 @@ class TestShardedIndexState:
 
 
 class TestVersioning:
-    def test_current_version_is_three_and_old_still_read(self):
+    def test_current_version_is_three_and_old_not_read(self, tmp_path):
         assert CHECKPOINT_VERSION == 3
-        assert SUPPORTED_CHECKPOINT_VERSIONS == (1, 2, 3)
-
-    def test_v1_payload_loads(self, tmp_path):
         path = tmp_path / "ck.json"
-        path.write_text(json.dumps({"version": 1, "offset": 12}))
-        assert Checkpointer(path).load()["offset"] == 12
+        path.write_bytes(encode_stamped({"version": 2, "offset": 12}))
+        with pytest.raises(ValueError, match="format version 2"):
+            Checkpointer(path).load()
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
-        path.write_text(json.dumps({"version": 99, "offset": 0}))
+        path.write_bytes(encode_stamped({"version": 99, "offset": 0}))
         with pytest.raises(ValueError, match="format version 99"):
             Checkpointer(path).load()
 
@@ -116,20 +113,8 @@ def _make_pairs(n=53, seed=6):
     return pairs
 
 
-class Crash(RuntimeError):
-    """Simulated consumer death at a failpoint."""
-
-
-def _build(shards, checkpoint_path=None, crash_on=None, crash_at=None):
+def _build(shards, checkpoint_path=None):
     """A fresh consumer with the requested index layout."""
-    seen = {"count": 0}
-
-    def failpoint(event):
-        if event == crash_on:
-            seen["count"] += 1
-            if seen["count"] >= crash_at:
-                raise Crash(f"{event} #{seen['count']}")
-
     return StreamConsumer(
         MemorySource(_make_pairs()),
         [ConceptIndexStage(on_duplicate="replace", shards=shards)],
@@ -142,8 +127,23 @@ def _build(shards, checkpoint_path=None, crash_on=None, crash_at=None):
         ),
         batch_docs=7,
         checkpoint_interval=2,
-        failpoint=failpoint if crash_on else None,
     )
+
+
+def _crashing(event, crash_at):
+    """Arm a fatal fault at the consumer's ``event`` commit boundary.
+
+    It fires on the ``crash_at``-th hit and on every later one.
+    """
+    plan = FaultPlan(
+        seed=0,
+        specs=[
+            FaultSpec(
+                point=f"stream.{event}", kind="fatal", after=crash_at - 1
+            )
+        ],
+    )
+    return injecting(plan.injector())
 
 
 class TestShardedConsumer:
@@ -158,8 +158,8 @@ class TestShardedConsumer:
         reference = _build(3)
         reference.run()
 
-        crashed = _build(3, tmp_path / "ck.json", "batch-committed", 3)
-        with pytest.raises(Crash):
+        crashed = _build(3, tmp_path / "ck.json")
+        with _crashing("batch-committed", 3), pytest.raises(InjectedFault):
             crashed.run()
         resumed = _build(3, tmp_path / "ck.json")
         assert resumed.restore()
@@ -184,17 +184,14 @@ class TestShardedConsumer:
     def test_pre_sharding_checkpoint_restores_into_shards(
         self, tmp_path
     ):
-        # A checkpoint written by a single-index (version 1 layout)
-        # consumer restores into a consumer upgraded to shards: the
-        # configured stage layout is authoritative.
+        # A checkpoint written by a single-index consumer restores
+        # into a consumer upgraded to shards: the configured stage
+        # layout is authoritative.
         path = tmp_path / "ck.json"
         old = _build(0, path)
         old.run()
         payload = json.loads(path.read_text())
         assert "layout" not in payload["index"]
-        payload["version"] = 1  # exactly what an old build wrote
-        payload.pop("sha256", None)  # old builds carried no stamp
-        path.write_text(json.dumps(payload))
 
         upgraded = _build(3, path)
         assert upgraded.restore()
