@@ -254,12 +254,7 @@ def _build_carrental_stream(args):
             seed=args.seed,
         )
     )
-    system = BIVoCSystem(
-        BIVoCConfig(
-            use_asr=False, link_mode="content", workers=args.workers,
-            backend=args.backend,
-        )
-    )
+    system = BIVoCSystem(BIVoCConfig(use_asr=False, link_mode="content"))
     stages = system.build_call_stages(
         corpus,
         index_stage=ConceptIndexStage(
@@ -352,6 +347,7 @@ def _build_telecom_stream(args):
 
 def cmd_stream(args):
     """Run the incremental streaming consumer over a synthetic feed."""
+    from repro.exec import make_backend
     from repro.mining.reports import render_association, render_relevancy
     from repro.stream import Checkpointer, StreamConsumer
 
@@ -364,16 +360,16 @@ def cmd_stream(args):
     checkpointer = (
         Checkpointer(args.checkpoint) if args.checkpoint else None
     )
-    with StreamConsumer(
-        source,
-        stages,
-        window=window,
-        checkpointer=checkpointer,
-        batch_docs=args.batch_docs,
-        checkpoint_interval=args.checkpoint_interval,
-        workers=args.workers,
-        backend=args.backend,
-    ) as consumer:
+    with make_backend(args.backend, args.workers) as backend:
+        consumer = StreamConsumer(
+            source,
+            stages,
+            window=window,
+            checkpointer=checkpointer,
+            batch_docs=args.batch_docs,
+            checkpoint_interval=args.checkpoint_interval,
+            backend=backend,
+        )
         if checkpointer is not None and consumer.restore():
             print(
                 f"resumed from checkpoint at offset "
@@ -412,7 +408,27 @@ def cmd_stream(args):
 
 
 def cmd_serve(args):
-    """Serve analytic queries over HTTP while a stream ingests."""
+    """Serve analytic queries over HTTP while a stream ingests.
+
+    Builds one backend for the ingesting consumer (``--workers``) and
+    one for the query engine (``--query-workers``); the server's
+    request threads share the latter.
+    """
+    from repro.exec import make_backend
+
+    with make_backend(args.backend, args.workers) as ingest_backend, \
+            make_backend(args.backend, args.query_workers) as query_backend:
+        # --query-workers 0/1 means serial queries, which /status
+        # reports as 0 workers: the engine gets no backend at all.
+        return _serve(
+            args,
+            ingest_backend,
+            query_backend if args.query_workers > 1 else None,
+        )
+
+
+def _serve(args, ingest_backend, query_backend):
+    """The body of :func:`cmd_serve`, on backends it does not own."""
     import json
     import os
     import signal
@@ -448,8 +464,7 @@ def cmd_serve(args):
         checkpointer=checkpointer,
         batch_docs=args.batch_docs,
         checkpoint_interval=args.checkpoint_interval,
-        workers=args.workers,
-        backend=args.backend,
+        backend=ingest_backend,
         epochs=epochs,
     )
     if checkpointer is not None and consumer.restore():
@@ -459,8 +474,7 @@ def cmd_serve(args):
         )
     engine = QueryEngine(
         epochs,
-        workers=args.query_workers,
-        backend=args.backend if args.query_workers > 1 else None,
+        backend=query_backend,
         cache=QueryCache(
             capacity=args.cache_capacity, ttl=args.cache_ttl
         ),
@@ -517,8 +531,6 @@ def cmd_serve(args):
             timer.cancel()
         server.stop()
         ingest.join()
-        engine.close()
-        consumer.close()
         if restore_term:
             signal.signal(signal.SIGTERM, previous_term)
         # The ready-file advertises a live endpoint; leaving it behind
@@ -549,22 +561,29 @@ def cmd_chaos(args):
     (with the plan JSON on stderr for one-command reproduction).
     """
     import json
-    import os
-    import tempfile
 
-    from repro.faults import (
-        InjectedFault,
-        RetryPolicy,
-        default_chaos_plan,
-        injecting,
-    )
-    from repro.stream import CheckpointCorrupt, Checkpointer, StreamConsumer
-    from repro.stream.checkpoint import index_to_state
+    from repro.exec import make_backend
+    from repro.faults import default_chaos_plan
 
     plan = default_chaos_plan(args.seed)
     if args.plan_only:
         print(json.dumps(plan.to_json_dict(), indent=2))
         return 0
+    # One backend serves the reference run and every restart: a crash
+    # kills the consumer, never the backend built here.
+    with make_backend(args.backend, args.workers) as backend:
+        return _chaos(args, plan, backend)
+
+
+def _chaos(args, plan, backend):
+    """The body of :func:`cmd_chaos`, on a backend it does not own."""
+    import json
+    import os
+    import tempfile
+
+    from repro.faults import InjectedFault, RetryPolicy, injecting
+    from repro.stream import CheckpointCorrupt, Checkpointer, StreamConsumer
+    from repro.stream.checkpoint import index_to_state
 
     def build_consumer(checkpointer):
         # Rebuilt from scratch per (re)start: a crash loses every bit
@@ -576,12 +595,11 @@ def cmd_chaos(args):
             checkpointer=checkpointer,
             batch_docs=args.batch_docs,
             checkpoint_interval=2,
-            workers=args.workers,
-            backend=args.backend,
+            backend=backend,
         )
 
-    with build_consumer(None) as reference:
-        reference.run(checkpoint_at_end=False)
+    reference = build_consumer(None)
+    reference.run(checkpoint_at_end=False)
     expected = index_to_state(reference.index)
 
     retry = RetryPolicy(
@@ -597,36 +615,28 @@ def cmd_chaos(args):
                     ck_path, retry=retry, sleep=lambda _delay: None
                 )
                 consumer = build_consumer(checkpointer)
-                # close() per (re)start: a crashed consumer must not
-                # leak its warm worker pool into the next incarnation.
                 try:
-                    try:
-                        consumer.restore()
-                    except CheckpointCorrupt:
-                        # Every copy corrupted: cold-start, the last
-                        # resort (at-least-once delivery makes it safe).
-                        checkpointer.clear()
-                        continue
-                    try:
-                        consumer.run()
-                        break
-                    except InjectedFault:
-                        restarts += 1
-                        if restarts > 50:
-                            print(
-                                "chaos: runaway restart loop "
-                                "(plan below)",
-                                file=sys.stderr,
-                            )
-                            print(
-                                json.dumps(
-                                    plan.to_json_dict(), indent=2
-                                ),
-                                file=sys.stderr,
-                            )
-                            return 1
-                finally:
-                    consumer.close()
+                    consumer.restore()
+                except CheckpointCorrupt:
+                    # Every copy corrupted: cold-start, the last resort
+                    # (at-least-once delivery makes it safe).
+                    checkpointer.clear()
+                    continue
+                try:
+                    consumer.run()
+                    break
+                except InjectedFault:
+                    restarts += 1
+                    if restarts > 50:
+                        print(
+                            "chaos: runaway restart loop (plan below)",
+                            file=sys.stderr,
+                        )
+                        print(
+                            json.dumps(plan.to_json_dict(), indent=2),
+                            file=sys.stderr,
+                        )
+                        return 1
 
     fired = {
         name: counts["fired"]
@@ -954,8 +964,8 @@ def build_parser():
                        help="bind port (0 picks a free port)")
     serve.add_argument(
         "--query-workers", type=int, default=0,
-        help="thread workers for per-shard query partials "
-             "(0 = serial; pooled results are bit-identical)",
+        help="workers for per-shard query partials, on the --backend "
+             "kind (0 = serial; pooled results are bit-identical)",
     )
     serve.add_argument("--cache-capacity", type=int, default=128,
                        help="epoch-keyed result cache entries")

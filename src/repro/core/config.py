@@ -33,12 +33,12 @@ class BIVoCConfig:
     two_pass: bool = False
     two_pass_top_n: int = 5
     # Engine execution knobs: documents flow through the stage graph in
-    # batches of ``batch_size``; ``workers`` > 1 maps pure stages across
-    # the selected execution backend (bit-identical to serial on every
-    # backend — see repro.engine.runner and repro.exec).  ``backend``
-    # names the fan-out flavour ("serial" / "thread" / "process"); it
-    # only engages when ``workers`` > 1, and "serial" forces inline
-    # execution regardless of workers.
+    # batches of ``batch_size``.  ``run_insight_analysis`` turns
+    # ``backend`` ("serial" / "thread" / "process") and ``workers``
+    # into the one execution backend its pure stages and analytics
+    # fan out on (bit-identical to serial on every backend — see
+    # repro.engine.runner and repro.exec); fan-out engages only when
+    # ``workers`` > 1, and "serial" forces inline execution.
     batch_size: int = 64
     workers: int = 0
     backend: str = "thread"

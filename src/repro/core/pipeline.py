@@ -441,16 +441,14 @@ class BIVoCSystem:
             index_stage or ConceptIndexStage(shards=config.shards),
         ]
 
-    def process_call_center(self, corpus, pool=None, backend=None):
+    def process_call_center(self, corpus, backend=None):
         """Run the full pipeline over a car-rental corpus.
 
-        ``pool`` injects an external executor into the runner and
-        ``backend`` an execution backend (see
+        ``backend`` is the execution backend the runner's pure stages
+        fan out on (``None`` = inline; see
         :class:`~repro.engine.PipelineRunner`); callers that follow
-        the run with sharded analytics share one executor across both.
-        Either injection overrides the config's ``workers``/``backend``
-        knobs — they are mutually exclusive with them, never silently
-        preferred.
+        the run with sharded analytics share it across both, and
+        close it themselves.
         """
         stages = self.build_call_stages(corpus)
         index_stage = stages[-1]
@@ -463,19 +461,9 @@ class BIVoCSystem:
             )
             for transcript in corpus.transcripts
         ]
-        if pool is None and backend is None:
-            backend = self.config.backend
-            workers = self.config.workers
-        else:
-            workers = 0
-        with PipelineRunner(
-            stages,
-            batch_size=self.config.batch_size,
-            workers=workers,
-            pool=pool,
-            backend=backend,
-        ) as runner:
-            result = runner.run(documents)
+        result = PipelineRunner(
+            stages, batch_size=self.config.batch_size, backend=backend
+        ).run(documents)
 
         processed = []
         link_attempts = 0

@@ -54,21 +54,16 @@ _OUTCOMES = ["reservation", "unbooked"]
 def run_insight_analysis(corpus, config=None):
     """Run the BIVoC pipeline and build the paper's tables.
 
-    With ``config.workers > 1`` one execution backend of the
-    configured kind (``config.backend``: thread pool by default,
-    process pool for GIL-free fan-out) serves both the engine's
-    parallel stages and the sharded analytics' per-shard partials (the
-    order-preserving fan-out keeps every table bit-identical to the
-    serial run on any backend).
+    One execution backend of the configured kind (``config.backend``:
+    thread pool by default, process pool for GIL-free fan-out; wide
+    enough to fan out when ``config.workers > 1``) serves both the
+    engine's parallel stages and the sharded analytics' per-shard
+    partials, and is closed here (the order-preserving fan-out keeps
+    every table bit-identical to the serial run on any backend).
     """
     config = config or BIVoCConfig()
     system = BIVoCSystem(config=config)
-    backend = (
-        make_backend(config.backend, workers=config.workers)
-        if config.workers > 1
-        else None
-    )
-    try:
+    with make_backend(config.backend, config.workers) as backend:
         analysis = system.process_call_center(corpus, backend=backend)
         index = analysis.index
         intent_table = associate(
@@ -98,9 +93,6 @@ def run_insight_analysis(corpus, config=None):
             index, ("concept", "place"), ("concept", "vehicle type"),
             backend=backend,
         )
-    finally:
-        if backend is not None:
-            backend.close()
     return AgentProductivityStudy(
         analysis=analysis,
         intent_table=intent_table,

@@ -20,6 +20,7 @@ from repro.churn.imbalance import undersample
 from repro.cleaning.pipeline import CleaningPipeline
 from repro.cleaning.stage import CleaningStage
 from repro.engine import Document, MapStage, PipelineRunner
+from repro.exec import make_backend
 from repro.linking.single import EntityLinker
 
 
@@ -344,15 +345,16 @@ def run_churn_study(corpus, channel="email", split_month=None,
                     classifier=None, undersample_ratio=6.0,
                     threshold=0.5, spell_correct=False,
                     batch_size=64, workers=0, shards=None,
-                    backend=None):
+                    backend="thread"):
     """Run the churn study over one channel of a telecom corpus.
 
     ``split_month`` separates training history from the evaluation
     month (defaults to the corpus's last month).  ``batch_size``,
-    ``workers`` and ``backend`` are the engine execution knobs
+    ``workers`` and ``backend`` are the engine execution knobs:
+    ``backend`` is a kind name (:data:`~repro.exec.BACKEND_KINDS`)
+    sized by ``workers``, built once here and closed after the run
     (parallel execution of pure stages is bit-identical to serial on
-    every backend; ``backend`` is a kind name sized by ``workers``, or
-    a ready :class:`~repro.exec.ExecBackend` instance).
+    every backend).
 
     ``shards`` opts into the churn-driver concept index
     (:func:`build_driver_index_stages`): ``None`` (the default) skips
@@ -381,10 +383,10 @@ def run_churn_study(corpus, channel="email", split_month=None,
         )
         for index, (message_channel, message) in enumerate(channelled)
     ]
-    with PipelineRunner(
-        stages, batch_size=batch_size, workers=workers, backend=backend
-    ) as runner:
-        result = runner.run(documents)
+    with make_backend(backend, workers) as runner_backend:
+        result = PipelineRunner(
+            stages, batch_size=batch_size, backend=runner_backend
+        ).run(documents)
 
     prepared = result.documents
     linked = [

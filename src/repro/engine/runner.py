@@ -17,12 +17,10 @@
   bit-identical to serial execution on every backend — the determinism
   guarantee every paper artifact relies on.
 
-The backend is resolved once at construction (``workers > 1`` builds
-the historical thread pool; ``backend=`` selects serial / thread /
-process by name or injects a ready instance; ``pool=`` adapts an
-external executor) and warm-reused across runs — worker spawn is paid
-once per runner, not once per run.  Close the runner (or use it as a
-context manager) to release an owned backend.
+The backend is injected (``backend=None`` runs inline) and warm-reused
+across runs — worker spawn is paid once per backend, not once per run.
+The runner never builds or closes a backend: whoever built it (see
+:func:`repro.exec.make_backend`) closes it.
 
 On backends that pickle tasks across a process boundary, each batch
 ships inside a module-level :class:`_StageTask` envelope instead of a
@@ -49,7 +47,6 @@ bit-identical in outputs.
 import time
 from dataclasses import dataclass, field
 
-from repro.exec import resolve_backend
 from repro.obs import get_metrics, get_tracer
 
 
@@ -178,24 +175,16 @@ class PipelineRunner:
     """Executes a stage list over a document corpus.
 
     ``batch_size`` bounds the unit of work handed to each stage (and to
-    each worker); ``workers`` > 1 enables the historical thread pool
-    for pure stages, while ``backend`` selects an execution backend by
-    kind name (``"serial"`` / ``"thread"`` / ``"process"``, sized by
-    ``workers``) or injects a ready
-    :class:`~repro.exec.ExecBackend` instance.  ``clock`` is the timing
-    source for per-stage wall time (defaults to the monotonic
-    performance counter); it is used for reporting only and never
-    influences the documents.
-
-    Executor knobs are mutually exclusive, matching
-    :class:`~repro.serve.engine.QueryEngine`: ``pool`` with
-    ``workers > 1``, ``pool`` with ``backend``, and a ready backend
-    instance with ``workers > 1`` all raise ``ValueError`` — two
-    requested executors never silently shadow each other.
+    each worker); ``backend`` is the
+    :class:`~repro.exec.ExecBackend` pure stages fan out on (``None``
+    runs every stage inline).  ``clock`` is the timing source for
+    per-stage wall time (defaults to the monotonic performance
+    counter); it is used for reporting only and never influences the
+    documents.
     """
 
-    def __init__(self, stages, batch_size=64, workers=0, clock=None,
-                 tracer=None, metrics=None, pool=None, backend=None):
+    def __init__(self, stages, batch_size=64, clock=None, tracer=None,
+                 metrics=None, backend=None):
         """``stages`` is an ordered list of Stage instances.
 
         ``tracer``/``metrics`` override the ambient observability
@@ -203,19 +192,12 @@ class PipelineRunner:
         ambient slot at each run", which is how ``bivoc trace``
         reaches a runner built long before tracing was activated).
 
-        ``pool`` supplies an external executor for parallel stages:
-        the runner then never creates (or shuts down) its own, so one
-        pool can serve many runs — and the sharded analytics that
-        follow them.  ``backend`` (kind name or instance) is the
-        general form of the same knob.  The resolved backend is
-        created once here and warm-reused by every :meth:`run`; call
-        :meth:`close` (or use the runner as a context manager) to
-        release it when owned.
+        ``backend`` is used by every :meth:`run` and left open: one
+        backend can serve many runs — and the sharded analytics that
+        follow them — and whoever built it closes it.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         names = [stage.stage_name for stage in stages]
         if len(set(names)) != len(names):
             raise ValueError(
@@ -223,41 +205,28 @@ class PipelineRunner:
             )
         self.stages = list(stages)
         self.batch_size = batch_size
-        self.workers = workers
         # Instrumentation-only clock (injectable; see module docstring).
         self._clock = clock if clock is not None else time.perf_counter
         self._tracer = tracer
         self._metrics = metrics
-        self._backend, self._owned_backend = resolve_backend(
-            pool=pool, backend=backend, workers=workers
-        )
-
-    def close(self):
-        """Release the owned backend's workers (idempotent)."""
-        if self._owned_backend and self._backend is not None:
-            self._backend.close()
+        self._backend = backend
 
     def __enter__(self):
-        """Context manager: the runner itself."""
+        """Context manager: the runner itself (it owns nothing)."""
         return self
 
     def __exit__(self, exc_type, exc_value, traceback):
-        """Context-manager exit always closes the owned backend."""
-        self.close()
+        """Context-manager exit: nothing to release."""
         return False
 
     def run(self, documents):
         """Run every stage over ``documents``; returns a result with
         surviving documents in corpus order plus the stage report.
 
-        The runner's warm backend serves every parallel stage of every
-        run; parallel output stays bit-identical to serial on all
-        backends (order-preserving map, pure stages only).
+        The injected backend serves every parallel stage of every run;
+        parallel output stays bit-identical to serial on all backends
+        (order-preserving map, pure stages only).
         """
-        return self._run(documents, self._backend)
-
-    def _run(self, documents, backend):
-        """The run body, executing parallel stages on ``backend``."""
         tracer = self._tracer if self._tracer is not None else get_tracer()
         metrics = (
             self._metrics if self._metrics is not None else get_metrics()
@@ -272,9 +241,7 @@ class PipelineRunner:
             tags={"docs_in": len(live), "stages": len(self.stages)},
         ) as run_span:
             for stage in self.stages:
-                live, stats = self._run_stage(
-                    stage, live, tracer, backend
-                )
+                live, stats = self._run_stage(stage, live, tracer)
                 report.stages.append(stats)
                 discarded_here = [doc for doc in live if doc.discarded]
                 if discarded_here:
@@ -297,13 +264,13 @@ class PipelineRunner:
             documents=live, discarded=all_discarded, report=report
         )
 
-    def _run_stage(self, stage, live, tracer, backend):
+    def _run_stage(self, stage, live, tracer):
         """Run one stage over all live documents, batched.
 
-        ``backend`` is the runner's warm executor (None when the
-        runner is serial); pure stages with more than one batch map
-        across it.
+        Pure stages with more than one batch map across the injected
+        backend, when there is one that can fan out.
         """
+        backend = self._backend
         batches = _batched(live, self.batch_size)
         use_parallel = (
             backend is not None

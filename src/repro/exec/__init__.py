@@ -8,6 +8,12 @@ The backends differ only in *where* tasks run (inline, a warm thread
 pool, a warm process pool); because every caller folds results in
 submission order, each backend is bit-identical to serial execution.
 
+Callers take one ``backend`` argument (``None`` = inline) and never
+build or close a backend themselves: :func:`make_backend` turns the
+user's ``(kind, workers)`` choice into one, inside a ``with``, at the
+entry point that carries the configuration — whoever builds a backend
+closes it.
+
 See DESIGN.md §15 for the protocol, the pickling contract of the
 process backend and the merge-determinism argument.
 """
@@ -16,21 +22,37 @@ from repro.exec.backend import (
     BACKEND_KINDS,
     BackendError,
     ExecBackend,
-    PoolBackend,
     SerialBackend,
     ThreadBackend,
 )
-from repro.exec.factory import make_backend, resolve_backend
 from repro.exec.procpool import ProcessBackend
+
+
+def make_backend(kind, workers=0):
+    """Build a backend by name (:data:`~repro.exec.BACKEND_KINDS`).
+
+    ``workers`` sizes the thread/process pools; 0 and 1 both mean a
+    one-wide pool, which runs inline and never spawns workers.
+    """
+    if kind not in BACKEND_KINDS:
+        raise ValueError(
+            f"unknown backend {kind!r}; choose from {list(BACKEND_KINDS)}"
+        )
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if kind == "serial":
+        return SerialBackend()
+    if kind == "thread":
+        return ThreadBackend(max(1, workers))
+    return ProcessBackend(max(1, workers))
+
 
 __all__ = [
     "BACKEND_KINDS",
     "BackendError",
     "ExecBackend",
-    "PoolBackend",
     "ProcessBackend",
     "SerialBackend",
     "ThreadBackend",
     "make_backend",
-    "resolve_backend",
 ]

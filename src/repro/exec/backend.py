@@ -15,14 +15,10 @@ Implementations here stay inside one process:
   across ``map`` calls (worker warm-reuse: thread spawn is paid once
   per backend, not once per stage or per query).  ``workers <= 1``
   degrades to inline execution without ever spawning a pool.
-* :class:`PoolBackend` — adapter around a caller-owned executor; the
-  backend never shuts the wrapped pool down, so one external pool can
-  serve many runners and analytics (the historical ``pool=`` contract).
 
 The multiprocess implementation lives in :mod:`repro.exec.procpool`;
-the factories the engine, algebra and serving layers share
-(``make_backend`` / ``resolve_backend``) live in
-:mod:`repro.exec.factory`, above every concrete backend.
+:func:`~repro.exec.make_backend`, which needs every concrete backend,
+lives in the package ``__init__``.
 
 Observability is write-only: each fan-out records the backend kind,
 worker count and task/chunk counts on the ambient metrics registry and
@@ -30,6 +26,7 @@ never feeds anything back into results.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from threading import Lock
 
 from repro.obs import get_metrics
 
@@ -125,8 +122,10 @@ class ThreadBackend(ExecBackend):
 
     The executor is created lazily on the first fan-out and reused by
     every later one (warm-reuse), then shut down by :meth:`close`.
-    With ``workers <= 1`` — or a single task — execution is inline and
-    no pool is ever spawned.
+    Creation is locked, so threads that race into their first ``map``
+    (the HTTP server's request threads share one backend) still build
+    exactly one executor.  With ``workers <= 1`` — or a single task —
+    execution is inline and no pool is ever spawned.
     """
 
     kind = "thread"
@@ -137,6 +136,7 @@ class ThreadBackend(ExecBackend):
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self._pool = None
+        self._pool_lock = Lock()
 
     def effective_workers(self):
         """The configured pool width."""
@@ -148,52 +148,22 @@ class ThreadBackend(ExecBackend):
         if self.workers <= 1 or count <= 1:
             results = [fn(*args) for args in zip(*made)]
         else:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="bivoc-exec",
-                )
+            with self._pool_lock:
+                if self._pool is None:
+                    self._pool = ThreadPoolExecutor(
+                        max_workers=self.workers,
+                        thread_name_prefix="bivoc-exec",
+                    )
+                pool = self._pool
             # Executor.map yields results in submission order, so the
             # output (and every downstream fold) matches serial.
-            results = list(self._pool.map(fn, *made))
+            results = list(pool.map(fn, *made))
         self._record(count)
         return results
 
     def close(self):
         """Shut the warm pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class PoolBackend(ExecBackend):
-    """Adapter over a caller-owned executor (never shut down here).
-
-    Keeps the historical ``pool=`` injection contract: one external
-    executor serves many runners and analytics, and its lifecycle
-    belongs entirely to the caller.
-    """
-
-    kind = "pool"
-
-    def __init__(self, pool):
-        """``pool`` is any ``concurrent.futures`` executor."""
-        self.pool = pool
-
-    def effective_workers(self):
-        """The wrapped executor's width when it exposes one."""
-        return getattr(self.pool, "_max_workers", 0) or 0
-
-    def can_fan_out(self):
-        """An injected pool is always worth fanning out on."""
-        return True
-
-    def map(self, fn, *columns, label=None):
-        """Order-preserving map on the injected executor."""
-        made, count = _materialize(columns)
-        if count <= 1:
-            results = [fn(*args) for args in zip(*made)]
-        else:
-            results = list(self.pool.map(fn, *made))
-        self._record(count)
-        return results
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)

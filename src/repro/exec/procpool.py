@@ -41,6 +41,7 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
+from threading import Lock
 
 from repro.exec.backend import BackendError, ExecBackend, _materialize
 
@@ -71,21 +72,27 @@ class ProcessBackend(ExecBackend):
         self.chunk_size = chunk_size
         self._mp_context = mp_context
         self._pool = None
+        self._pool_lock = Lock()
 
     def effective_workers(self):
         """The configured pool width."""
         return self.workers
 
     def _ensure_pool(self):
-        """The warm pool, spawned lazily on first real fan-out."""
-        if self._pool is None:
-            context = self._mp_context
-            if isinstance(context, str):
-                context = get_context(context)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context
-            )
-        return self._pool
+        """The warm pool, spawned lazily on first real fan-out.
+
+        Locked, so threads racing into their first ``map`` share one
+        pool instead of each spawning (and leaking) their own.
+        """
+        with self._pool_lock:
+            if self._pool is None:
+                context = self._mp_context
+                if isinstance(context, str):
+                    context = get_context(context)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, mp_context=context
+                )
+            return self._pool
 
     def _chunk_for(self, count):
         """Chunk size for ``count`` tasks (about 4 chunks per worker)."""
@@ -143,6 +150,7 @@ class ProcessBackend(ExecBackend):
 
     def close(self):
         """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)

@@ -15,10 +15,10 @@ the unsharded code path.  That is the monoid contract
 :func:`compute` executes.
 
 ``compute`` runs the partials serially by default, or order-preserved
-across an execution backend (see :mod:`repro.exec`) — a caller-
-supplied pool, a thread backend, or the multiprocess backend.  Because
-``merge`` folds the partials left-to-right in shard order either way,
-parallel execution is bit-identical to serial on every backend.  On
+across an injected execution backend (see :mod:`repro.exec`) — the
+thread or the multiprocess backend.  Because ``merge`` folds the
+partials left-to-right in shard order either way, parallel execution
+is bit-identical to serial on every backend.  On
 the process backend the *partial states* cross the boundary, never the
 finalized results: states are integers only (exactly picklable, no
 float representation to disturb) and ``merge``/``finalize`` run in the
@@ -38,7 +38,6 @@ aggregate and verifies its partial chain is free of shared-state
 writes — the property that makes the thread-pool fan-out safe.
 """
 
-from repro.exec import resolve_backend
 from repro.obs import get_metrics, get_tracer
 
 
@@ -137,14 +136,12 @@ class PartialAggregate:
         return self.partial(shard)
 
 
-def compute(aggregate, index, pool=None, backend=None, tracer=None,
-            metrics=None):
+def compute(aggregate, index, backend=None, tracer=None, metrics=None):
     """Execute one aggregate over an index through the algebra.
 
-    Partials run per shard — serially, or order-preserved on an
-    execution backend (``pool`` wraps any Executor, typically the
-    engine run's pool; ``backend`` is a kind name or ready
-    :class:`~repro.exec.ExecBackend`) when the index has more than one
+    Partials run per shard — serially, or order-preserved on the
+    injected :class:`~repro.exec.ExecBackend` (typically the one the
+    engine run used; left open) when the index has more than one
     shard — then merge left-to-right in shard order from
     :meth:`PartialAggregate.identity`, so the fold order (and
     therefore the result) never depends on scheduling.  On backends
@@ -158,7 +155,6 @@ def compute(aggregate, index, pool=None, backend=None, tracer=None,
     """
     tracer = tracer if tracer is not None else get_tracer()
     metrics = metrics if metrics is not None else get_metrics()
-    exec_backend, owned = resolve_backend(pool=pool, backend=backend)
     shards = iter_shards(index)
     with tracer.span(
         f"analytic:{aggregate.analytic}",
@@ -177,37 +173,32 @@ def compute(aggregate, index, pool=None, backend=None, tracer=None,
                 return aggregate.partial(shard)
 
         fan_out = (
-            exec_backend is not None
-            and exec_backend.can_fan_out()
+            backend is not None
+            and backend.can_fan_out()
             and len(shards) > 1
         )
-        try:
-            if fan_out and exec_backend.requires_pickling:
-                # Ship the envelope, get integer states back in shard
-                # order; merge and finalize stay in this process.
-                partials = exec_backend.map(
-                    _PartialTask(aggregate),
-                    shards,
-                    label=f"analytic:{aggregate.analytic}",
-                )
-            elif fan_out:
-                # Order-preserving map: results come back in shard
-                # order, so the merge fold below is identical to the
-                # serial path.
-                partials = exec_backend.map(
-                    run_partial,
-                    range(len(shards)),
-                    shards,
-                    label=f"analytic:{aggregate.analytic}",
-                )
-            else:
-                partials = [
-                    run_partial(number, shard)
-                    for number, shard in enumerate(shards)
-                ]
-        finally:
-            if owned and exec_backend is not None:
-                exec_backend.close()
+        if fan_out and backend.requires_pickling:
+            # Ship the envelope, get integer states back in shard
+            # order; merge and finalize stay in this process.
+            partials = backend.map(
+                _PartialTask(aggregate),
+                shards,
+                label=f"analytic:{aggregate.analytic}",
+            )
+        elif fan_out:
+            # Order-preserving map: results come back in shard order,
+            # so the merge fold below is identical to the serial path.
+            partials = backend.map(
+                run_partial,
+                range(len(shards)),
+                shards,
+                label=f"analytic:{aggregate.analytic}",
+            )
+        else:
+            partials = [
+                run_partial(number, shard)
+                for number, shard in enumerate(shards)
+            ]
         with tracer.span(
             "analytic:merge",
             category="mining",

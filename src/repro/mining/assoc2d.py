@@ -264,14 +264,14 @@ class AssociationAggregate(PartialAggregate):
 
 def associate(index, row_dimension, col_dimension, confidence=0.95,
               interval_method="wilson", row_values=None, col_values=None,
-              pool=None, backend=None):
+              backend=None):
     """Run the two-dimensional association analysis.
 
     Dimensions are ``("concept", category)`` or ``("field", name)``.
     ``row_values``/``col_values`` default to every observed value.
 
     Runs through the partial-aggregate algebra: per shard on a sharded
-    index (optionally across ``pool`` or an execution ``backend``), as
+    index (optionally across an execution ``backend``), as
     one degenerate partial on a single index — bit-identical either
     way.
     """
@@ -283,4 +283,4 @@ def associate(index, row_dimension, col_dimension, confidence=0.95,
         row_values=row_values,
         col_values=col_values,
     )
-    return compute(aggregate, index, pool=pool, backend=backend)
+    return compute(aggregate, index, backend=backend)

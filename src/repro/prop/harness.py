@@ -26,6 +26,7 @@ ones.
 
 import os
 import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.engine import Document, MapStage, PipelineRunner
@@ -256,23 +257,18 @@ def run_batch(case, kind=None, shards=0):
     exactly how the CLI wires it), and closes it afterwards.
     ``shards=0`` runs the single-index layout.
     """
-    backend = (
-        make_backend(kind, workers=case.workers)
-        if kind is not None else None
-    )
-    try:
+    with (
+        nullcontext() if kind is None
+        else make_backend(kind, case.workers)
+    ) as backend:
         stages = build_stages(shards)
-        with PipelineRunner(
+        PipelineRunner(
             stages, batch_size=case.batch_size, backend=backend
-        ) as runner:
-            runner.run(make_documents(case))
+        ).run(make_documents(case))
         return run_analytics(case, stages[-1].index, backend=backend)
-    finally:
-        if backend is not None:
-            backend.close()
 
 
-def _build_consumer(case, checkpoint_path=None):
+def _build_consumer(case, backend, checkpoint_path=None):
     """A fresh streaming consumer over ``case``'s corpus.
 
     Arrival order is (time bucket, generation order) — deterministic,
@@ -292,14 +288,14 @@ def _build_consumer(case, checkpoint_path=None):
         ),
         batch_docs=case.batch_docs,
         checkpoint_interval=case.checkpoint_interval,
-        workers=case.workers,
-        backend=case.backend,
+        backend=backend,
     )
 
 
 def run_stream_reference(case):
     """Final index state of the uninterrupted streaming run."""
-    with _build_consumer(case) as consumer:
+    with make_backend(case.backend, case.workers) as backend:
+        consumer = _build_consumer(case, backend)
         consumer.run()
         return index_to_state(consumer.index)
 
@@ -316,13 +312,13 @@ def run_stream_resumed(case, tmpdir):
             )
         ],
     )
-    with _build_consumer(case, checkpoint_path) as crashed:
+    with make_backend(case.backend, case.workers) as backend:
         try:
             with injecting(crash.injector()):
-                crashed.run()
+                _build_consumer(case, backend, checkpoint_path).run()
         except InjectedFault:
             pass  # scheduled death; resume from the checkpoint below
-    with _build_consumer(case, checkpoint_path) as resumed:
+        resumed = _build_consumer(case, backend, checkpoint_path)
         resumed.restore()
         resumed.run()
         return index_to_state(resumed.index)

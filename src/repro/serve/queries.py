@@ -447,19 +447,18 @@ _PARSERS = {
 # planning: canonical spec -> computation over one snapshot
 # ----------------------------------------------------------------------
 
-def _run_relfreq(spec, index, pool, backend):
+def _run_relfreq(spec, index, backend):
     """Execute a relfreq spec through the batch entry point."""
     return relative_frequency(
         index,
         list(spec.param("focus")),
         spec.param("candidates"),
         min_focus_count=spec.param("min_focus_count"),
-        pool=pool,
         backend=backend,
     )
 
 
-def _run_assoc2d(spec, index, pool, backend):
+def _run_assoc2d(spec, index, backend):
     """Execute an assoc2d spec through the batch entry point."""
     row_values = spec.param("row_values")
     col_values = spec.param("col_values")
@@ -471,24 +470,22 @@ def _run_assoc2d(spec, index, pool, backend):
         interval_method=spec.param("method"),
         row_values=None if row_values is None else list(row_values),
         col_values=None if col_values is None else list(col_values),
-        pool=pool,
         backend=backend,
     )
 
 
-def _run_trends(spec, index, pool, backend):
+def _run_trends(spec, index, backend):
     """Execute a trends spec through the batch entry point."""
     buckets = spec.param("buckets")
     return trend_series(
         index,
         spec.param("key"),
         buckets=None if buckets is None else list(buckets),
-        pool=pool,
         backend=backend,
     )
 
 
-def _run_emerging(spec, index, pool, backend):
+def _run_emerging(spec, index, backend):
     """Execute an emerging spec through the batch entry point."""
     buckets = spec.param("buckets")
     return emerging_concepts(
@@ -496,16 +493,14 @@ def _run_emerging(spec, index, pool, backend):
         spec.param("dimension"),
         buckets=None if buckets is None else list(buckets),
         min_total=spec.param("min_total"),
-        pool=pool,
         backend=backend,
     )
 
 
-def _run_cube(spec, index, pool, backend):
+def _run_cube(spec, index, backend):
     """Execute a cube spec, applying the optional view operation."""
     cube = concept_cube(
-        index, list(spec.param("dimensions")), pool=pool,
-        backend=backend,
+        index, list(spec.param("dimensions")), backend=backend
     )
     slice_ = spec.param("slice")
     if slice_ is not None:
@@ -516,7 +511,7 @@ def _run_cube(spec, index, pool, backend):
     return cube
 
 
-def _run_drilldown(spec, index, pool, backend):
+def _run_drilldown(spec, index, backend):
     """Execute a drill-down: intersect postings, optionally with text."""
     keys = spec.param("keys")
     docs = index.documents_with(keys[0])
@@ -534,7 +529,7 @@ def _run_drilldown(spec, index, pool, backend):
     return {"doc_ids": doc_ids, "texts": texts}
 
 
-def _run_status(spec, index, pool, backend):
+def _run_status(spec, index, backend):
     """Execute a status query: the snapshot's structural counters."""
     return index.stats()
 
@@ -554,12 +549,12 @@ _RUNNERS = {
 CACHEABLE_KINDS = frozenset(QUERY_KINDS) - {"status"}
 
 
-def plan_query(spec, index, pool=None, backend=None):
+def plan_query(spec, index, backend=None):
     """Execute one canonical spec against one index snapshot.
 
-    ``pool`` / ``backend`` are forwarded to the partial-aggregate
-    ``compute`` exactly as a batch caller would pass them — which is
-    the whole point: the served result *is* the batch result on the
-    snapshot, on any execution backend.
+    ``backend`` is forwarded to the partial-aggregate ``compute``
+    exactly as a batch caller would pass it — which is the whole
+    point: the served result *is* the batch result on the snapshot,
+    on any execution backend.
     """
-    return _RUNNERS[spec.kind](spec, index, pool, backend)
+    return _RUNNERS[spec.kind](spec, index, backend)

@@ -139,16 +139,16 @@ class StreamConsumer:
 
     def __init__(self, source, stages, window=None, checkpointer=None,
                  batch_docs=32, queue_capacity=4, checkpoint_interval=4,
-                 runner_batch_size=64, workers=0, backend=None,
-                 clock=None, tracer=None, metrics=None, epochs=None):
+                 runner_batch_size=64, backend=None, clock=None,
+                 tracer=None, metrics=None, epochs=None):
         """Wire the consumer; raises on an unsafe index stage.
 
-        ``workers`` / ``backend`` are the embedded runner's execution
-        knobs (see :class:`~repro.engine.PipelineRunner`): pure stages
-        fan out across the resolved backend, bit-identical to serial,
-        and the backend stays warm across micro-batches.  Call
-        :meth:`close` (or use the consumer as a context manager) to
-        release its workers.
+        ``backend`` is the embedded runner's
+        :class:`~repro.exec.ExecBackend` (see
+        :class:`~repro.engine.PipelineRunner`; ``None`` = inline):
+        pure stages fan out across it, bit-identical to serial, and it
+        stays warm across micro-batches — and across restarts, when
+        the caller reuses it.  The consumer never closes it.
 
         ``tracer``/``metrics`` override the ambient observability
         collectors (``None`` resolves the ambient slot per step, so an
@@ -196,9 +196,8 @@ class StreamConsumer:
         self._metrics = metrics
         self.epochs = epochs
         self._runner = PipelineRunner(
-            stages, batch_size=runner_batch_size, workers=workers,
-            backend=backend, clock=self._clock, tracer=tracer,
-            metrics=metrics,
+            stages, batch_size=runner_batch_size, backend=backend,
+            clock=self._clock, tracer=tracer, metrics=metrics,
         )
         self._queue = deque()
         self._committed_offset = -1
@@ -365,22 +364,12 @@ class StreamConsumer:
             self.checkpoint()
         return self.report
 
-    def close(self):
-        """Release the embedded runner's backend workers (idempotent).
-
-        Matters for chaos-style restart loops, which build a fresh
-        consumer per restart: without closing, every incarnation would
-        strand a warm pool.
-        """
-        self._runner.close()
-
     def __enter__(self):
-        """Context manager: the consumer itself."""
+        """Context manager: the consumer itself (it owns nothing)."""
         return self
 
     def __exit__(self, exc_type, exc_value, traceback):
-        """Context-manager exit always closes the runner's backend."""
-        self.close()
+        """Context-manager exit: nothing to release."""
         return False
 
     def _publish_epoch(self):

@@ -10,6 +10,7 @@ from repro.core.usecases.churn import (
     link_evidence_text,
     run_churn_study,
 )
+from repro.exec import ThreadBackend
 from repro.synth.carrental import CarRentalConfig, generate_car_rental
 from repro.synth.telecom import Message, TelecomConfig, generate_telecom
 
@@ -86,14 +87,14 @@ class TestCallCenterStageGraph:
         serial = BIVoCSystem(
             BIVoCConfig(use_asr=False, link_mode="content")
         ).process_call_center(car_corpus)
-        parallel = BIVoCSystem(
-            BIVoCConfig(
-                use_asr=False,
-                link_mode="content",
-                workers=4,
-                batch_size=8,
-            )
-        ).process_call_center(car_corpus)
+        with ThreadBackend(4) as backend:
+            parallel = BIVoCSystem(
+                BIVoCConfig(
+                    use_asr=False,
+                    link_mode="content",
+                    batch_size=8,
+                )
+            ).process_call_center(car_corpus, backend=backend)
         # With >1 batch and pure stages, the executor actually engaged.
         assert any(
             s.parallel for s in parallel.stage_report.stages
@@ -110,14 +111,14 @@ class TestCallCenterStageGraph:
         serial = BIVoCSystem(
             BIVoCConfig(use_asr=True, link_mode="content")
         ).process_call_center(car_corpus)
-        parallel = BIVoCSystem(
-            BIVoCConfig(
-                use_asr=True,
-                link_mode="content",
-                workers=3,
-                batch_size=8,
-            )
-        ).process_call_center(car_corpus)
+        with ThreadBackend(3) as backend:
+            parallel = BIVoCSystem(
+                BIVoCConfig(
+                    use_asr=True,
+                    link_mode="content",
+                    batch_size=8,
+                )
+            ).process_call_center(car_corpus, backend=backend)
         assert _call_signature(serial) == _call_signature(parallel)
 
 

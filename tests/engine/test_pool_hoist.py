@@ -1,21 +1,26 @@
-"""The runner's warm execution backend: resolved once, reused per run.
+"""One injected execution backend, warm-reused and never closed by callees.
 
-Guards the backend refactor: a parallel runner constructs exactly one
-executor no matter how many parallel stages or runs it executes (the
-backend is resolved at construction and warm-reused), an injected
-external pool is wrapped and never shut down by the runner, executor
-knobs are mutually exclusive (the validation drift between the runner
-and the query engine is fixed — both raise now), and parallel output
-stays bit-identical to serial in every configuration.
+Guards the backend contract: a parallel runner fans every parallel
+stage of every run out on the one backend it was handed, so exactly
+one executor is built no matter how many stages or runs execute; the
+runner never shuts that backend down (whoever builds a backend closes
+it); a workers-N study uses exactly one executor end to end, across
+the engine stages and the sharded analytics; and parallel output stays
+bit-identical to serial in every configuration.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core import BIVoCConfig, run_insight_analysis
+from repro.core.usecases.churn import run_churn_study
 from repro.engine import Document, MapStage, PipelineRunner
 from repro.exec import ThreadBackend
 import repro.exec.backend as backend_module
+from repro.obs import MetricsRegistry, Tracer, activated
+from repro.synth.carrental import CarRentalConfig, generate_car_rental
+from repro.synth.telecom import TelecomConfig, generate_telecom
 
 
 class Square(MapStage):
@@ -80,21 +85,24 @@ def counting(monkeypatch):
 
 class TestOneExecutorPerRunner:
     def test_single_pool_spans_all_stages(self, counting):
-        with PipelineRunner(
-            [Square(), Offset(), Offset2()], batch_size=4, workers=3
-        ) as runner:
+        with ThreadBackend(3) as backend:
+            runner = PipelineRunner(
+                [Square(), Offset(), Offset2()], batch_size=4,
+                backend=backend,
+            )
             result = runner.run(_docs(32))
             # Three parallel stages, one executor.
             assert counting.created == 1
             assert counting.closed == 0
             assert all(s.parallel for s in result.report.stages)
-        # Context exit released the owned backend.
+        # The backend's own exit released it.
         assert counting.closed == 1
 
     def test_runs_share_the_warm_pool(self, counting):
-        with PipelineRunner(
-            [Square()], batch_size=4, workers=2
-        ) as runner:
+        with ThreadBackend(2) as backend:
+            runner = PipelineRunner(
+                [Square()], batch_size=4, backend=backend
+            )
             runner.run(_docs(16))
             runner.run(_docs(16))
             # Warm-reuse: the second run did not respawn workers.
@@ -104,86 +112,81 @@ class TestOneExecutorPerRunner:
     def test_serial_run_builds_no_pool(self, counting):
         runner = PipelineRunner([Square(), Offset()], batch_size=4)
         result = runner.run(_docs(16))
-        runner.close()
         assert counting.created == 0
         assert not any(s.parallel for s in result.report.stages)
 
     def test_workers_one_builds_no_pool(self, counting):
-        with PipelineRunner(
-            [Square()], batch_size=4, workers=1
-        ) as runner:
-            result = runner.run(_docs(16))
+        with ThreadBackend(1) as backend:
+            result = PipelineRunner(
+                [Square()], batch_size=4, backend=backend
+            ).run(_docs(16))
         assert counting.created == 0
         assert not any(s.parallel for s in result.report.stages)
 
 
 class TestExternalPool:
     def test_injected_pool_is_used_and_kept_open(self, counting):
-        with ThreadPoolExecutor(max_workers=3) as pool:
+        with ThreadBackend(3) as backend:
             runner = PipelineRunner(
-                [Square(), Offset()], batch_size=4, pool=pool
+                [Square(), Offset()], batch_size=4, backend=backend
             )
             first = runner.run(_docs(24))
             second = runner.run(_docs(24))
-            runner.close()
-            # The runner built no pool of its own and left the
-            # injected one usable between runs — and after close().
-            assert counting.created == 0
+            # The runner used the injected backend and left it open
+            # for the next caller.
+            assert counting.created == 1
+            assert counting.closed == 0
             assert all(s.parallel for s in first.report.stages)
-            assert pool.submit(lambda: 41 + 1).result() == 42
+            assert backend.map(lambda x: x + 1, [41, 1]) == [42, 2]
+        assert counting.closed == 1
         assert _values(first) == _values(second)
 
 
-class TestExclusiveExecutorKnobs:
-    """One rule for every constructor: two executors never compete.
+class TestOneExecutorPerStudy:
+    """A workers-N study builds one executor and closes it once."""
 
-    Historically the runner silently preferred an injected ``pool``
-    over ``workers`` while :class:`~repro.serve.engine.QueryEngine`
-    raised — the drift is fixed by sharing one resolver, so both now
-    raise the same error.
-    """
+    def test_insight_analysis(self, counting):
+        corpus = generate_car_rental(CarRentalConfig(
+            n_agents=4, n_days=2, calls_per_agent_per_day=3,
+            n_customers=40, seed=3,
+        ))
+        metrics = MetricsRegistry()
+        with activated(Tracer(), metrics):
+            study = run_insight_analysis(corpus, BIVoCConfig(
+                use_asr=False, workers=2, shards=2, batch_size=8,
+            ))
+        # The runner's parallel stages and all four associate() calls
+        # fanned out, every one of them on the same executor.
+        parallel = [
+            s for s in study.analysis.stage_report.stages if s.parallel
+        ]
+        assert parallel
+        maps = metrics.snapshot()["counters"]["exec.map.thread"]
+        assert maps == len(parallel) + 4
+        assert counting.created == 1
+        assert counting.closed == 1
 
-    def test_pool_with_workers_raises(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(ValueError, match="either pool or workers"):
-                PipelineRunner([Square()], workers=3, pool=pool)
-
-    def test_pool_with_backend_raises(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(ValueError, match="either pool or backend"):
-                PipelineRunner([Square()], pool=pool, backend="thread")
-
-    def test_backend_instance_with_workers_raises(self):
-        backend = ThreadBackend(2)
-        try:
-            with pytest.raises(ValueError, match="backend instance"):
-                PipelineRunner([Square()], workers=3, backend=backend)
-        finally:
-            backend.close()
-
-    def test_query_engine_raises_the_same_way(self):
-        from repro.serve.engine import QueryEngine
-        from repro.stream.epoch import EpochStore
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(ValueError, match="either pool or workers"):
-                QueryEngine(EpochStore(), pool=pool, workers=3)
+    def test_churn_study(self, counting):
+        corpus = generate_telecom(TelecomConfig(
+            scale=0.004, n_customers=400, email_churner_fraction=0.2,
+            seed=1,
+        ))
+        result = run_churn_study(
+            corpus, channel="email", workers=2, shards=2, batch_size=16
+        )
+        assert any(s.parallel for s in result.stage_report.stages)
+        assert counting.created == 1
+        assert counting.closed == 1
 
 
 class TestBitIdentity:
     def test_parallel_matches_serial(self):
-        stages = [Square(), Offset()]
         serial = PipelineRunner(
             [Square(), Offset()], batch_size=4
         ).run(_docs(40))
-        with PipelineRunner(
-            stages, batch_size=4, workers=4
-        ) as hoisted_runner:
-            hoisted = hoisted_runner.run(_docs(40))
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            injected = PipelineRunner(
-                [Square(), Offset()], batch_size=4, pool=pool
+        with ThreadBackend(4) as backend:
+            hoisted = PipelineRunner(
+                [Square(), Offset()], batch_size=4, backend=backend
             ).run(_docs(40))
         assert _values(hoisted) == _values(serial)
-        assert _values(injected) == _values(serial)
         assert [d.doc_id for d in hoisted.documents] == list(range(40))

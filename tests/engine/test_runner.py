@@ -10,6 +10,7 @@ from repro.engine import (
     PipelineRunner,
     Stage,
 )
+from repro.exec import ThreadBackend
 
 
 class AddOne(MapStage):
@@ -76,8 +77,6 @@ class TestRunBasics:
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
             PipelineRunner([AddOne()], batch_size=0)
-        with pytest.raises(ValueError):
-            PipelineRunner([AddOne()], workers=-1)
 
 
 class TestBatching:
@@ -178,9 +177,14 @@ class TestParallelDeterminism:
             ),
             DropOdd(),
         ]
-        return PipelineRunner(
-            stages, batch_size=batch_size, workers=workers
-        ).run(_docs(n))
+        if workers == 0:
+            return PipelineRunner(stages, batch_size=batch_size).run(
+                _docs(n)
+            )
+        with ThreadBackend(workers) as backend:
+            return PipelineRunner(
+                stages, batch_size=batch_size, backend=backend
+            ).run(_docs(n))
 
     def test_parallel_output_bit_identical_to_serial(self):
         serial = self._run(workers=0)
@@ -191,14 +195,16 @@ class TestParallelDeterminism:
     def test_parallel_marks_pure_stages_only(self):
         impure_spy = BatchSpy()
         stages = [AddOne(), impure_spy]
-        report = PipelineRunner(
-            stages, batch_size=2, workers=4
-        ).run(_docs(8)).report
+        with ThreadBackend(4) as backend:
+            report = PipelineRunner(
+                stages, batch_size=2, backend=backend
+            ).run(_docs(8)).report
         assert report.stage("add-one").parallel
         assert not report.stage("spy").parallel
 
     def test_single_batch_stays_serial(self):
-        report = PipelineRunner(
-            [AddOne()], batch_size=100, workers=4
-        ).run(_docs(8)).report
+        with ThreadBackend(4) as backend:
+            report = PipelineRunner(
+                [AddOne()], batch_size=100, backend=backend
+            ).run(_docs(8)).report
         assert not report.stage("add-one").parallel

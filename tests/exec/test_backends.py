@@ -1,17 +1,18 @@
 """ExecBackend protocol: ordering, lifecycle, factories, metrics."""
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
 
 import pytest
 
+import repro.exec.backend as backend_module
+import repro.exec.procpool as procpool_module
 from repro.exec import (
     BACKEND_KINDS,
-    PoolBackend,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
     make_backend,
-    resolve_backend,
 )
 from repro.obs import MetricsRegistry, Tracer, activated
 
@@ -53,16 +54,6 @@ class TestMapContract:
         with ThreadBackend(4) as backend:
             assert backend.map(_square, []) == []
 
-    def test_injected_pool_backend_maps_and_never_closes(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            backend = PoolBackend(pool)
-            assert backend.map(_square, range(8)) == [
-                i * i for i in range(8)
-            ]
-            backend.close()
-            # The wrapped executor still works: close() was a no-op.
-            assert pool.submit(_square, 6).result() == 36
-
 
 class TestIntrospection:
     """Workers / fan-out / pickling flags drive the callers' choices."""
@@ -71,8 +62,6 @@ class TestIntrospection:
         assert SerialBackend().effective_workers() == 1
         assert ThreadBackend(5).effective_workers() == 5
         assert ProcessBackend(3).effective_workers() == 3
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            assert PoolBackend(pool).effective_workers() == 4
 
     def test_can_fan_out(self):
         assert not SerialBackend().can_fan_out()
@@ -100,12 +89,13 @@ class TestFactory:
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("gpu")
 
-    def test_process_knobs_rejected_elsewhere(self):
-        with pytest.raises(ValueError, match="process-backend knobs"):
-            make_backend("thread", workers=2, chunk_size=8)
-
     def test_workers_floor_at_one(self):
         assert make_backend("thread", workers=0).effective_workers() == 1
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_negative_workers_raise(self, kind):
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            make_backend(kind, workers=-1)
 
     def test_invalid_worker_counts_raise(self):
         with pytest.raises(ValueError, match="workers"):
@@ -116,57 +106,71 @@ class TestFactory:
             ProcessBackend(2, chunk_size=0)
 
 
-class TestResolver:
-    """resolve_backend: one rule for runner, algebra and engine."""
+class _SlowCountingExecutor:
+    """Executor double whose construction is slow enough to race.
 
-    def test_all_serial_resolves_to_none(self):
-        assert resolve_backend() == (None, False)
-        assert resolve_backend(workers=1) == (None, False)
+    Counts constructions and shutdowns on the class; ``map`` runs the
+    tasks inline, so the double works for any backend.
+    """
 
-    def test_bare_workers_builds_owned_thread_backend(self):
-        backend, owned = resolve_backend(workers=3)
-        assert isinstance(backend, ThreadBackend)
-        assert backend.effective_workers() == 3
-        assert owned
+    created = 0
+    closed = 0
 
-    def test_pool_wraps_into_pool_backend(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            backend, owned = resolve_backend(pool=pool)
-            assert isinstance(backend, PoolBackend)
-            assert backend.pool is pool
-            assert owned
+    def __init__(self, *args, **kwargs):
+        type(self).created += 1
+        time.sleep(0.05)
 
-    def test_kind_name_builds_owned_backend(self):
-        backend, owned = resolve_backend(backend="process", workers=2)
-        assert isinstance(backend, ProcessBackend)
-        assert owned
-        backend.close()
+    def map(self, fn, *columns, chunksize=1):
+        return [fn(*args) for args in zip(*columns)]
 
-    def test_instance_passes_through_unowned(self):
-        instance = ThreadBackend(2)
-        try:
-            backend, owned = resolve_backend(backend=instance)
-            assert backend is instance
-            assert not owned
-        finally:
-            instance.close()
+    def shutdown(self, wait=True, cancel_futures=False):
+        type(self).closed += 1
 
-    def test_ambiguous_pairs_raise(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(ValueError, match="either pool or workers"):
-                resolve_backend(pool=pool, workers=2)
-            with pytest.raises(ValueError, match="either pool or backend"):
-                resolve_backend(pool=pool, backend="thread")
-        instance = ThreadBackend(2)
-        try:
-            with pytest.raises(ValueError, match="backend instance"):
-                resolve_backend(backend=instance, workers=3)
-        finally:
-            instance.close()
 
-    def test_garbage_backend_raises(self):
-        with pytest.raises(ValueError, match="ExecBackend"):
-            resolve_backend(backend=42)
+def _race_first_maps(backend, callers=4):
+    """``callers`` threads hit ``backend.map`` at once, then close it."""
+    barrier = threading.Barrier(callers)
+    results = [None] * callers
+
+    def call(slot):
+        barrier.wait()
+        results[slot] = backend.map(_square, range(8))
+
+    threads = [
+        threading.Thread(target=call, args=(slot,))
+        for slot in range(callers)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    backend.close()
+    return results
+
+
+class TestLazyPoolRace:
+    """Concurrent first maps share one lazily built executor."""
+
+    @pytest.fixture
+    def slow_executor(self, monkeypatch):
+        _SlowCountingExecutor.created = 0
+        _SlowCountingExecutor.closed = 0
+        monkeypatch.setattr(
+            backend_module, "ThreadPoolExecutor", _SlowCountingExecutor
+        )
+        monkeypatch.setattr(
+            procpool_module, "ProcessPoolExecutor", _SlowCountingExecutor
+        )
+        return _SlowCountingExecutor
+
+    @pytest.mark.parametrize("backend_class", [ThreadBackend, ProcessBackend])
+    def test_one_executor_built_and_shut_down(
+        self, slow_executor, backend_class
+    ):
+        results = _race_first_maps(backend_class(2))
+        assert results == [[i * i for i in range(8)]] * 4
+        assert slow_executor.created == 1
+        assert slow_executor.closed == 1
 
 
 class TestObservability:

@@ -56,7 +56,7 @@ def car_corpus():
 def car_index(car_corpus):
     """Concept index from the serial full-pipeline run."""
     system = BIVoCSystem(
-        BIVoCConfig(use_asr=False, link_mode="content", workers=0)
+        BIVoCConfig(use_asr=False, link_mode="content")
     )
     return system.process_call_center(car_corpus).index
 
@@ -162,12 +162,10 @@ class TestPipelineBitIdentity:
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_carrental_pipeline(self, car_corpus, car_index, kind):
         system = BIVoCSystem(
-            BIVoCConfig(
-                use_asr=False, link_mode="content",
-                workers=WORKERS, backend=kind,
-            )
+            BIVoCConfig(use_asr=False, link_mode="content")
         )
-        result = system.process_call_center(car_corpus)
+        with make_backend(kind, workers=WORKERS) as backend:
+            result = system.process_call_center(car_corpus, backend=backend)
         assert index_to_state(result.index) == index_to_state(car_index)
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
@@ -181,7 +179,7 @@ class TestPipelineBitIdentity:
         from repro.engine import Document, PipelineRunner
         from repro.mining.stage import ConceptIndexStage
 
-        def build_and_run(backend=None, workers=0, shard_count=0):
+        def build_and_run(backend=None, shard_count=0):
             stages = [
                 CleaningStage(),
                 StreamAnnotateStage(churn_driver_engine()),
@@ -201,16 +199,14 @@ class TestPipelineBitIdentity:
                 )
                 for message in telecom_messages
             ]
-            with PipelineRunner(
-                stages, batch_size=32, workers=workers, backend=backend
-            ) as runner:
-                runner.run(documents)
+            PipelineRunner(
+                stages, batch_size=32, backend=backend
+            ).run(documents)
             return index_to_state(stages[-1].index)
 
         expected = build_and_run(shard_count=shards)
-        actual = build_and_run(
-            backend=kind, workers=WORKERS, shard_count=shards
-        )
+        with make_backend(kind, workers=WORKERS) as backend:
+            actual = build_and_run(backend=backend, shard_count=shards)
         assert actual == expected
 
 
@@ -259,9 +255,8 @@ class TestServedQueryBitIdentity:
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_backend_engine_equals_serial_engine(self, epochs, kind):
         serial = QueryEngine(epochs)
-        with QueryEngine(
-            epochs, backend=kind, workers=WORKERS
-        ) as engine:
+        with make_backend(kind, workers=WORKERS) as backend:
+            engine = QueryEngine(epochs, backend=backend)
             for payload in SERVE_QUERIES:
                 expected = serial.query(payload)
                 actual = engine.query(payload)

@@ -111,7 +111,6 @@ def test_faulted_responses_equal_batch_reference(shards):
             thread.start()
         for thread in threads:
             thread.join()
-    engine.close()
     assert not errors, errors
     assert len(samples) == n_readers * queries_per_reader
 

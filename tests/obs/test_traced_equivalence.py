@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.engine import Document, FunctionStage, MapStage, PipelineRunner
+from repro.exec import make_backend
 from repro.faults import FaultPlan, FaultSpec, InjectedFault, injecting
 from repro.linking.fagin import fagin_merge
 from repro.mining.stage import ConceptIndexStage
@@ -62,14 +63,15 @@ def _spans_by_name(tracer):
 class TestEngineEquivalence:
     @pytest.mark.parametrize("workers", [0, 4])
     def test_traced_outputs_bit_identical(self, workers):
-        def build():
+        def build(backend):
             return PipelineRunner(
-                [AddOne(), DropOdd()], batch_size=4, workers=workers
+                [AddOne(), DropOdd()], batch_size=4, backend=backend
             )
 
-        untraced = build().run(_docs(23))
-        with activated(Tracer(), MetricsRegistry()):
-            traced = build().run(_docs(23))
+        with make_backend("thread", workers) as backend:
+            untraced = build(backend).run(_docs(23))
+            with activated(Tracer(), MetricsRegistry()):
+                traced = build(backend).run(_docs(23))
         assert traced.documents == untraced.documents
         assert traced.discarded == untraced.discarded
         # Reports agree on everything except instrumentation extras.
@@ -87,9 +89,10 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("workers", [0, 4])
     def test_stage_batch_nesting(self, workers):
         tracer = Tracer()
-        with activated(tracer, MetricsRegistry()):
+        with activated(tracer, MetricsRegistry()), \
+                make_backend("thread", workers) as backend:
             PipelineRunner(
-                [AddOne(), DropOdd()], batch_size=4, workers=workers
+                [AddOne(), DropOdd()], batch_size=4, backend=backend
             ).run(_docs(10))
         by_name = _spans_by_name(tracer)
         (run,) = by_name["pipeline:run"]

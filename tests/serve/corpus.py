@@ -80,13 +80,11 @@ def reference_index(pairs, upto_offset, shards=0):
     return index
 
 
-def make_consumer(pairs, shards=0, epochs=None, batch_docs=BATCH_DOCS,
-                  workers=0):
+def make_consumer(pairs, shards=0, epochs=None, batch_docs=BATCH_DOCS):
     """A stream consumer indexing ``pairs``, publishing into ``epochs``."""
     return StreamConsumer(
         MemorySource(pairs),
         [ConceptIndexStage(on_duplicate="replace", shards=shards)],
         batch_docs=batch_docs,
-        workers=workers,
         epochs=epochs,
     )

@@ -1,9 +1,8 @@
 """QueryEngine: epoch stamping, caching, pooling, observability."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
+from repro.exec import ThreadBackend
 from repro.obs import MetricsRegistry, Tracer, activated
 from repro.serve import QueryCache, QueryEngine
 from repro.stream import EpochStore
@@ -101,27 +100,32 @@ class TestCaching:
 
     def test_status_body_merges_cache_and_workers(self):
         """The status value reports cache occupancy and pool size."""
-        engine = QueryEngine(
-            _drained_epochs(), workers=3, cache=QueryCache(capacity=9)
-        )
-        with engine:
+        with ThreadBackend(3) as backend:
+            engine = QueryEngine(
+                _drained_epochs(), backend=backend,
+                cache=QueryCache(capacity=9),
+            )
             engine.query(ASSOC)
             body = engine.query({"kind": "status"}).value
         assert body["cache"]["entries"] == 1
         assert body["cache"]["capacity"] == 9
         assert body["workers"] == 3
+        assert QueryEngine(_drained_epochs()).query(
+            {"kind": "status"}
+        ).value["workers"] == 0
         assert body["documents"] == len(make_pairs())
 
 
 class TestPooling:
-    """Hoisted pools: bit-identical to serial, owned vs injected."""
+    """Injected backends: bit-identical to serial, never closed here."""
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_pooled_equals_serial(self, shards):
         """Every kind answers identically with and without a pool."""
         epochs = _drained_epochs(shards=shards)
         serial = QueryEngine(epochs)
-        with QueryEngine(epochs, workers=4) as pooled:
+        with ThreadBackend(4) as backend:
+            pooled = QueryEngine(epochs, backend=backend)
             for payload in (ASSOC, CUBE, TRENDS):
                 assert (
                     pooled.query(payload).value
@@ -129,24 +133,12 @@ class TestPooling:
                 )
 
     def test_injected_pool_is_not_shut_down(self):
-        """An external executor survives engine.close()."""
-        pool = ThreadPoolExecutor(max_workers=2)
-        try:
-            engine = QueryEngine(_drained_epochs(shards=2), pool=pool)
+        """The injected backend stays usable after the engine's queries."""
+        with ThreadBackend(2) as backend:
+            engine = QueryEngine(_drained_epochs(shards=2), backend=backend)
             engine.query(ASSOC)
-            engine.close()
-            assert pool.submit(lambda: 7).result() == 7
-        finally:
-            pool.shutdown(wait=True)
-
-    def test_pool_and_workers_are_exclusive(self):
-        """Passing both configurations is an error."""
-        pool = ThreadPoolExecutor(max_workers=2)
-        try:
-            with pytest.raises(ValueError):
-                QueryEngine(EpochStore(), pool=pool, workers=4)
-        finally:
-            pool.shutdown(wait=True)
+            assert backend._pool is not None
+            assert backend.map(lambda x: x + 1, [6, 0]) == [7, 1]
 
 
 class TestObservability:

@@ -17,9 +17,7 @@ def engine():
     """One engine over the fully drained shared corpus."""
     epochs = EpochStore(history=None)
     make_consumer(make_pairs(), shards=2, epochs=epochs).run()
-    engine = QueryEngine(epochs, cache=QueryCache())
-    yield engine
-    engine.close()
+    return QueryEngine(epochs, cache=QueryCache())
 
 
 @pytest.fixture()

@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.exec import make_backend
 from repro.obs import MetricsRegistry, Tracer, activated
 from repro.serve import QueryCache, QueryEngine, QuerySpec, plan_query
 from repro.stream import EpochStore
@@ -49,8 +50,9 @@ def test_reader_responses_equal_batch_reference(shards, workers):
     # Commit one batch up front: association analysis (correctly)
     # refuses an empty index, so readers start at a non-empty epoch.
     assert consumer.step()
+    backend = make_backend("thread", workers)
     engine = QueryEngine(
-        epochs, workers=workers, cache=QueryCache(capacity=32)
+        epochs, backend=backend, cache=QueryCache(capacity=32)
     )
     specs = [QuerySpec.parse(dict(p)) for p in PAYLOADS]
 
@@ -90,7 +92,7 @@ def test_reader_responses_equal_batch_reference(shards, workers):
             thread.start()
         for thread in threads:
             thread.join()
-    engine.close()
+    backend.close()
     assert not errors, errors
 
     published = set(epochs.epochs())
