@@ -14,9 +14,9 @@ categories — via two mechanisms the paper describes:
 """
 
 from repro.annotation.concepts import AnnotatedDocument, Concept
-from repro.annotation.pos import PosTagger
+from repro.annotation.pos import LazyTags, PosTagger
 from repro.annotation.dictionary import DictionaryEntry, DomainDictionary
-from repro.annotation.patterns import Pattern, parse_pattern
+from repro.annotation.patterns import Pattern, PatternSet, parse_pattern
 from repro.annotation.matcher import AnnotationEngine
 from repro.annotation.termlist import (
     TermEntry,
@@ -32,9 +32,11 @@ __all__ = [
     "Concept",
     "AnnotatedDocument",
     "PosTagger",
+    "LazyTags",
     "DictionaryEntry",
     "DomainDictionary",
     "Pattern",
+    "PatternSet",
     "parse_pattern",
     "AnnotationEngine",
     "TermEntry",

@@ -9,37 +9,51 @@ assigns them labels such as value selling and complaint."
 
 from repro.annotation.concepts import AnnotatedDocument
 from repro.annotation.dictionary import DomainDictionary
-from repro.annotation.pos import PosTagger
+from repro.annotation.patterns import PatternSet
+from repro.annotation.pos import LazyTags, PosTagger
 from repro.util.tokenize import tokenize
 
 
 class AnnotationEngine:
-    """Applies a domain dictionary and pattern set to documents."""
+    """Applies a domain dictionary and pattern set to documents.
+
+    The patterns are compiled into a :class:`PatternSet` here and in
+    :meth:`add_pattern`, never in :meth:`annotate`.  PoS tags are
+    computed lazily through :class:`~repro.annotation.pos.LazyTags`:
+    ``tagger.tag_token`` runs only on positions a PoS element tests,
+    once per position per document.
+    """
 
     def __init__(self, dictionary=None, patterns=(), tagger=None):
-        self.dictionary = dictionary or DomainDictionary()
-        self.patterns = list(patterns)
+        self.dictionary = (
+            DomainDictionary() if dictionary is None else dictionary
+        )
         self.tagger = tagger or PosTagger()
+        self._pattern_set = PatternSet(patterns)
+
+    @property
+    def patterns(self):
+        """The registered patterns, in registration order (a tuple)."""
+        return self._pattern_set.patterns
 
     def add_pattern(self, pattern):
         """Register one more pattern; returns self for chaining."""
-        self.patterns.append(pattern)
+        self._pattern_set = PatternSet(self.patterns + (pattern,))
         return self
 
     def annotate(self, text, doc_id=None, metadata=None):
         """Annotate one document; returns an :class:`AnnotatedDocument`."""
         tokens = tokenize(text, lower=True)
-        pos_tags = self.tagger.tag(tokens)
         dictionary_concepts = self.dictionary.match(tokens)
-        categories_by_position = [set() for _ in tokens]
-        for concept in dictionary_concepts:
-            for position in range(concept.start, concept.end):
-                categories_by_position[position].add(concept.category)
-        pattern_concepts = []
-        for pattern in self.patterns:
-            pattern_concepts.extend(
-                pattern.match(tokens, pos_tags, categories_by_position)
-            )
+        categories_by_position = None
+        if self._pattern_set.uses_categories:
+            categories_by_position = [set() for _ in tokens]
+            for concept in dictionary_concepts:
+                for position in range(concept.start, concept.end):
+                    categories_by_position[position].add(concept.category)
+        pattern_concepts = self._pattern_set.match(
+            tokens, LazyTags(tokens, self.tagger), categories_by_position
+        )
         concepts = sorted(
             dictionary_concepts + pattern_concepts,
             key=lambda c: (c.start, c.end),

@@ -107,3 +107,28 @@ class PosTagger:
     def tag(self, tokens):
         """PoS labels aligned with ``tokens``."""
         return [self.tag_token(token) for token in tokens]
+
+
+class LazyTags:
+    """The PoS tags of one token list, each computed on first read.
+
+    ``tags[i]`` tags token ``i`` with ``tagger.tag_token`` the first
+    time it is read and memoises the result, so a position no pattern
+    element tests is never tagged.  Reads equal ``tagger.tag(tokens)``
+    for any tagger whose tags are per token.
+    """
+
+    __slots__ = ("_tokens", "_tagger", "_tags")
+
+    def __init__(self, tokens, tagger):
+        """Tags for ``tokens``; none is computed yet."""
+        self._tokens = tokens
+        self._tagger = tagger
+        self._tags = [None] * len(tokens)
+
+    def __getitem__(self, position):
+        tag = self._tags[position]
+        if tag is None:
+            tag = self._tagger.tag_token(self._tokens[position])
+            self._tags[position] = tag
+        return tag

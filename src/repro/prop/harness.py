@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from repro.engine import Document, MapStage, PipelineRunner
 from repro.annotation.dictionary import DictionaryEntry, DomainDictionary
 from repro.annotation.matcher import AnnotationEngine
+from repro.annotation.patterns import parse_pattern
 from repro.exec import BACKEND_KINDS, make_backend
 from repro.faults import FaultPlan, FaultSpec, InjectedFault, injecting
 from repro.mining.assoc2d import associate
@@ -70,13 +71,27 @@ CHANNELS = ("email", "sms", "call")
 TOPIC_DIMENSION = ("concept", "topic")
 
 
+#: Topic patterns over the filler words: a PoS tail with a capture, a
+#: negation with a wildcard, and a dictionary-category head, so every
+#: oracle also runs the compiled pattern pass.
+TOPIC_PATTERNS = (
+    ("please + VERB", "request", "VERB"),
+    ("was + NEG + *", "negated", None),
+    ("<topic> + again", "repeat", None),
+)
+
+
 def build_annotation_engine():
     """The fixed annotation engine the generated corpora share."""
     dictionary = DomainDictionary()
     for concept, surfaces in CONCEPT_SURFACES.items():
         for surface in surfaces:
             dictionary.add(DictionaryEntry(surface, concept, "topic"))
-    return AnnotationEngine(dictionary=dictionary)
+    patterns = [
+        parse_pattern(expression, canonical, "topic", capture=capture)
+        for expression, canonical, capture in TOPIC_PATTERNS
+    ]
+    return AnnotationEngine(dictionary=dictionary, patterns=patterns)
 
 
 class NormalizeStage(MapStage):
