@@ -13,6 +13,7 @@ from repro.cleaning.langfilter import LanguageFilter
 from repro.cleaning.sms import SmsNormalizer
 from repro.cleaning.spamfilter import train_default_spam_filter
 from repro.cleaning.spelling import SpellCorrector
+from repro.synth.notes import note_shorthand_table
 
 
 @dataclass
@@ -71,6 +72,9 @@ class CleaningPipeline:
         self.corrector = corrector or SpellCorrector()
         self.spell_correct = spell_correct
         self.stats = CleaningStats()
+        self._note_normalizer = SmsNormalizer(
+            domain_terms=note_shorthand_table()
+        )
 
     def clean(self, raw_text, channel="email"):
         """Clean one message; returns a :class:`CleanedMessage`.
@@ -84,21 +88,12 @@ class CleaningPipeline:
         elif channel == "sms":
             body = raw_text.strip()
         elif channel == "notes":
-            body = self._expand_note_shorthand(raw_text.strip())
+            body = self._note_normalizer.normalize(raw_text.strip())
         else:
             raise ValueError(f"unknown channel {channel!r}")
         result = self._clean_body(body, raw_text)
         self.stats.record(result)
         return result
-
-    def _expand_note_shorthand(self, text):
-        from repro.synth.notes import note_shorthand_table
-
-        if not hasattr(self, "_note_normalizer"):
-            self._note_normalizer = SmsNormalizer(
-                domain_terms=note_shorthand_table()
-            )
-        return self._note_normalizer.normalize(text)
 
     def _clean_body(self, body, original):
         if not body.strip():

@@ -9,9 +9,18 @@ model over a domain vocabulary, candidate generation by edit distance
 (with adjacent transpositions counted once, since they dominate typing
 noise), and a per-edit penalty.  Out-of-vocabulary tokens are replaced
 by the most probable in-vocabulary candidate within the edit budget.
+
+Candidates come from a symmetric-delete index (Garbe's SymSpell idea)
+rather than a scan of the vocabulary: each vocabulary word is indexed
+under every string its deletes reach, a query looks up the strings its
+own deletes reach, and only that pool is verified with the distance
+function.  The index is compiled once per corpus and edit budget in a
+process and shared, read-only, by every corrector built over them.
 """
 
-from collections import Counter
+from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from repro.synth.lexicon import (
     CALL_CENTER_SENTENCES,
@@ -24,8 +33,6 @@ from repro.synth.lexicon import (
     VEHICLE_SURFACES,
 )
 from repro.util.textdist import damerau_levenshtein
-
-_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
 def default_spelling_corpus():
@@ -53,42 +60,109 @@ def default_spelling_corpus():
     return sentences
 
 
+@dataclass(frozen=True)
+class CompiledVocabulary:
+    """Read-only correction tables compiled from one corpus.
+
+    ``counts`` maps each word to its frequency and ``ranks`` to its
+    first-occurrence rank.  ``deletes`` is the symmetric-delete index
+    (Garbe's SymSpell idea): every string reachable from a vocabulary
+    word by up to ``max_edit`` single-character deletes maps to the
+    tuple of words it is reachable from, in rank order.  The mappings
+    are :class:`types.MappingProxyType` views, so correctors can share
+    one instance without sharing mutable state.
+    """
+
+    counts: MappingProxyType
+    total: int
+    ranks: MappingProxyType
+    deletes: MappingProxyType
+    max_edit: int
+
+
+def _deletes(word, depth):
+    """``word`` and every string made from it by up to ``depth`` deletes."""
+    variants = {word}
+    frontier = {word}
+    for _ in range(depth):
+        frontier = {
+            variant[:i] + variant[i + 1:]
+            for variant in frontier
+            for i in range(len(variant))
+        }
+        variants |= frontier
+    return variants
+
+
+@lru_cache(maxsize=8)
+def compile_vocabulary(sentences, max_edit_distance):
+    """Compile ``sentences`` (a tuple of strings) into correction tables.
+
+    A pure function of its arguments, cached so that every corrector
+    over the same corpus and edit budget shares one compile.
+    """
+    counts = {}
+    for sentence in sentences:
+        for word in sentence.lower().split():
+            if word.isalpha():
+                counts[word] = counts.get(word, 0) + 1
+    deletes = {}
+    for word in counts:
+        for variant in _deletes(word, max_edit_distance):
+            deletes.setdefault(variant, []).append(word)
+    return CompiledVocabulary(
+        counts=MappingProxyType(counts),
+        total=sum(counts.values()),
+        ranks=MappingProxyType(
+            {word: rank for rank, word in enumerate(counts)}
+        ),
+        deletes=MappingProxyType(
+            {variant: tuple(words) for variant, words in deletes.items()}
+        ),
+        max_edit=max_edit_distance,
+    )
+
+
 class SpellCorrector:
     """Edit-distance spell corrector over a unigram vocabulary."""
 
     def __init__(self, corpus=None, max_edit_distance=2, min_length=4):
-        counts = Counter()
-        for sentence in corpus or default_spelling_corpus():
-            for word in sentence.lower().split():
-                if word.isalpha():
-                    counts[word] += 1
-        self._counts = counts
-        self._total = sum(counts.values())
-        self._max_edit = max_edit_distance
+        if corpus is None:
+            corpus = default_spelling_corpus()
+        self._tables = compile_vocabulary(tuple(corpus), max_edit_distance)
         self._min_length = min_length
-        self._by_length = {}
-        for word in counts:
-            self._by_length.setdefault(len(word), []).append(word)
 
     @property
     def vocabulary(self):
         """The correction vocabulary as a set."""
-        return set(self._counts)
+        return set(self._tables.counts)
 
     def known(self, word):
         """True when the word is in the correction vocabulary."""
-        return word.lower() in self._counts
+        return word.lower() in self._tables.counts
 
     def _candidates(self, word):
-        """In-vocabulary words within the edit budget, with distances."""
+        """In-vocabulary words within the edit budget, with distances.
+
+        Any two words within OSA distance ``k`` share a string reachable
+        from each by at most ``k`` deletes (see
+        :func:`~repro.util.textdist.damerau_levenshtein`), so the union
+        of the postings of the word's own deletes holds every candidate.
+        Only that pool is verified, in the order of a scan by length
+        then first occurrence, so ``max`` breaks score ties as a full
+        scan of the vocabulary would.
+        """
+        tables = self._tables
+        pool = set()
+        for variant in _deletes(word, tables.max_edit):
+            pool.update(tables.deletes.get(variant, ()))
         found = []
-        for length in range(
-            len(word) - self._max_edit, len(word) + self._max_edit + 1
+        for candidate in sorted(
+            pool, key=lambda c: (len(c), tables.ranks[c])
         ):
-            for candidate in self._by_length.get(length, ()):
-                distance = damerau_levenshtein(word, candidate)
-                if distance <= self._max_edit:
-                    found.append((candidate, distance))
+            distance = damerau_levenshtein(word, candidate)
+            if distance <= tables.max_edit:
+                found.append((candidate, distance))
         return found
 
     def correct_word(self, word):
@@ -101,7 +175,7 @@ class SpellCorrector:
         if (
             not lowered.isalpha()
             or len(lowered) < self._min_length
-            or lowered in self._counts
+            or lowered in self._tables.counts
         ):
             return word
         candidates = self._candidates(lowered)
@@ -111,7 +185,7 @@ class SpellCorrector:
         # the channel term decaying geometrically with edit distance.
         def score(pair):
             candidate, distance = pair
-            prior = self._counts[candidate] / self._total
+            prior = self._tables.counts[candidate] / self._tables.total
             return prior * (0.08 ** distance)
 
         best, _ = max(candidates, key=score)

@@ -113,8 +113,22 @@ def damerau_levenshtein(a, b):
     Useful for typo-heavy SMS text where transposed characters are
     common ("teh" for "the").
 
+    This is the optimal-string-alignment (OSA) distance, not
+    unrestricted Damerau-Levenshtein: no substring is edited again
+    after a transposition, so "ca" -> "ac" -> "abc" (2 edits) is not
+    an alignment and the distance below is 3.
+
+    Each OSA edit removes at most one character from each side: an
+    insertion or deletion one from one side, a substitution or an
+    adjacent transposition one from both.  Two strings within distance
+    ``k`` therefore share a string reachable from each by at most
+    ``k`` deletes, which is what makes the spelling corrector's
+    symmetric-delete index exact.
+
     >>> damerau_levenshtein("teh", "the")
     1
+    >>> damerau_levenshtein("ca", "abc")
+    3
     """
     if a == b:
         return 0

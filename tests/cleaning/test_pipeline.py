@@ -1,8 +1,12 @@
 """Integration tests for the assembled cleaning pipeline."""
 
+import hashlib
+
 import pytest
 
 from repro.cleaning.pipeline import CleaningPipeline
+from repro.synth.carrental import CarRentalConfig, generate_car_rental
+from repro.synth.notes import AgentNoteGenerator
 from repro.synth.telecom import TelecomConfig, generate_telecom
 
 
@@ -97,3 +101,35 @@ class TestCleaningPipeline:
             if pipeline.clean(m.raw_text, channel="sms").discarded
         )
         assert discarded / len(customer_sms) < 0.10
+
+
+class TestNotesChannel:
+    #: sha256 of the seed-1 call-center notes cleaned on the notes
+    #: channel, one cleaned text per line.
+    SEED1_NOTES_DIGEST = (
+        "aa17d19e267f492869a74d2feb7b3e211cbc06dbcb25c8f6b7b314be4ac8adb4"
+    )
+
+    @staticmethod
+    def notes():
+        corpus = generate_car_rental(CarRentalConfig(
+            n_agents=12, n_days=2, calls_per_agent_per_day=4,
+            n_customers=160, seed=1,
+        ))
+        return AgentNoteGenerator(seed=1).notes_for_corpus(corpus)
+
+    def test_cleaning_notes_adds_no_attributes(self):
+        pipeline = CleaningPipeline()
+        before = set(vars(pipeline))
+        pipeline.clean("cust wants 2 book a car", channel="notes")
+        assert set(vars(pipeline)) == before
+
+    def test_notes_output_unchanged(self):
+        pipeline = CleaningPipeline()
+        cleaned = "\n".join(
+            pipeline.clean(note.text, channel="notes").text
+            for note in self.notes()
+        )
+        assert pipeline.stats.kept == 96
+        digest = hashlib.sha256(cleaned.encode()).hexdigest()
+        assert digest == self.SEED1_NOTES_DIGEST

@@ -93,3 +93,11 @@ class TestSpellCorrector:
         # "rarre"/"commn" style typos resolve to the more frequent word
         # when distances tie; here just assert the corrections hold.
         assert corrector.correct_word("commn") == "common"
+
+    def test_empty_corpus_is_an_empty_vocabulary(self):
+        corrector = SpellCorrector(corpus=[])
+        assert corrector.vocabulary == set()
+        assert not corrector.known("balance")
+        assert corrector.correct("my comlpaint about the balanse") == (
+            "my comlpaint about the balanse"
+        )
