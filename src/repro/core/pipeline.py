@@ -278,7 +278,8 @@ class RecordLinkStage(MapStage):
         read-only (``CallRecordLinker.link`` only tags spans and bumps
         counters), so the hook touches nothing but the document and
         the ambient obs layer — inference cannot see through the
-        injected collaborator on its own.
+        injected collaborator on its own.  The linker's registry fills
+        its Jaro-Winkler word-pair memo, a cache no result depends on.
         """
         transcript = document.require("transcript")
         if self.link_mode == "metadata":

@@ -238,7 +238,9 @@ class MessageLinkStage(MapStage):
 
         Declared for ``bivoc effects``: ``EntityLinker.link`` scores
         candidates without touching shared state, so the hook only
-        writes the document.
+        writes the document.  The one thing it fills is its registry's
+        Jaro-Winkler word-pair memo, a cache of a pure function that
+        no result depends on.
         """
         evidence = link_evidence_text(
             document.channel,

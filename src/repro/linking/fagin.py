@@ -185,6 +185,8 @@ def _full_scan_merge(lists, weights, k):
     """The scan body; ``lists`` already materialised by the wrapper."""
     if weights is None:
         weights = [1.0] * len(lists)
+    if len(weights) != len(lists):
+        raise ValueError("one weight per list required")
     maps = _as_maps(lists)
     keys = set()
     sequential = 0

@@ -13,22 +13,39 @@ type the reproduction uses.
 from repro.store.schema import AttributeType
 from repro.util.textdist import jaccard_qgrams, jaro_winkler, levenshtein
 
+#: Word pairs a registry's Jaro-Winkler memo holds before it starts over
+#: (one seed-1 churn-email study fills 11,278).
+WORD_PAIR_MEMO_LIMIT = 1 << 17
 
-def name_similarity(token_value, attribute_value):
+
+def name_similarity(token_value, attribute_value, word_scores=None):
     """Best-pairing token-level Jaro-Winkler for multi-word names.
 
     Handles partial recognition ("only the surname or the given name
     may get recognized"): a single matching surname still scores well.
+
+    ``word_scores`` memoises Jaro-Winkler per ``(token word, attribute
+    word)`` pair across calls; a registry passes its own (see
+    :class:`SimilarityRegistry`).  A score is a pure function of its
+    pair, so the memo changes no result.
     """
     token_words = str(token_value).lower().split()
     attr_words = str(attribute_value).lower().split()
     if not token_words or not attr_words:
         return 0.0
+    if word_scores is None:
+        word_scores = {}
     total = 0.0
     for token_word in token_words:
-        total += max(
-            jaro_winkler(token_word, attr_word) for attr_word in attr_words
-        )
+        best = 0.0
+        for attr_word in attr_words:
+            pair = (token_word, attr_word)
+            score = word_scores.get(pair)
+            if score is None:
+                score = word_scores[pair] = jaro_winkler(token_word, attr_word)
+            if score > best:
+                best = score
+        total += best
     return total / len(token_words)
 
 
@@ -42,39 +59,67 @@ def digits_similarity(token_value, attribute_value):
     tolerant) with a longest-common-substring ratio (rewarding intact
     runs) and takes the stronger signal.
     """
-    token_digits = "".join(c for c in str(token_value) if c.isdigit())
+    token_digits = _digits(str(token_value))
     if not token_digits:
         return 0.0
     # Multi-valued digit attributes (a customer's several card numbers)
     # are whitespace-separated; the token matches its best part.
     best = 0.0
     for part in str(attribute_value).split():
-        attr_digits = "".join(c for c in part if c.isdigit())
+        attr_digits = _digits(part)
         if not attr_digits:
             continue
         if token_digits == attr_digits:
             return 1.0
         longest = max(len(attr_digits), len(token_digits))
-        edit_sim = 1.0 - levenshtein(token_digits, attr_digits) / longest
-        run_sim = (
-            _longest_common_substring(token_digits, attr_digits) / longest
-        )
-        best = max(best, edit_sim, run_sim)
+        distance = levenshtein(token_digits, attr_digits)
+        best = max(best, 1.0 - distance / longest)
+        # Only a run of at least ``longest - distance`` can score higher.
+        run = _longest_run(token_digits, attr_digits, longest - distance)
+        if run:
+            best = max(best, run / longest)
     return best
 
 
-def _longest_common_substring(a, b):
-    best = 0
-    previous = [0] * (len(b) + 1)
-    for ca in a:
-        current = [0]
-        for j, cb in enumerate(b, start=1):
-            length = previous[j - 1] + 1 if ca == cb else 0
-            current.append(length)
-            if length > best:
-                best = length
-        previous = current
-    return best
+def _digits(text):
+    """The digits of ``text``, in order (``text`` itself when all are)."""
+    return text if text.isdigit() else "".join(filter(str.isdigit, text))
+
+
+def _longest_run(a, b, at_least):
+    """Longest common substring length of ``a`` and ``b`` if ``>= at_least``.
+
+    Returns 0 when no common run reaches ``at_least``.  The caller's
+    bound is inclusive on purpose: a run of exactly ``longest -
+    distance`` scores ``run / longest``, which can round one ulp above
+    ``1.0 - distance / longest`` (``("5", "0150317041405")`` does), so
+    it can still win the ``max``.  A shorter run is a whole
+    ``1 / longest`` below the edit score and never can.
+
+    Having a common run of length ``k`` implies one of every shorter
+    length, so a binary search over ``k`` finds the longest, testing
+    each ``k`` with ``str`` substring searches.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    low, high = max(at_least, 1), len(a)
+    if low > high or not _shares_run(a, b, low):
+        return 0
+    while low < high:
+        middle = (low + high + 1) // 2
+        if _shares_run(a, b, middle):
+            low = middle
+        else:
+            high = middle - 1
+    return low
+
+
+def _shares_run(short, long, length):
+    """True when ``short`` and ``long`` share a substring of ``length``."""
+    return any(
+        short[start:start + length] in long
+        for start in range(len(short) - length + 1)
+    )
 
 
 def date_similarity(token_value, attribute_value):
@@ -119,10 +164,28 @@ def exact_similarity(token_value, attribute_value):
 
 
 class SimilarityRegistry:
-    """Maps attribute types to similarity callables."""
+    """Maps attribute types to similarity callables.
+
+    A registry owns the Jaro-Winkler word-pair memo that
+    :func:`name_similarity` scores through.  It is filled lazily, so a
+    new registry costs nothing, and it is scoped to the registry: every
+    linker built without one gets its own from :func:`default_registry`,
+    and a pickled registry (shipped to a worker process) starts empty.
+    Past :data:`WORD_PAIR_MEMO_LIMIT` pairs it starts over, so a
+    long-lived linker's memory stays bounded.  Threads that share a
+    linker share its memo; at worst two of them score a pair twice.
+    """
 
     def __init__(self, measures=None):
         self._measures = dict(measures or {})
+        self._word_scores = {}
+
+    def __getstate__(self):
+        return {"_measures": self._measures}
+
+    def __setstate__(self, state):
+        self._measures = state["_measures"]
+        self._word_scores = {}
 
     def register(self, attr_type, measure):
         """Plug in a custom measure for ``attr_type``."""
@@ -137,7 +200,14 @@ class SimilarityRegistry:
         """Score ``token_value`` against ``attribute_value``."""
         if attribute_value is None:
             return 0.0
-        return self.measure_for(attr_type)(token_value, attribute_value)
+        measure = self.measure_for(attr_type)
+        if measure is name_similarity:
+            if len(self._word_scores) > WORD_PAIR_MEMO_LIMIT:
+                self._word_scores = {}
+            return name_similarity(
+                token_value, attribute_value, self._word_scores
+            )
+        return measure(token_value, attribute_value)
 
 
 def default_registry():

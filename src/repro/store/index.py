@@ -15,6 +15,13 @@ cover the attribute types:
 
 All indexes share the same tiny interface: ``add(entity_id, value)`` and
 ``candidates(query, limit)`` returning entity ids, best first.
+
+Candidate order never depends on ``PYTHONHASHSEED``.  Postings are
+insertion-ordered dicts keyed by entity id, and a query walks its grams
+and codes in first-occurrence order, so the counts ``Counter`` sees,
+and the order ``most_common`` breaks count ties by, are fixed by the
+data alone.  Iterating a ``set`` of ``str`` grams would follow the
+interpreter's hash salt and change which entities make a capped list.
 """
 
 from collections import Counter, defaultdict
@@ -43,39 +50,67 @@ class HashIndex:
         return sum(len(ids) for ids in self._postings.values())
 
 
-class TokenIndex:
-    """Inverted index over lower-cased whitespace tokens.
+class _SharedKeyIndex:
+    """Inverted index ranking entities by the query keys they share.
 
-    Candidates are ranked by the number of query tokens they share.
+    A subclass says what the keys of a value are (:meth:`_keys`).
+    Postings map each key to an insertion-ordered dict of entity ids.
     """
 
     def __init__(self):
-        self._postings = defaultdict(set)
+        self._postings = defaultdict(dict)
         self._size = 0
 
-    @staticmethod
-    def _tokens(value):
-        return [token for token in value.lower().split() if token]
+    def _keys(self, value):
+        raise NotImplementedError
 
     def add(self, entity_id, value):
         """Index one (entity_id, value) pair."""
-        for token in self._tokens(value):
-            self._postings[token].add(entity_id)
+        for key in self._keys(value):
+            self._postings[key][entity_id] = None
         self._size += 1
 
     def candidates(self, query, limit=50):
         """Candidate entity ids for a query value, best first."""
         counts = Counter()
-        for token in self._tokens(query):
-            for entity_id in self._postings.get(token, ()):
-                counts[entity_id] += 1
+        for key in self._keys(query):
+            entity_ids = self._postings.get(key)
+            if entity_ids:
+                counts.update(entity_ids.keys())
         return [entity_id for entity_id, _ in counts.most_common(limit)]
 
     def __len__(self):
         return self._size
 
+    def __getstate__(self):
+        # Postings pickle as tuples: the same order in fewer bytes than
+        # dicts of None (a process backend ships the index per chunk).
+        state = self.__dict__.copy()
+        state["_postings"] = {
+            key: tuple(entity_ids)
+            for key, entity_ids in self._postings.items()
+        }
+        return state
 
-class QGramIndex:
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._postings = defaultdict(dict, {
+            key: dict.fromkeys(entity_ids)
+            for key, entity_ids in state["_postings"].items()
+        })
+
+
+class TokenIndex(_SharedKeyIndex):
+    """Inverted index over lower-cased whitespace tokens.
+
+    Candidates are ranked by the number of query tokens they share.
+    """
+
+    def _keys(self, value):
+        return [token for token in value.lower().split() if token]
+
+
+class QGramIndex(_SharedKeyIndex):
     """Character q-gram index with shared-gram candidate ranking.
 
     The ranking score is the count of query q-grams present in the
@@ -87,32 +122,17 @@ class QGramIndex:
     def __init__(self, q=2):
         if q <= 0:
             raise ValueError("q must be positive")
+        super().__init__()
         self.q = q
-        self._postings = defaultdict(set)
-        self._size = 0
 
     def _grams(self, value):
         return qgrams(value.lower(), q=self.q)
 
-    def add(self, entity_id, value):
-        """Index one (entity_id, value) pair."""
-        for gram in set(self._grams(value)):
-            self._postings[gram].add(entity_id)
-        self._size += 1
-
-    def candidates(self, query, limit=50):
-        """Candidate entity ids for a query value, best first."""
-        counts = Counter()
-        for gram in set(self._grams(query)):
-            for entity_id in self._postings.get(gram, ()):
-                counts[entity_id] += 1
-        return [entity_id for entity_id, _ in counts.most_common(limit)]
-
-    def __len__(self):
-        return self._size
+    def _keys(self, value):
+        return dict.fromkeys(self._grams(value))
 
 
-class SoundexIndex:
+class SoundexIndex(_SharedKeyIndex):
     """Phonetic-block index over the tokens of a value.
 
     A query matches every entity that shares a Soundex block with any of
@@ -121,30 +141,10 @@ class SoundexIndex:
     :func:`build_index_for_attribute`).
     """
 
-    def __init__(self):
-        self._postings = defaultdict(set)
-        self._size = 0
-
-    @staticmethod
-    def _codes(value):
-        return {soundex(token) for token in value.split() if token}
-
-    def add(self, entity_id, value):
-        """Index one (entity_id, value) pair."""
-        for code in self._codes(value):
-            self._postings[code].add(entity_id)
-        self._size += 1
-
-    def candidates(self, query, limit=50):
-        """Candidate entity ids for a query value, best first."""
-        counts = Counter()
-        for code in self._codes(query):
-            for entity_id in self._postings.get(code, ()):
-                counts[entity_id] += 1
-        return [entity_id for entity_id, _ in counts.most_common(limit)]
-
-    def __len__(self):
-        return self._size
+    def _keys(self, value):
+        return dict.fromkeys(
+            soundex(token) for token in value.split() if token
+        )
 
 
 class CompositeIndex:

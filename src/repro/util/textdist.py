@@ -14,8 +14,15 @@ means identical.
 def levenshtein(a, b):
     """Edit distance between sequences ``a`` and ``b``.
 
-    Works on strings (character edits) and on lists/tuples of tokens
-    (word edits), which is what WER computation needs.
+    Works on strings (character edits) and on lists/tuples of hashable
+    tokens (word edits), which is what WER computation needs.
+
+    Bit-parallel (Myers, JACM 1999, in Hyyrö's 2001 formulation for
+    the global distance): one column of the DP matrix is held as two
+    bit vectors of vertical +1/-1 deltas, one bit per item of ``a``, so
+    each item of ``b`` costs a fixed handful of integer operations
+    instead of ``len(a)`` cell updates.  Python integers are unbounded,
+    so ``a`` may be any length.
 
     >>> levenshtein("kitten", "sitting")
     3
@@ -24,25 +31,37 @@ def levenshtein(a, b):
     """
     if a == b:
         return 0
-    if not a:
+    n = len(a)
+    if not n:
         return len(b)
     if not b:
-        return len(a)
-    # Keep only two rows of the DP matrix.
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(
-                min(
-                    previous[j] + 1,  # deletion of ca
-                    current[j - 1] + 1,  # insertion of cb
-                    previous[j - 1] + cost,  # substitution / match
-                )
-            )
-        previous = current
-    return previous[-1]
+        return n
+    # match[item]: bit i set where a[i] == item.
+    match = {}
+    bit = 1
+    for item in a:
+        match[item] = match.get(item, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    last = 1 << (n - 1)
+    plus, minus = full, 0  # vertical deltas of the current column
+    distance = n
+    for item in b:
+        eq = match.get(item, 0)
+        vertical = eq | minus
+        horizontal = (((eq & plus) + plus) ^ plus) | eq
+        h_plus = minus | ~(horizontal | plus)
+        h_minus = plus & horizontal
+        if h_plus & last:
+            distance += 1
+        elif h_minus & last:
+            distance -= 1
+        # Row 0 is D[0][j] = j: its horizontal delta is always +1.
+        h_plus = (h_plus << 1) | 1
+        h_minus <<= 1
+        plus = (h_minus | ~(vertical | h_plus)) & full
+        minus = h_plus & vertical
+    return distance
 
 
 def levenshtein_alignment(reference, hypothesis):

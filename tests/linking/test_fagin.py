@@ -78,6 +78,14 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             threshold_merge(LISTS, weights=[1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 2.0, 3.0]])
+    def test_scan_weight_count_validated(self, weights):
+        # A short weight list used to drop the unweighted lists
+        # silently: "b" came back at 0.5 instead of an error.
+        lists = [[("a", 1.0), ("b", 0.5)], [("b", 1.0)]]
+        with pytest.raises(ValueError, match="one weight per list"):
+            full_scan_merge(lists, weights=weights, k=2)
+
     def test_missing_key_scores_zero(self):
         # "d" appears only in list 2; aggregate must not crash.
         result = full_scan_merge(LISTS, k=4)

@@ -1,5 +1,7 @@
 """Tests for exact and fuzzy indexes."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -141,3 +143,38 @@ class TestBuildIndexForAttribute:
         assert isinstance(
             build_index_for_attribute(AttributeType.PLACE), QGramIndex
         )
+
+
+NAMES = ["john smith", "jon smyth", "mary walker", "smith john", "joan smit"]
+
+
+class TestCandidateOrder:
+    @pytest.mark.parametrize(
+        "make", [TokenIndex, QGramIndex, SoundexIndex, DigitsIndex]
+    )
+    def test_count_ties_fall_in_insertion_order(self, make):
+        index = make()
+        values = ["5551234 smith", "5551234 smith", "5551234 smith"]
+        for entity_id in (30, 10, 20):
+            index.add(entity_id, values.pop())
+        assert index.candidates("5551234 smith") == [30, 10, 20]
+
+    def test_repeated_query_tokens_count_twice(self):
+        index = TokenIndex()
+        index.add(1, "elm street")
+        index.add(2, "oak oak")
+        assert index.candidates("oak oak elm") == [2, 1]
+
+    @pytest.mark.parametrize(
+        "make", [TokenIndex, QGramIndex, SoundexIndex, DigitsIndex]
+    )
+    def test_pickled_index_ranks_the_same(self, make):
+        index = make()
+        for entity_id, name in enumerate(NAMES):
+            index.add(entity_id, f"{name} 55512{entity_id}4")
+        copy = pickle.loads(pickle.dumps(index))
+        assert len(copy) == len(index)
+        for query in NAMES + ["5551234", "smith"]:
+            assert copy.candidates(query) == index.candidates(query)
+        copy.add(9, "smith 5551294")
+        assert 9 in copy.candidates("smith 5551294")
