@@ -20,7 +20,14 @@ the single-index analysis.
 from dataclasses import dataclass
 
 from repro.mining.algebra import PartialAggregate, compute, merge_counts
-from repro.util.intervals import lift_lower_bound, lift_point_estimate
+from repro.obs import get_metrics
+from repro.util.intervals import (
+    check_cell_counts,
+    check_interval_options,
+    lift_from_terminals,
+    lift_point_estimate,
+    proportion_interval,
+)
 
 
 @dataclass(frozen=True)
@@ -140,7 +147,12 @@ class AssociationAggregate(PartialAggregate):
     def __init__(self, row_dimension, col_dimension, confidence=0.95,
                  interval_method="wilson", row_values=None,
                  col_values=None):
-        """Dimension pair plus scoring knobs; see :func:`associate`."""
+        """Dimension pair plus scoring knobs; see :func:`associate`.
+
+        Raises ``ValueError`` for a confidence outside (0, 1) or an
+        unknown interval method.
+        """
+        check_interval_options(confidence, interval_method)
         self.row_dimension = tuple(row_dimension)
         self.col_dimension = tuple(col_dimension)
         self.confidence = confidence
@@ -217,7 +229,14 @@ class AssociationAggregate(PartialAggregate):
         }
 
     def finalize(self, state, index):
-        """Score every cell from the merged integer counts."""
+        """Score every cell from the merged integer counts.
+
+        A marginal's upper interval terminal depends only on its total,
+        so each row's and each column's is computed once here; a cell
+        computes only its own lower terminal.  That is
+        ``cells + rows + cols`` interval evaluations per table, counted
+        on ``mining.associate.intervals``.
+        """
         grand_total = state["grand_total"]
         if grand_total == 0:
             raise ValueError("cannot analyse an empty index")
@@ -229,22 +248,26 @@ class AssociationAggregate(PartialAggregate):
             col_values = sorted(state["col_totals"])
         else:
             col_values = self.col_values
+        row_totals = {
+            value: state["row_totals"].get(value, 0) for value in row_values
+        }
+        col_totals = {
+            value: state["col_totals"].get(value, 0) for value in col_values
+        }
+        row_high = self._upper_terminals(row_totals, grand_total)
+        col_high = self._upper_terminals(col_totals, grand_total)
         cells = {}
         for row_value in row_values:
-            row_total = state["row_totals"].get(row_value, 0)
+            row_total = row_totals[row_value]
             for col_value in col_values:
                 count = state["pairs"].get((row_value, col_value), 0)
-                col_total = state["col_totals"].get(col_value, 0)
-                strength = lift_lower_bound(
+                col_total = col_totals[col_value]
+                check_cell_counts(count, row_total, col_total, grand_total)
+                cell_low, _ = proportion_interval(
                     count,
-                    row_total,
-                    col_total,
                     grand_total,
                     confidence=self.confidence,
                     method=self.interval_method,
-                )
-                point = lift_point_estimate(
-                    count, row_total, col_total, grand_total
                 )
                 cells[(row_value, col_value)] = AssociationCell(
                     row_value=row_value,
@@ -253,13 +276,33 @@ class AssociationAggregate(PartialAggregate):
                     row_total=row_total,
                     col_total=col_total,
                     grand_total=grand_total,
-                    strength=strength,
-                    point_lift=point,
+                    strength=lift_from_terminals(
+                        cell_low, row_high[row_value], col_high[col_value]
+                    ),
+                    point_lift=lift_point_estimate(
+                        count, row_total, col_total, grand_total
+                    ),
                 )
+        get_metrics().counter("mining.associate.intervals").inc(
+            len(row_high) + len(col_high)
+            + len(row_values) * len(col_values)
+        )
         return AssociationTable(
             index, self.row_dimension, self.col_dimension, cells,
             row_values, col_values,
         )
+
+    def _upper_terminals(self, totals, grand_total):
+        """``{value: upper interval terminal of its marginal density}``."""
+        return {
+            value: proportion_interval(
+                total,
+                grand_total,
+                confidence=self.confidence,
+                method=self.interval_method,
+            )[1]
+            for value, total in totals.items()
+        }
 
 
 def associate(index, row_dimension, col_dimension, confidence=0.95,

@@ -41,6 +41,7 @@ from repro.mining.index import field_key
 from repro.mining.olap import concept_cube
 from repro.mining.relfreq import relative_frequency
 from repro.mining.trends import emerging_concepts, trend_series
+from repro.util.intervals import check_interval_options
 
 #: Query kinds the engine answers, in documentation order.
 QUERY_KINDS = (
@@ -267,12 +268,11 @@ def _parse_assoc2d(payload, filters):
     row_values = payload.pop("row_values", None)
     col_values = payload.pop("col_values", None)
     confidence = payload.pop("confidence", 0.95)
-    if not isinstance(confidence, (int, float)) or isinstance(
-        confidence, bool
-    ):
-        raise QueryError(f"confidence must be a number, "
-                         f"got {confidence!r}")
     method = payload.pop("method", "wilson")
+    try:
+        check_interval_options(confidence, method)
+    except ValueError as exc:
+        raise QueryError(str(exc)) from None
     return _params({
         "rows": _as_dimension(rows, "rows"),
         "cols": _as_dimension(cols, "cols"),
@@ -285,7 +285,7 @@ def _parse_assoc2d(payload, filters):
             else tuple(str(v) for v in col_values)
         ),
         "confidence": float(confidence),
-        "method": str(method),
+        "method": method,
     })
 
 

@@ -23,6 +23,7 @@ from repro.mining.assoc2d import associate
 from repro.mining.index import ConceptIndex
 from repro.mining.relfreq import relative_frequency
 from repro.mining.trends import emerging_concepts, trend_series
+from repro.util.intervals import check_interval_options
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,10 @@ class AssocSpec:
     col_dimension: tuple
     confidence: float = 0.95
     interval_method: str = "wilson"
+
+    def __post_init__(self):
+        """Reject a confidence outside (0, 1) or an unknown method."""
+        check_interval_options(self.confidence, self.interval_method)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,69 @@ estimation instead of the point estimation."
 
 This module provides the proportion intervals and the conservative
 lower-bound lift used by :mod:`repro.mining.assoc2d`.
+
+Both interval methods need the two-sided normal quantile
+``z = norm.ppf(0.5 + confidence / 2)``.  It depends only on the
+confidence and costs far more than the interval arithmetic, so
+:func:`_z` computes it once per confidence and caches it for the life
+of the process.  The value is scipy's: stdlib
+``statistics.NormalDist().inv_cdf`` differs from it by one ulp at 0.8,
+0.9, 0.95 and 0.99, and every published strength would move with it.
+
+:func:`lift_from_terminals` is the one place the three interval
+terminals become a lift.  :func:`lift_lower_bound` feeds it one cell's
+three intervals; :meth:`repro.mining.assoc2d.AssociationAggregate.finalize`
+feeds it each marginal's upper terminal computed once per row and per
+column, and one lower terminal per cell.
 """
 
 import math
+from functools import lru_cache
 
 from scipy import stats as _scipy_stats
+
+#: The proportion interval methods :func:`proportion_interval` accepts.
+INTERVAL_METHODS = ("wilson", "normal")
+
+
+def check_interval_options(confidence, method):
+    """Raise ``ValueError`` unless the options describe a real interval.
+
+    ``confidence`` must be a number strictly inside (0, 1) — at 0 the
+    interval collapses to the point estimate, and at 1 or beyond the
+    normal quantile is infinite or NaN — and ``method`` one of
+    :data:`INTERVAL_METHODS`.
+    """
+    _check_confidence(confidence)
+    if method not in INTERVAL_METHODS:
+        raise ValueError(f"unknown interval method: {method!r}")
+
+
+def _check_confidence(confidence):
+    """Reject a confidence that is not a number in (0, 1)."""
+    if (
+        isinstance(confidence, bool)
+        or not isinstance(confidence, (int, float))
+        or not 0.0 < confidence < 1.0
+    ):
+        raise ValueError(
+            f"confidence must be a number in (0, 1), got {confidence!r}"
+        )
+
+
+@lru_cache(maxsize=32)
+def _z(confidence):
+    """The two-sided normal quantile of ``confidence`` (scipy's value)."""
+    _check_confidence(confidence)
+    return float(_scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+
+
+def _check_counts(successes, trials):
+    """Reject counts that are not a proportion of ``trials``."""
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
+    if successes < 0 or successes > trials:
+        raise ValueError("successes must be within [0, trials]")
 
 
 def wilson_interval(successes, trials, confidence=0.95):
@@ -27,19 +85,17 @@ def wilson_interval(successes, trials, confidence=0.95):
     appear in sparse association cells.
 
     Returns ``(low, high)``; for ``trials == 0`` returns ``(0.0, 1.0)``
-    (total uncertainty).
+    (total uncertainty).  Raises ``ValueError`` for counts outside
+    ``0 <= successes <= trials`` or a confidence outside (0, 1).
 
     >>> low, high = wilson_interval(5, 10)
     >>> 0.0 < low < 0.5 < high < 1.0
     True
     """
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
-    if successes < 0 or successes > trials:
-        raise ValueError("successes must be within [0, trials]")
+    _check_counts(successes, trials)
+    z = _z(confidence)
     if trials == 0:
         return 0.0, 1.0
-    z = _scipy_stats.norm.ppf(0.5 + confidence / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     centre = phat + z * z / (2 * trials)
@@ -62,17 +118,43 @@ def proportion_interval(successes, trials, confidence=0.95, method="wilson"):
 
     ``method`` is ``"wilson"`` (default) or ``"normal"`` (the classic
     Wald interval, kept for the ablation study on interval choice).
+    Both reject the same invalid counts and confidences as
+    :func:`wilson_interval`.
     """
     if method == "wilson":
         return wilson_interval(successes, trials, confidence=confidence)
     if method != "normal":
         raise ValueError(f"unknown interval method: {method!r}")
+    _check_counts(successes, trials)
+    z = _z(confidence)
     if trials == 0:
         return 0.0, 1.0
-    z = _scipy_stats.norm.ppf(0.5 + confidence / 2.0)
     phat = successes / trials
     margin = z * math.sqrt(max(phat * (1 - phat), 0.0) / trials)
     return max(0.0, phat - margin), min(1.0, phat + margin)
+
+
+def lift_from_terminals(cell_low, ver_high, hor_high):
+    """Eqn 4's conservative lift from its three interval terminals.
+
+    ``cell_low`` is the lower terminal of the cell density and
+    ``ver_high``/``hor_high`` the upper terminals of the two marginal
+    densities.  Returns ``0.0`` when a marginal's upper terminal is 0
+    (an empty marginal under the normal method: no evidence at all).
+    """
+    if ver_high <= 0.0 or hor_high <= 0.0:
+        return 0.0
+    return cell_low / (ver_high * hor_high)
+
+
+def check_cell_counts(n_cell, n_ver, n_hor, n_total):
+    """Raise ``ValueError`` unless the counts can form one Eqn 4 cell."""
+    if n_total <= 0:
+        raise ValueError("n_total must be positive")
+    if min(n_cell, n_ver, n_hor) < 0:
+        raise ValueError("counts must be non-negative")
+    if n_cell > min(n_ver, n_hor):
+        raise ValueError("cell count cannot exceed its marginals")
 
 
 def lift_lower_bound(
@@ -93,12 +175,7 @@ def lift_lower_bound(
     >>> lift_lower_bound(1, 2, 2, 1000) < (1 / 1000) / ((2 / 1000) ** 2)
     True
     """
-    if n_total <= 0:
-        raise ValueError("n_total must be positive")
-    if min(n_cell, n_ver, n_hor) < 0:
-        raise ValueError("counts must be non-negative")
-    if n_cell > min(n_ver, n_hor):
-        raise ValueError("cell count cannot exceed its marginals")
+    check_cell_counts(n_cell, n_ver, n_hor, n_total)
     cell_low, _ = proportion_interval(
         n_cell, n_total, confidence=confidence, method=method
     )
@@ -108,9 +185,7 @@ def lift_lower_bound(
     _, hor_high = proportion_interval(
         n_hor, n_total, confidence=confidence, method=method
     )
-    if ver_high <= 0.0 or hor_high <= 0.0:
-        return 0.0
-    return cell_low / (ver_high * hor_high)
+    return lift_from_terminals(cell_low, ver_high, hor_high)
 
 
 def lift_point_estimate(n_cell, n_ver, n_hor, n_total):

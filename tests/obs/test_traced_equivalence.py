@@ -1,9 +1,10 @@
 """Observability is write-only: traced runs == untraced runs.
 
 The acceptance bar for the obs layer — activating a tracer and a
-metrics registry around the engine, the stream consumer or the linking
-hot paths must not change a single output bit.  Also pins the span
-hierarchy (pipeline:run -> stage -> batch, stream:batch above them)
+metrics registry around the engine, the stream consumer, the linking
+hot paths or the association finalize must not change a single output
+bit.  Also pins the span hierarchy (pipeline:run -> stage -> batch,
+stream:batch above them)
 and the zero-row funnel guarantee for fully-discarded / fully-skipped
 micro-batches.
 """
@@ -16,6 +17,7 @@ from repro.engine import Document, FunctionStage, MapStage, PipelineRunner
 from repro.exec import make_backend
 from repro.faults import FaultPlan, FaultSpec, InjectedFault, injecting
 from repro.linking.fagin import fagin_merge
+from repro.mining.assoc2d import associate
 from repro.mining.stage import ConceptIndexStage
 from repro.obs import MetricsRegistry, Tracer, activated
 from repro.stream import (
@@ -248,6 +250,30 @@ class TestStreamEquivalence:
         assert state["offset"] == reference.committed_offset
         assert state["index"] == index_to_state(reference.index)
         assert state["window"] == reference.window.to_state()
+
+
+class TestMiningEquivalence:
+    def test_traced_associate_matches_untraced(self):
+        """The interval counter is write-only: tables stay ``==``."""
+        consumer = _build()
+        consumer.run()
+        dimensions = (("field", "city"), ("field", "car"))
+        untraced = associate(consumer.index, *dimensions)
+        untraced_window = consumer.window.assoc_snapshot(0)
+        metrics = MetricsRegistry()
+        with activated(Tracer(), metrics):
+            traced = associate(consumer.index, *dimensions)
+            traced_window = consumer.window.assoc_snapshot(0)
+        assert traced == untraced
+        assert traced_window == untraced_window
+        # One increment per finalize, by cells + rows + cols.
+        expected = sum(
+            (len(table.row_values) + 1) * (len(table.col_values) + 1) - 1
+            for table in (traced, traced_window)
+        )
+        counters = metrics.snapshot()["counters"]
+        assert counters["mining.associate.intervals"] == expected
+        assert counters["mining.analytics"] == 2
 
 
 class TestZeroRowFunnel:

@@ -49,6 +49,25 @@ class TestParsing:
                  "filters": {"channel": "email"}}
             )
 
+    @pytest.mark.parametrize("confidence", [0, 1, 1.5, -0.2, True, "0.9"])
+    def test_assoc2d_confidence_outside_unit_interval_rejected(
+        self, confidence
+    ):
+        """At 0 the bound is the point lift; at 1 and past it NaN."""
+        with pytest.raises(QueryError, match="confidence"):
+            QuerySpec.parse(
+                {"kind": "assoc2d", "rows": ["field", "city"],
+                 "cols": ["field", "car"], "confidence": confidence}
+            )
+
+    def test_assoc2d_unknown_method_rejected_at_parse(self):
+        """An unknown interval method never reaches the planner."""
+        with pytest.raises(QueryError, match="bayes"):
+            QuerySpec.parse(
+                {"kind": "assoc2d", "rows": ["field", "city"],
+                 "cols": ["field", "car"], "method": "bayes"}
+            )
+
     def test_malformed_key_rejected(self):
         """Keys must be [kind, name, value] triples."""
         with pytest.raises(QueryError):

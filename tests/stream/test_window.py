@@ -216,3 +216,16 @@ class TestWindowMechanics:
         window = WindowedAnalytics(2, assoc_specs=[ASSOC])
         with pytest.raises(ValueError, match="empty window"):
             window.assoc_snapshot(0)
+
+
+class TestAssocSpecOptions:
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            AssocSpec(("field", "city"), ("field", "car"),
+                      confidence=confidence)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="bayes"):
+            AssocSpec(("field", "city"), ("field", "car"),
+                      interval_method="bayes")

@@ -1,9 +1,14 @@
 """Tests for proportion intervals and the Eqn-4 lift lower bound."""
 
+import math
+from statistics import NormalDist
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import norm
 
+from repro.util import intervals
 from repro.util.intervals import (
     lift_lower_bound,
     lift_point_estimate,
@@ -65,6 +70,40 @@ class TestProportionInterval:
 
     def test_normal_zero_trials(self):
         assert proportion_interval(0, 0, method="normal") == (0.0, 1.0)
+
+    @pytest.mark.parametrize("method", ["wilson", "normal"])
+    @pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 3), (0, -1)])
+    def test_invalid_counts_rejected_by_both_methods(
+        self, method, successes, trials
+    ):
+        # The normal method used to return (1.67, 1.0) for (5, 3) and
+        # (0.0, -0.33) for (-1, 3).
+        with pytest.raises(ValueError):
+            proportion_interval(successes, trials, method=method)
+
+    @pytest.mark.parametrize("method", ["wilson", "normal"])
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5])
+    def test_confidence_outside_unit_interval_rejected(
+        self, method, confidence
+    ):
+        # confidence=1.0 used to give (0.0, 1.0) only because the
+        # quantile was inf and the terminals NaN.
+        for successes, trials in ((1, 2), (0, 0)):
+            with pytest.raises(ValueError, match="confidence"):
+                proportion_interval(
+                    successes, trials, confidence=confidence, method=method
+                )
+
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+    def test_quantile_is_scipys(self, confidence):
+        """The cached quantile is scipy's; the stdlib's is one ulp off."""
+        z = norm.ppf(0.5 + confidence / 2.0)
+        assert intervals._z(confidence) == z
+        assert NormalDist().inv_cdf(0.5 + confidence / 2.0) != z
+        phat = 0.3
+        assert proportion_interval(
+            30, 100, confidence=confidence, method="normal"
+        )[1] == phat + z * math.sqrt(phat * (1 - phat) / 100)
 
 
 class TestLiftLowerBound:
