@@ -50,12 +50,6 @@ def _add_engine_options(parser):
         help="print the per-stage docs in/out/discard + wall-time table",
     )
     parser.add_argument(
-        "--shards", type=int, default=None,
-        help="hash-partition the concept index into N shards; the "
-             "analytics run per-shard partials merged exactly "
-             "(bit-identical to unsharded)",
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a Chrome-trace JSON of this run to PATH "
              "(traced output is bit-identical to untraced)",
@@ -87,7 +81,6 @@ def cmd_tables(args):
             link_mode="content",
             workers=args.workers,
             backend=args.backend,
-            shards=args.shards or 0,
         ),
     )
     if args.stage_stats:
@@ -198,7 +191,7 @@ def cmd_churn(args):
     )
     result = run_churn_study(
         corpus, channel=args.channel, workers=args.workers,
-        shards=args.shards, backend=args.backend,
+        driver_index=True, backend=args.backend,
     )
     if args.stage_stats:
         print(result.stage_report.render_text())
@@ -209,24 +202,16 @@ def cmd_churn(args):
         f"{result.train_churner_fraction:.1%}, detection "
         f"{result.detection_rate:.1%} (paper 53.6% for email)"
     )
-    if result.driver_index is not None:
-        from repro.mining import emerging_concepts, shard_count_of
+    from repro.mining import emerging_concepts
 
-        index = result.driver_index
-        rising = emerging_concepts(
-            index, ("concept", "churn driver"), min_total=1
-        )
-        layout = (
-            f"{shard_count_of(index)} shards"
-            if shard_count_of(index) else "single index"
-        )
-        print()
-        print(
-            f"churn drivers by trend ({len(index)} messages indexed, "
-            f"{layout}):"
-        )
-        for key, slope, total in rising:
-            print(f"  {key[2]:<22} slope {slope:+.3f}  total {total}")
+    index = result.driver_index
+    rising = emerging_concepts(
+        index, ("concept", "churn driver"), min_total=1
+    )
+    print()
+    print(f"churn drivers by trend ({len(index)} messages indexed):")
+    for key, slope, total in rising:
+        print(f"  {key[2]:<22} slope {slope:+.3f}  total {total}")
     return 0
 
 
@@ -257,9 +242,7 @@ def _build_carrental_stream(args):
     system = BIVoCSystem(BIVoCConfig(use_asr=False, link_mode="content"))
     stages = system.build_call_stages(
         corpus,
-        index_stage=ConceptIndexStage(
-            on_duplicate="replace", shards=args.shards or 0
-        ),
+        index_stage=ConceptIndexStage(on_duplicate="replace"),
     )
     arrivals = sorted(
         corpus.transcripts, key=lambda t: (t.day, t.call_id)
@@ -315,9 +298,7 @@ def _build_telecom_stream(args):
     stages = [
         CleaningStage(),
         StreamAnnotateStage(churn_driver_engine()),
-        ConceptIndexStage(
-            on_duplicate="replace", shards=args.shards or 0
-        ),
+        ConceptIndexStage(on_duplicate="replace"),
     ]
     arrivals = sorted(
         corpus.messages, key=lambda m: (m.month, m.message_id)
@@ -410,25 +391,17 @@ def cmd_stream(args):
 def cmd_serve(args):
     """Serve analytic queries over HTTP while a stream ingests.
 
-    Builds one backend for the ingesting consumer (``--workers``) and
-    one for the query engine (``--query-workers``); the server's
-    request threads share the latter.
+    Builds one backend for the ingesting consumer (``--workers``);
+    queries run on the server's request threads.
     """
     from repro.exec import make_backend
 
-    with make_backend(args.backend, args.workers) as ingest_backend, \
-            make_backend(args.backend, args.query_workers) as query_backend:
-        # --query-workers 0/1 means serial queries, which /status
-        # reports as 0 workers: the engine gets no backend at all.
-        return _serve(
-            args,
-            ingest_backend,
-            query_backend if args.query_workers > 1 else None,
-        )
+    with make_backend(args.backend, args.workers) as ingest_backend:
+        return _serve(args, ingest_backend)
 
 
-def _serve(args, ingest_backend, query_backend):
-    """The body of :func:`cmd_serve`, on backends it does not own."""
+def _serve(args, ingest_backend):
+    """The body of :func:`cmd_serve`, on a backend it does not own."""
     import json
     import os
     import signal
@@ -474,7 +447,6 @@ def _serve(args, ingest_backend, query_backend):
         )
     engine = QueryEngine(
         epochs,
-        backend=query_backend,
         cache=QueryCache(
             capacity=args.cache_capacity, ttl=args.cache_ttl
         ),
@@ -962,11 +934,6 @@ def build_parser():
                        help="bind address")
     serve.add_argument("--port", type=int, default=8321,
                        help="bind port (0 picks a free port)")
-    serve.add_argument(
-        "--query-workers", type=int, default=0,
-        help="workers for per-shard query partials, on the --backend "
-             "kind (0 = serial; pooled results are bit-identical)",
-    )
     serve.add_argument("--cache-capacity", type=int, default=128,
                        help="epoch-keyed result cache entries")
     serve.add_argument(
@@ -1028,10 +995,6 @@ def build_parser():
         "--plan-only", action="store_true",
         help="print the fault plan JSON for this seed and exit",
     )
-    chaos.add_argument(
-        "--shards", type=int, default=None,
-        help="hash-partition the concept index into N shards",
-    )
     chaos.add_argument("--agents", type=int, default=12,
                        help="carrental: number of agents")
     chaos.add_argument("--days", type=int, default=4,
@@ -1057,11 +1020,11 @@ def build_parser():
         help="replay seeded differential property checks",
         description=(
             "Generates a random corpus/config from --seed (doc "
-            "counts, channels, shard counts, batch sizes, worker "
-            "counts, backends) and asserts every equivalence the "
-            "repo guarantees on it: sharded == single-index, every "
-            "backend == serial, stream crash/resume == uninterrupted, "
-            "traced == untraced. The tests/prop suite runs 25 seeds "
+            "counts, channels, batch sizes, worker counts, backends) "
+            "and asserts every equivalence the repo guarantees on it: "
+            "every backend == serial, stream crash/resume == "
+            "uninterrupted, traced == untraced. The tests/prop suite "
+            "runs 25 seeds "
             "of exactly this oracle in CI; a failing seed there "
             "prints the matching 'bivoc prop --seed N' line."
         ),

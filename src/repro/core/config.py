@@ -35,18 +35,13 @@ class BIVoCConfig:
     # Engine execution knobs: documents flow through the stage graph in
     # batches of ``batch_size``.  ``run_insight_analysis`` turns
     # ``backend`` ("serial" / "thread" / "process") and ``workers``
-    # into the one execution backend its pure stages and analytics
-    # fan out on (bit-identical to serial on every backend — see
+    # into the one execution backend its pure stages fan out on
+    # (bit-identical to serial on every backend — see
     # repro.engine.runner and repro.exec); fan-out engages only when
     # ``workers`` > 1, and "serial" forces inline execution.
     batch_size: int = 64
     workers: int = 0
     backend: str = "thread"
-    # Concept-index layout: 0 keeps the single in-memory index, a
-    # positive count hash-partitions it into that many shards and the
-    # mining analytics run per-shard partials merged exactly
-    # (bit-identical — see repro.mining.algebra).
-    shards: int = 0
 
     def __post_init__(self):
         if self.link_mode not in ("content", "metadata"):
@@ -63,5 +58,3 @@ class BIVoCConfig:
                 f"backend must be one of {list(BACKEND_KINDS)}, "
                 f"got {self.backend!r}"
             )
-        if self.shards < 0:
-            raise ValueError("shards must be >= 0")

@@ -439,7 +439,7 @@ class BIVoCSystem:
             ),
             AnnotateStage(self.engine),
             DeriveStage(self.engine),
-            index_stage or ConceptIndexStage(shards=config.shards),
+            index_stage or ConceptIndexStage(),
         ]
 
     def process_call_center(self, corpus, backend=None):
@@ -447,9 +447,8 @@ class BIVoCSystem:
 
         ``backend`` is the execution backend the runner's pure stages
         fan out on (``None`` = inline; see
-        :class:`~repro.engine.PipelineRunner`); callers that follow
-        the run with sharded analytics share it across both, and
-        close it themselves.
+        :class:`~repro.engine.PipelineRunner`); the caller closes
+        it.
         """
         stages = self.build_call_stages(corpus)
         index_stage = stages[-1]

@@ -56,43 +56,39 @@ def run_insight_analysis(corpus, config=None):
 
     One execution backend of the configured kind (``config.backend``:
     thread pool by default, process pool for GIL-free fan-out; wide
-    enough to fan out when ``config.workers > 1``) serves both the
-    engine's parallel stages and the sharded analytics' per-shard
-    partials, and is closed here (the order-preserving fan-out keeps
-    every table bit-identical to the serial run on any backend).
+    enough to fan out when ``config.workers > 1``) serves the engine's
+    parallel stages and is closed here (the order-preserving fan-out
+    keeps every table bit-identical to the serial run on any
+    backend).
     """
     config = config or BIVoCConfig()
     system = BIVoCSystem(config=config)
     with make_backend(config.backend, config.workers) as backend:
         analysis = system.process_call_center(corpus, backend=backend)
-        index = analysis.index
-        intent_table = associate(
+    index = analysis.index
+    intent_table = associate(
+        index,
+        ("field", "detected_intent"),
+        ("field", "call_type"),
+        col_values=_OUTCOMES,
+    )
+    utterance_tables = {
+        "value_selling": associate(
             index,
-            ("field", "detected_intent"),
+            ("field", "agent_value_selling"),
             ("field", "call_type"),
             col_values=_OUTCOMES,
-            backend=backend,
-        )
-        utterance_tables = {
-            "value_selling": associate(
-                index,
-                ("field", "agent_value_selling"),
-                ("field", "call_type"),
-                col_values=_OUTCOMES,
-                backend=backend,
-            ),
-            "discount": associate(
-                index,
-                ("field", "agent_discount"),
-                ("field", "call_type"),
-                col_values=_OUTCOMES,
-                backend=backend,
-            ),
-        }
-        location_vehicle_table = associate(
-            index, ("concept", "place"), ("concept", "vehicle type"),
-            backend=backend,
-        )
+        ),
+        "discount": associate(
+            index,
+            ("field", "agent_discount"),
+            ("field", "call_type"),
+            col_values=_OUTCOMES,
+        ),
+    }
+    location_vehicle_table = associate(
+        index, ("concept", "place"), ("concept", "vehicle type"),
+    )
     return AgentProductivityStudy(
         analysis=analysis,
         intent_table=intent_table,

@@ -201,21 +201,19 @@ class StreamAnnotateStage(MapStage):
         )
 
 
-def build_driver_index_stages(shards=0):
+def build_driver_index_stages():
     """The opt-in churn-driver indexing tail of the churn graph.
 
     Returns ``[DriverAnnotateStage, ConceptIndexStage]``: annotate the
     surviving cleaned messages with the shared "churn driver" concept
-    category and index them — into a hash-sharded index when
-    ``shards`` > 0 — so the VoC mining analytics (emerging drivers,
-    driver x channel association) run over the churn corpus through
-    the partial-aggregate algebra.
+    category and index them, so the VoC mining analytics (emerging
+    drivers, driver x channel association) run over the churn corpus.
     """
     from repro.mining.stage import ConceptIndexStage
 
     return [
         DriverAnnotateStage(churn_driver_engine()),
-        ConceptIndexStage(shards=shards),
+        ConceptIndexStage(),
     ]
 
 
@@ -346,7 +344,7 @@ def _channelled_messages(corpus, channel):
 def run_churn_study(corpus, channel="email", split_month=None,
                     classifier=None, undersample_ratio=6.0,
                     threshold=0.5, spell_correct=False,
-                    batch_size=64, workers=0, shards=None,
+                    batch_size=64, workers=0, driver_index=False,
                     backend="thread"):
     """Run the churn study over one channel of a telecom corpus.
 
@@ -358,10 +356,9 @@ def run_churn_study(corpus, channel="email", split_month=None,
     (parallel execution of pure stages is bit-identical to serial on
     every backend).
 
-    ``shards`` opts into the churn-driver concept index
-    (:func:`build_driver_index_stages`): ``None`` (the default) skips
-    it, 0 builds a single index, a positive count a hash-sharded one;
-    the built index lands on the result's ``driver_index``.
+    ``driver_index=True`` adds the churn-driver concept index
+    (:func:`build_driver_index_stages`) to the graph; the built index
+    lands on the result's ``driver_index``.
     """
     config = corpus.config
     if split_month is None:
@@ -371,8 +368,8 @@ def run_churn_study(corpus, channel="email", split_month=None,
         corpus, pipeline=CleaningPipeline(spell_correct=spell_correct)
     )
     driver_index_stage = None
-    if shards is not None:
-        driver_stages = build_driver_index_stages(shards=shards)
+    if driver_index:
+        driver_stages = build_driver_index_stages()
         driver_index_stage = driver_stages[-1]
         stages = stages + driver_stages
     cleaning_stage = stages[0]

@@ -186,10 +186,9 @@ BENIGN_METHOD_NAMES = frozenset({
     "argmax", "astype", "reshape", "with_suffix", "relative_to",
     "exists", "is_dir", "is_file", "resolve", "absolute", "parent",
     "name", "stem", "suffix", "parts",
-    # Concept-index read accessors (repro.store.contract): pure lookups
-    # over postings/dimension tables, shared by the single and sharded
-    # implementations — the shard partials of repro.mining.algebra are
-    # verified pure through these.
+    # Concept-index read accessors (repro.mining.index): pure lookups
+    # over postings/dimension tables — the count passes of
+    # repro.mining.algebra are verified pure through these.
     "postings_view", "documents_with", "count_pair",
     "values_of_dimension", "keys_of_dimension", "keys_of",
     "timestamp_of", "text_of",

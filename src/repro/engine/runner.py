@@ -193,8 +193,7 @@ class PipelineRunner:
         reaches a runner built long before tracing was activated).
 
         ``backend`` is used by every :meth:`run` and left open: one
-        backend can serve many runs — and the sharded analytics that
-        follow them — and whoever built it closes it.
+        backend can serve many runs, and whoever built it closes it.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")

@@ -1,12 +1,11 @@
 """Pluggable execution backends: serial, thread and process fan-out.
 
 One protocol — :class:`~repro.exec.backend.ExecBackend` with an
-order-preserving ``map`` — behind every parallel hot path in the
-reproduction: the engine's pure-stage batches, the mining algebra's
-per-shard partials and the serving layer's per-shard query partials.
-The backends differ only in *where* tasks run (inline, a warm thread
-pool, a warm process pool); because every caller folds results in
-submission order, each backend is bit-identical to serial execution.
+order-preserving ``map`` — behind the reproduction's parallel hot
+path, the engine's pure-stage batches.  The backends differ only in
+*where* tasks run (inline, a warm thread pool, a warm process pool);
+because every caller folds results in submission order, each backend
+is bit-identical to serial execution.
 
 Callers take one ``backend`` argument (``None`` = inline) and never
 build or close a backend themselves: :func:`make_backend` turns the

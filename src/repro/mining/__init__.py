@@ -5,11 +5,9 @@ classifications).  This allows quick reporting to be done on datasets
 containing even millions of documents."
 
 * :class:`ConceptIndex` — inverted index over concept keys, mixing
-  unstructured concepts and structured fields;
-  :class:`ShardedConceptIndex` — the same API hash-partitioned over N
-  shards (:mod:`sharded`).
-* :mod:`algebra` — the partial/merge/finalize aggregate algebra every
-  analytic below runs through (bit-identical across layouts).
+  unstructured concepts and structured fields.
+* :mod:`algebra` — the partial/finalize aggregate form every analytic
+  below runs through.
 * :mod:`relfreq` — relevancy analysis with relative frequency.
 * :mod:`assoc2d` — two-dimensional association analysis with the
   interval-estimated lift of Eqn 4, plus drill-down (Fig 4).
@@ -18,12 +16,7 @@ containing even millions of documents."
 """
 
 from repro.mining.index import ConceptIndex, concept_key, field_key
-from repro.mining.sharded import (
-    ShardedConceptIndex,
-    make_concept_index,
-    shard_count_of,
-)
-from repro.mining.algebra import PartialAggregate, compute, iter_shards
+from repro.mining.algebra import PartialAggregate, compute
 from repro.mining.relfreq import (
     RelativeFrequencyAggregate,
     RelevancyResult,
@@ -64,12 +57,8 @@ from repro.mining.reports import (
 
 __all__ = [
     "ConceptIndex",
-    "ShardedConceptIndex",
-    "make_concept_index",
-    "shard_count_of",
     "PartialAggregate",
     "compute",
-    "iter_shards",
     "concept_key",
     "field_key",
     "relative_frequency",

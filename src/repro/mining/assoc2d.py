@@ -10,16 +10,15 @@ with the *lower interval terminal* of the lift
 so sparse cells cannot fake strong associations.  Cells support
 drill-down to the underlying documents (Fig 4).
 
-Counting runs through the partial/merge/finalize algebra
-(:mod:`repro.mining.algebra`): each shard contributes integer row,
-column and cell counts, merges sum them exactly, and the interval
-bounds are computed once from the merged integers — bit-identical to
-the single-index analysis.
+Counting runs through the partial/finalize form of
+:mod:`repro.mining.algebra`: the partial counts rows, columns and
+cells as integers, and the interval bounds are computed once from
+those integers.
 """
 
 from dataclasses import dataclass
 
-from repro.mining.algebra import PartialAggregate, compute, merge_counts
+from repro.mining.algebra import PartialAggregate, compute
 from repro.obs import get_metrics
 from repro.util.intervals import (
     check_cell_counts,
@@ -134,12 +133,10 @@ class AssociationTable:
 
 
 class AssociationAggregate(PartialAggregate):
-    """The 2-D association analysis as a shard-mergeable aggregate.
+    """The 2-D association analysis as an aggregate.
 
-    Partial state: the shard's document total plus integer row, column
-    and co-occurrence counts.  A document co-occurs on both keys in
-    exactly one shard (documents partition by id), so sums are exact
-    and the merged counts equal the single-index ones.
+    Partial state: the index's document total plus integer row, column
+    and co-occurrence counts.
     """
 
     analytic = "associate"
@@ -149,38 +146,27 @@ class AssociationAggregate(PartialAggregate):
                  col_values=None):
         """Dimension pair plus scoring knobs; see :func:`associate`.
 
-        Raises ``ValueError`` for a confidence outside (0, 1) or an
-        unknown interval method.
+        Raises ``ValueError`` for a confidence outside (0, 1), an
+        unknown interval method, or a value listed twice in
+        ``row_values``/``col_values`` (its cells would be scored and
+        ranked twice).
         """
         check_interval_options(confidence, interval_method)
         self.row_dimension = tuple(row_dimension)
         self.col_dimension = tuple(col_dimension)
         self.confidence = confidence
         self.interval_method = interval_method
-        self.row_values = (
-            None if row_values is None else list(row_values)
-        )
-        self.col_values = (
-            None if col_values is None else list(col_values)
-        )
+        self.row_values = _distinct_values(row_values, "row_values")
+        self.col_values = _distinct_values(col_values, "col_values")
 
-    def identity(self):
-        """Empty counts."""
-        return {
-            "grand_total": 0,
-            "row_totals": {},
-            "col_totals": {},
-            "pairs": {},
-        }
-
-    def partial(self, shard):
-        """One shard's marginal and cell counts (integers only)."""
+    def partial(self, index):
+        """The index's marginal and cell counts (integers only)."""
         if self.row_values is None:
-            row_values = shard.values_of_dimension(self.row_dimension)
+            row_values = index.values_of_dimension(self.row_dimension)
         else:
             row_values = self.row_values
         if self.col_values is None:
-            col_values = shard.values_of_dimension(self.col_dimension)
+            col_values = index.values_of_dimension(self.col_dimension)
         else:
             col_values = self.col_values
         row_totals = {}
@@ -188,13 +174,13 @@ class AssociationAggregate(PartialAggregate):
         pairs = {}
         col_views = {}
         for col_value in col_values:
-            view = shard.postings_view(
+            view = index.postings_view(
                 self.col_dimension + (col_value,)
             )
             col_views[col_value] = view
             col_totals[col_value] = len(view)
         for row_value in row_values:
-            row_view = shard.postings_view(
+            row_view = index.postings_view(
                 self.row_dimension + (row_value,)
             )
             row_totals[row_value] = len(row_view)
@@ -205,31 +191,14 @@ class AssociationAggregate(PartialAggregate):
                 if count:
                     pairs[(row_value, col_value)] = count
         return {
-            "grand_total": len(shard),
+            "grand_total": len(index),
             "row_totals": row_totals,
             "col_totals": col_totals,
             "pairs": pairs,
         }
 
-    def merge(self, accumulated, update):
-        """Sum the totals and per-cell counts (exact)."""
-        return {
-            "grand_total": (
-                accumulated["grand_total"] + update["grand_total"]
-            ),
-            "row_totals": merge_counts(
-                accumulated["row_totals"], update["row_totals"]
-            ),
-            "col_totals": merge_counts(
-                accumulated["col_totals"], update["col_totals"]
-            ),
-            "pairs": merge_counts(
-                accumulated["pairs"], update["pairs"]
-            ),
-        }
-
     def finalize(self, state, index):
-        """Score every cell from the merged integer counts.
+        """Score every cell from the integer counts.
 
         A marginal's upper interval terminal depends only on its total,
         so each row's and each column's is computed once here; a cell
@@ -240,20 +209,11 @@ class AssociationAggregate(PartialAggregate):
         grand_total = state["grand_total"]
         if grand_total == 0:
             raise ValueError("cannot analyse an empty index")
-        if self.row_values is None:
-            row_values = sorted(state["row_totals"])
-        else:
-            row_values = self.row_values
-        if self.col_values is None:
-            col_values = sorted(state["col_totals"])
-        else:
-            col_values = self.col_values
-        row_totals = {
-            value: state["row_totals"].get(value, 0) for value in row_values
-        }
-        col_totals = {
-            value: state["col_totals"].get(value, 0) for value in col_values
-        }
+        # The partial keyed every total in table order.
+        row_totals = state["row_totals"]
+        col_totals = state["col_totals"]
+        row_values = list(row_totals)
+        col_values = list(col_totals)
         row_high = self._upper_terminals(row_totals, grand_total)
         col_high = self._upper_terminals(col_totals, grand_total)
         cells = {}
@@ -305,18 +265,23 @@ class AssociationAggregate(PartialAggregate):
         }
 
 
+def _distinct_values(values, what):
+    """``values`` as a list (``None`` kept); duplicates raise."""
+    if values is None:
+        return None
+    values = list(values)
+    if len(set(values)) != len(values):
+        raise ValueError(f"{what} lists a value twice: {values!r}")
+    return values
+
+
 def associate(index, row_dimension, col_dimension, confidence=0.95,
-              interval_method="wilson", row_values=None, col_values=None,
-              backend=None):
+              interval_method="wilson", row_values=None, col_values=None):
     """Run the two-dimensional association analysis.
 
     Dimensions are ``("concept", category)`` or ``("field", name)``.
-    ``row_values``/``col_values`` default to every observed value.
-
-    Runs through the partial-aggregate algebra: per shard on a sharded
-    index (optionally across an execution ``backend``), as
-    one degenerate partial on a single index — bit-identical either
-    way.
+    ``row_values``/``col_values`` default to every observed value and
+    must not list a value twice.
     """
     aggregate = AssociationAggregate(
         row_dimension,
@@ -326,4 +291,4 @@ def associate(index, row_dimension, col_dimension, confidence=0.95,
         row_values=row_values,
         col_values=col_values,
     )
-    return compute(aggregate, index, backend=backend)
+    return compute(aggregate, index)

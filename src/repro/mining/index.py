@@ -10,29 +10,43 @@ from structured data", paper Section IV-D.2):
   record.
 
 Both key constructors live in :mod:`repro.store.contract` (the
-index protocol's home layer) and are re-exported here for the mining
-call sites.
+storage vocabulary's home layer) and are re-exported here for the
+mining call sites.
 """
 
 from collections import defaultdict
 
 # concept_key/field_key are re-exported: the mining layer's historic
-# import path for the key constructors that now live with the contract.
-from repro.store.contract import (
-    InvertedIndexContract,
-    concept_key,
-    field_key,
-)
+# import path for the key constructors that live in the store layer.
+from repro.store.contract import concept_key, field_key
 
 
-class ConceptIndex(InvertedIndexContract):
-    """Single in-memory inverted index: concept key -> document ids.
+class ConceptIndex:
+    """In-memory inverted index: concept key -> document ids.
 
     With ``keep_documents=True`` the index also retains each document's
     text so drill-down (Fig 4: "right upto individual documents") can
     show the underlying messages, at the cost of holding them in
     memory.
+
+    Two postings accessors exist on purpose:
+
+    * :meth:`documents_with` — the public read: always returns a
+      defensive copy callers may mutate freely;
+    * :meth:`postings_view` — the read-only hot-loop accessor: returns
+      internal state and must never be mutated by the caller.
+
+    Concurrent serving adds a third leg: :meth:`snapshot` returns an
+    *immutable point-in-time view* that shares postings storage with
+    the live index (copy-on-write), and no later write to the live
+    index — replace-path upserts included — ever alters what the
+    snapshot (or any ``postings_view`` obtained from it) observes.
+    Snapshots are what the serving layer publishes per epoch so
+    readers never see a half-applied micro-batch.
     """
+
+    #: Accepted duplicate-handling policies for :meth:`add`/:meth:`add_keys`.
+    ON_DUPLICATE = ("raise", "replace", "skip")
 
     def __init__(self, keep_documents=False):
         self._postings = defaultdict(set)
@@ -79,6 +93,43 @@ class ConceptIndex(InvertedIndexContract):
                 "index snapshot is immutable; write to the live index "
                 "and publish a new snapshot instead"
             )
+
+    def add(self, doc_id, annotated=None, fields=None, timestamp=None,
+            text=None, on_duplicate="raise"):
+        """Index one document.
+
+        ``annotated`` is an :class:`AnnotatedDocument` (its concepts are
+        indexed by (category, canonical)); ``fields`` maps structured
+        field names to values; ``timestamp`` is an arbitrary orderable
+        time bucket used by trend analysis.  ``text`` overrides the
+        stored drill-down text (defaults to ``annotated.text``) when the
+        index keeps documents.
+
+        ``on_duplicate`` selects what a re-delivered ``doc_id`` does:
+        ``"raise"`` (the default, the one-shot batch contract),
+        ``"replace"`` (drop the old postings and re-index — the
+        idempotent upsert streaming consumers need), or ``"skip"``
+        (keep the first delivery, ignore this one).
+        """
+        keys = set()
+        if annotated is not None:
+            for concept in annotated.concepts:
+                key = concept_key(concept.category, concept.canonical)
+                keys.add(key)
+        for name, value in (fields or {}).items():
+            if value is None:
+                continue
+            keys.add(field_key(name, value))
+        stored = text
+        if stored is None and annotated is not None:
+            stored = annotated.text
+        return self.add_keys(
+            doc_id,
+            keys,
+            timestamp=timestamp,
+            text=stored,
+            on_duplicate=on_duplicate,
+        )
 
     def add_keys(self, doc_id, keys, timestamp=None, text=None,
                  on_duplicate="raise"):
@@ -179,10 +230,9 @@ class ConceptIndex(InvertedIndexContract):
     def postings_view(self, key):
         """Read-only doc-id set for one concept key (no copy).
 
-        The hot-loop accessor behind the analytics' per-shard partials:
-        it hands back the internal postings set, so the caller must not
-        mutate it — :meth:`documents_with` is the public read that
-        copies.
+        The hot-loop accessor behind the analytics' partials: it hands
+        back the internal postings set, so the caller must not mutate
+        it — :meth:`documents_with` is the public read that copies.
         """
         return self._postings.get(key, frozenset())
 
@@ -209,20 +259,27 @@ class ConceptIndex(InvertedIndexContract):
         """
         return sorted(self._dimension_values.get(tuple(dimension), ()))
 
+    def keys_of_dimension(self, dimension):
+        """All concept keys of one dimension."""
+        dimension = tuple(dimension)
+        return [
+            dimension + (value,)
+            for value in self.values_of_dimension(dimension)
+        ]
+
     def concept_keys(self):
         """All distinct concept keys in the index, sorted."""
         return sorted(self._postings)
 
     def stats(self):
-        """Cheap structural counters: documents, concepts, layout.
+        """Cheap structural counters: documents and distinct concepts.
 
         O(1) dictionary sizes — safe to expose on a hot health
-        endpoint.  ``shards`` is 0: this is the single-index layout.
+        endpoint.
         """
         return {
             "documents": len(self._documents),
             "concepts": len(self._postings),
-            "shards": 0,
         }
 
     @property

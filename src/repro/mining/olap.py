@@ -7,16 +7,15 @@ generalises it to an n-dimensional cube over concept-index dimensions
 with the classic operations — slice, dice, roll-up — so analysts can
 pivot freely between unstructured concepts and structured fields.
 
-Cube materialisation runs through the partial/merge/finalize algebra
-(:mod:`repro.mining.algebra`): each shard contributes integer cell
-counts keyed by coordinate, merges sum them exactly, so a cube built
-over a sharded index equals the single-index cube cell for cell.
+Cube materialisation runs through the partial/finalize form of
+:mod:`repro.mining.algebra`: the partial counts documents per cell
+coordinate, and finalize wraps those counts in a :class:`ConceptCube`.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.mining.algebra import PartialAggregate, compute, merge_counts
+from repro.mining.algebra import PartialAggregate, compute
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,8 @@ def cube_coordinate(keys, dimensions):
 def cube_cells(index, dimensions):
     """Coordinate -> document count over one index's documents.
 
-    The counting core shared by :class:`ConceptCube` (single scan) and
-    :class:`ConceptCubeAggregate` (per-shard partials).
+    The counting core shared by :class:`ConceptCube` (direct
+    construction) and :class:`ConceptCubeAggregate` (the algebra).
     """
     cells = Counter()
     for doc_id in index.document_ids:
@@ -70,7 +69,7 @@ class ConceptCube:
     carries exactly one value of every dimension; documents missing a
     dimension fall into the ``None`` bucket so totals are conserved.
 
-    ``cells`` injects pre-merged counts (the algebra path of
+    ``cells`` injects pre-counted cells (the algebra path of
     :func:`concept_cube`); without it the constructor scans the index
     directly.
     """
@@ -174,12 +173,11 @@ class ConceptCube:
 
 
 class ConceptCubeAggregate(PartialAggregate):
-    """Cube materialisation as a shard-mergeable aggregate.
+    """Cube materialisation as an aggregate.
 
-    Partial state: ``{coordinate: count}`` for the shard's documents
-    (each document lives in exactly one shard, so coordinate counts
-    sum exactly); finalize wraps the merged counts in a
-    :class:`ConceptCube` bound to the whole index.
+    Partial state: ``{coordinate: count}`` for the index's documents;
+    finalize wraps the counts in a :class:`ConceptCube` bound to the
+    index.
     """
 
     analytic = "concept-cube"
@@ -190,29 +188,18 @@ class ConceptCubeAggregate(PartialAggregate):
             raise ValueError("cube needs at least one dimension")
         self.dimensions = [tuple(d) for d in dimensions]
 
-    def identity(self):
-        """Empty cell counts."""
-        return {}
-
-    def partial(self, shard):
-        """One shard's coordinate counts."""
-        return cube_cells(shard, self.dimensions)
-
-    def merge(self, accumulated, update):
-        """Sum the per-coordinate counts (exact)."""
-        return merge_counts(accumulated, update)
+    def partial(self, index):
+        """The index's coordinate counts."""
+        return cube_cells(index, self.dimensions)
 
     def finalize(self, state, index):
-        """The cube over the merged counts."""
+        """The cube over the counts."""
         return ConceptCube(index, self.dimensions, cells=state)
 
 
-def concept_cube(index, dimensions, backend=None):
+def concept_cube(index, dimensions):
     """Materialise a :class:`ConceptCube` through the algebra.
 
-    Per shard on a sharded index (optionally across an execution
-    ``backend``), as one degenerate partial on a single
-    index — the resulting cube is bit-identical to
-    ``ConceptCube(index, dimensions)`` either way.
+    The resulting cube equals ``ConceptCube(index, dimensions)``.
     """
-    return compute(ConceptCubeAggregate(dimensions), index, backend=backend)
+    return compute(ConceptCubeAggregate(dimensions), index)

@@ -6,16 +6,15 @@ concepts in the entire data set. ... By sorting phrases in a category
 based on the relative frequencies, relevant concepts for a specific
 data set are revealed."
 
-The analysis is expressed in the partial/merge/finalize algebra
-(:mod:`repro.mining.algebra`): each shard contributes integer focus
-and overall counts, merges sum them exactly, and every frequency ratio
-is derived once from the merged integers — so sharded execution is
-bit-identical to the single-index form.
+The analysis is expressed in the partial/finalize form of
+:mod:`repro.mining.algebra`: the partial counts focus and overall
+documents as integers, and every frequency ratio is derived once from
+those integers.
 """
 
 from dataclasses import dataclass
 
-from repro.mining.algebra import PartialAggregate, compute, merge_counts
+from repro.mining.algebra import PartialAggregate, compute
 
 
 @dataclass(frozen=True)
@@ -51,11 +50,11 @@ class RelevancyResult:
 
 
 class RelativeFrequencyAggregate(PartialAggregate):
-    """Relevancy analysis as a shard-mergeable aggregate.
+    """Relevancy analysis as an aggregate.
 
-    Partial state: the shard's document total, its focus-subset size,
+    Partial state: the index's document total, its focus-subset size,
     and per-candidate-key document counts (overall and inside the
-    focus subset) — all integers, so merging is exact addition.
+    focus subset) — all integers.
     """
 
     analytic = "relative-frequency"
@@ -70,52 +69,28 @@ class RelativeFrequencyAggregate(PartialAggregate):
         self.candidate_dimension = tuple(candidate_dimension)
         self.min_focus_count = min_focus_count
 
-    def identity(self):
-        """Empty counts."""
-        return {
-            "overall_total": 0,
-            "focus_total": 0,
-            "overall": {},
-            "focus": {},
-        }
-
-    def partial(self, shard):
-        """One shard's focus/overall counts (integers only)."""
-        focus_docs = set(shard.postings_view(self.focus_keys[0]))
+    def partial(self, index):
+        """The index's focus/overall counts (integers only)."""
+        focus_docs = set(index.postings_view(self.focus_keys[0]))
         for key in self.focus_keys[1:]:
-            focus_docs &= shard.postings_view(key)
+            focus_docs &= index.postings_view(key)
         overall = {}
         focus = {}
-        for key in shard.keys_of_dimension(self.candidate_dimension):
+        for key in index.keys_of_dimension(self.candidate_dimension):
             if key in self.focus_keys:
                 continue
-            key_docs = shard.postings_view(key)
+            key_docs = index.postings_view(key)
             overall[key] = len(key_docs)
             focus[key] = len(key_docs & focus_docs)
         return {
-            "overall_total": len(shard),
+            "overall_total": len(index),
             "focus_total": len(focus_docs),
             "overall": overall,
             "focus": focus,
         }
 
-    def merge(self, accumulated, update):
-        """Sum the totals and per-key counts (exact)."""
-        return {
-            "overall_total": (
-                accumulated["overall_total"] + update["overall_total"]
-            ),
-            "focus_total": (
-                accumulated["focus_total"] + update["focus_total"]
-            ),
-            "overall": merge_counts(
-                accumulated["overall"], update["overall"]
-            ),
-            "focus": merge_counts(accumulated["focus"], update["focus"]),
-        }
-
     def finalize(self, state, index):
-        """Rank by relative frequency from the merged integer counts."""
+        """Rank by relative frequency from the integer counts."""
         results = []
         for key in sorted(state["overall"]):
             focus_count = state["focus"].get(key, 0)
@@ -135,7 +110,7 @@ class RelativeFrequencyAggregate(PartialAggregate):
 
 
 def relative_frequency(index, focus_keys, candidate_dimension,
-                       min_focus_count=1, backend=None):
+                       min_focus_count=1):
     """Rank the concepts of a dimension by relative frequency.
 
     ``focus_keys`` select the focus subset (documents carrying *all* of
@@ -143,15 +118,10 @@ def relative_frequency(index, focus_keys, candidate_dimension,
     ``candidate_dimension`` (("concept", category) or ("field", name))
     are ranked by how over-represented they are inside the subset.
 
-    Runs through the partial-aggregate algebra: per shard on a sharded
-    index (optionally across an execution ``backend``), as
-    one degenerate partial on a single index — bit-identical either
-    way.
-
     Returns :class:`RelevancyResult` objects, most over-represented
     first (ties broken by key, so the order is deterministic).
     """
     aggregate = RelativeFrequencyAggregate(
         focus_keys, candidate_dimension, min_focus_count=min_focus_count
     )
-    return compute(aggregate, index, backend=backend)
+    return compute(aggregate, index)

@@ -3,13 +3,12 @@
 :class:`ConceptIndexStage` is the terminal "index" stage of the
 paper's Fig 3 dataflow: it feeds every surviving document — its
 annotations, the structured fields of its linked record, and its time
-bucket — into a shared concept index (single or hash-sharded), ready
-for association and trend analysis.
+bucket — into a shared concept index, ready for association and
+trend analysis.
 """
 
 from repro.engine import Stage
 from repro.mining.index import ConceptIndex
-from repro.mining.sharded import ShardedConceptIndex
 
 
 class ConceptIndexStage(Stage):
@@ -29,28 +28,17 @@ class ConceptIndexStage(Stage):
     name = "index"
     pure = False
 
-    def __init__(self, index=None, shards=0, annotated_artifact="annotated",
+    def __init__(self, index=None, annotated_artifact="annotated",
                  fields_artifact="index_fields",
                  timestamp_artifact="timestamp", on_duplicate="raise"):
         """``index`` defaults to a fresh, non-document-keeping index.
-
-        With ``index=None``, ``shards`` selects the layout: 0 builds
-        the single in-memory :class:`ConceptIndex`, a positive count a
-        hash-partitioned :class:`ShardedConceptIndex` — the layout the
-        partial-aggregate analytics fan out over.  An explicit
-        ``index`` wins over ``shards``.
 
         ``on_duplicate`` is forwarded to the index's ``add``; a
         streaming consumer sets ``"replace"`` so at-least-once
         re-delivery stays idempotent (batch runs keep the strict
         default).
         """
-        if index is not None:
-            self.index = index
-        elif shards:
-            self.index = ShardedConceptIndex(shards)
-        else:
-            self.index = ConceptIndex()
+        self.index = ConceptIndex() if index is None else index
         self.annotated_artifact = annotated_artifact
         self.fields_artifact = fields_artifact
         self.timestamp_artifact = timestamp_artifact

@@ -4,14 +4,13 @@
 occurrences of each concept in a certain period may allow us to
 analyze trends in the topics." (paper Section IV-D)
 
-Both analyses run through the partial/merge/finalize algebra
-(:mod:`repro.mining.algebra`): each shard contributes integer
-per-bucket occurrence counts, merges sum them exactly, and bucket
-ranges, zero-filling and slopes are derived once from the merged
-integers — bit-identical to the single-index form.
+Both analyses run through the partial/finalize form of
+:mod:`repro.mining.algebra`: the partial counts occurrences per bucket
+as integers, and bucket ranges, zero-filling and slopes are derived
+once from those integers.
 """
 
-from repro.mining.algebra import PartialAggregate, compute, merge_counts
+from repro.mining.algebra import PartialAggregate, compute
 
 
 def observed_bucket_range(observed):
@@ -34,11 +33,11 @@ def observed_bucket_range(observed):
     return buckets
 
 
-def _bucket_counts(shard, key):
-    """Per-bucket occurrence counts of one key in one shard."""
+def _bucket_counts(index, key):
+    """Per-bucket occurrence counts of one key."""
     counts = {}
-    for doc_id in shard.postings_view(key):
-        timestamp = shard.timestamp_of(doc_id)
+    for doc_id in index.postings_view(key):
+        timestamp = index.timestamp_of(doc_id)
         if timestamp is None:
             continue
         counts[timestamp] = counts.get(timestamp, 0) + 1
@@ -53,11 +52,11 @@ def _series_from_counts(counts, buckets):
 
 
 class TrendSeriesAggregate(PartialAggregate):
-    """One key's time series as a shard-mergeable aggregate.
+    """One key's time series as an aggregate.
 
-    Partial state: ``{bucket: count}`` for the key's documents in the
-    shard (documents without a timestamp are skipped); merges sum the
-    buckets, finalize zero-fills the range.
+    Partial state: ``{bucket: count}`` for the key's documents
+    (documents without a timestamp are skipped); finalize zero-fills
+    the range.
     """
 
     analytic = "trend-series"
@@ -67,17 +66,9 @@ class TrendSeriesAggregate(PartialAggregate):
         self.key = tuple(key)
         self.buckets = None if buckets is None else list(buckets)
 
-    def identity(self):
-        """Empty bucket counts."""
-        return {}
-
-    def partial(self, shard):
-        """One shard's per-bucket counts for the key."""
-        return _bucket_counts(shard, self.key)
-
-    def merge(self, accumulated, update):
-        """Sum the per-bucket counts (exact)."""
-        return merge_counts(accumulated, update)
+    def partial(self, index):
+        """The key's per-bucket counts."""
+        return _bucket_counts(index, self.key)
 
     def finalize(self, state, index):
         """The zero-filled ``(bucket, count)`` series."""
@@ -85,12 +76,11 @@ class TrendSeriesAggregate(PartialAggregate):
 
 
 class EmergingConceptsAggregate(PartialAggregate):
-    """Rising-trend ranking of a dimension as a mergeable aggregate.
+    """Rising-trend ranking of a dimension as an aggregate.
 
     Partial state: ``{key: {bucket: count}}`` for every key of the
-    dimension in the shard — keys whose shard documents all lack
-    timestamps still appear (with empty counts) so the merged key set
-    matches the single-index dimension catalogue exactly.
+    dimension — keys whose documents all lack timestamps still appear
+    (with empty counts), so the key set is the dimension catalogue.
     """
 
     analytic = "emerging-concepts"
@@ -101,26 +91,15 @@ class EmergingConceptsAggregate(PartialAggregate):
         self.buckets = None if buckets is None else list(buckets)
         self.min_total = min_total
 
-    def identity(self):
-        """Empty per-key bucket counts."""
-        return {}
-
-    def partial(self, shard):
-        """One shard's per-key, per-bucket counts."""
+    def partial(self, index):
+        """Per-key, per-bucket counts."""
         per_key = {}
-        for key in shard.keys_of_dimension(self.dimension):
-            per_key[key] = _bucket_counts(shard, key)
+        for key in index.keys_of_dimension(self.dimension):
+            per_key[key] = _bucket_counts(index, key)
         return per_key
 
-    def merge(self, accumulated, update):
-        """Sum the per-key bucket counts (exact)."""
-        merged = dict(accumulated)
-        for key, counts in update.items():
-            merged[key] = merge_counts(merged.get(key, {}), counts)
-        return merged
-
     def finalize(self, state, index):
-        """Rank keys by least-squares slope of their merged series."""
+        """Rank keys by least-squares slope of their series."""
         results = []
         for key in sorted(state):
             series = _series_from_counts(state[key], self.buckets)
@@ -132,7 +111,7 @@ class EmergingConceptsAggregate(PartialAggregate):
         return results
 
 
-def trend_series(index, key, buckets=None, backend=None):
+def trend_series(index, key, buckets=None):
     """Occurrences of ``key`` per time bucket.
 
     Documents indexed without a timestamp are skipped.  Returns a list
@@ -141,33 +120,22 @@ def trend_series(index, key, buckets=None, backend=None):
     ``buckets=None`` the series spans the key's full observed bucket
     range (:func:`observed_bucket_range`), so interior zero-count
     periods are reported as zeros rather than silently dropped.
-
-    Runs through the partial-aggregate algebra (per shard on a sharded
-    index, optionally across an execution ``backend``) —
-    bit-identical to the single-index computation.
     """
-    return compute(
-        TrendSeriesAggregate(key, buckets=buckets), index, backend=backend
-    )
+    return compute(TrendSeriesAggregate(key, buckets=buckets), index)
 
 
-def emerging_concepts(index, dimension, buckets=None, min_total=3,
-                      backend=None):
+def emerging_concepts(index, dimension, buckets=None, min_total=3):
     """Concepts of a dimension ranked by rising trend.
 
     Returns ``(key, slope, total)`` tuples, steepest rise first —
     the "increase and decrease of occurrences of each concept" analysis
     the paper sketches.  Concepts with fewer than ``min_total``
     occurrences are dropped (their slopes are noise).
-
-    Runs through the partial-aggregate algebra (per shard on a sharded
-    index, optionally across an execution ``backend``) —
-    bit-identical to the single-index computation.
     """
     aggregate = EmergingConceptsAggregate(
         dimension, buckets=buckets, min_total=min_total
     )
-    return compute(aggregate, index, backend=backend)
+    return compute(aggregate, index)
 
 
 def trend_slope(series):

@@ -1,21 +1,19 @@
 """Seeded property-based differential harness.
 
 The repo's correctness story is a stack of bit-identity invariants,
-each guarded by its own suite: sharded analytics equal the single
-index (``tests/mining``), every execution backend equals serial
+each guarded by its own suite: every execution backend equals serial
 (``tests/engine``, ``tests/exec``), a crash/resume stream equals the
 uninterrupted run (``tests/stream``), and a traced run equals an
 untraced one (``tests/obs``).  Those suites pin hand-picked corpora
 and configurations; this harness closes the gap between them by
 generating *random* corpus/configuration combinations from one seed
 and asserting **all** the equivalences on each — the configurations
-nobody thought to pin are exactly where layout- or schedule-dependent
-bugs hide.
+nobody thought to pin are exactly where schedule-dependent bugs hide.
 
 Everything derives from :func:`~repro.util.rng.derive_rng`, so a
 failing seed is a complete reproduction recipe: the CI failure message
 prints ``bivoc prop --seed N`` and that command replays the identical
-corpus, shard count, batch size, worker count and backend locally.
+corpus, batch size, worker count and backend locally.
 
 The oracle is :func:`check_equivalences`; the generator is
 :func:`generate_case`.  Stages here are module-level classes holding
@@ -144,7 +142,6 @@ class PropCase:
     seed: int
     n_docs: int          # corpus size
     channels: tuple      # channel mix (1-3 of CHANNELS)
-    shards: int          # hash-partition count for the sharded runs
     batch_size: int      # pipeline-runner batch size
     workers: int         # fan-out width for parallel runs
     backend: str         # backend kind the stream/traced checks use
@@ -156,7 +153,7 @@ class PropCase:
         """One-line human summary (what ``bivoc prop -v`` prints)."""
         return (
             f"{self.n_docs} docs over {list(self.channels)}, "
-            f"{self.shards} shards, batch_size={self.batch_size}, "
+            f"batch_size={self.batch_size}, "
             f"workers={self.workers}, backend={self.backend}, "
             f"stream batch_docs={self.batch_docs} "
             f"interval={self.checkpoint_interval} "
@@ -172,11 +169,15 @@ def generate_case(seed):
         len(CHANNELS), size=n_channels, replace=False
     )
     backend = BACKEND_KINDS[int(rng.integers(0, len(BACKEND_KINDS)))]
+    n_docs = int(rng.integers(24, 97))
+    channels = tuple(sorted(CHANNELS[int(i)] for i in channel_picks))
+    # Drawn and discarded so each later field keeps the value every
+    # seed has always drawn: a printed repro line must replay its case.
+    rng.integers(1, 9)
     return PropCase(
         seed=seed,
-        n_docs=int(rng.integers(24, 97)),
-        channels=tuple(sorted(CHANNELS[int(i)] for i in channel_picks)),
-        shards=int(rng.integers(1, 9)),
+        n_docs=n_docs,
+        channels=channels,
         batch_size=int(rng.integers(4, 33)),
         workers=int(rng.integers(2, 5)),
         backend=backend,
@@ -224,63 +225,58 @@ def make_documents(case):
     return documents
 
 
-def build_stages(shards):
+def build_stages():
     """The generated pipeline: normalize, annotate, index."""
     return [
         NormalizeStage(),
         PropAnnotateStage(build_annotation_engine()),
-        ConceptIndexStage(on_duplicate="replace", shards=shards),
+        ConceptIndexStage(on_duplicate="replace"),
     ]
 
 
-def run_analytics(case, index, backend=None):
+def run_analytics(case, index):
     """Every mining analytic over ``index``, as comparable values.
 
     Returns a plain dict of tuples/lists/dataclasses so ``==`` between
     two runs is exact and a mismatch names the analytic that diverged.
     """
     focus = (field_key("channel", case.channels[0]),)
-    table = associate(
-        index, TOPIC_DIMENSION, ("field", "channel"), backend=backend
-    )
-    cube = concept_cube(
-        index, (TOPIC_DIMENSION, ("field", "channel")), backend=backend
-    )
+    table = associate(index, TOPIC_DIMENSION, ("field", "channel"))
+    cube = concept_cube(index, (TOPIC_DIMENSION, ("field", "channel")))
     return {
         "relative_frequency": relative_frequency(
-            index, focus, TOPIC_DIMENSION, backend=backend
+            index, focus, TOPIC_DIMENSION
         ),
         "association_cells": table.cells(),
         "association_shares": table.row_share_matrix(),
         "trend_series": [
-            trend_series(index, key, backend=backend)
+            trend_series(index, key)
             for key in index.keys_of_dimension(TOPIC_DIMENSION)
         ],
         "emerging_concepts": emerging_concepts(
-            index, TOPIC_DIMENSION, min_total=1, backend=backend
+            index, TOPIC_DIMENSION, min_total=1
         ),
         "cube_cells": cube.cells(),
     }
 
 
-def run_batch(case, kind=None, shards=0):
+def run_batch(case, kind=None):
     """One batch pipeline + analytics run of ``case``.
 
     ``kind=None`` is the serial reference (no backend object at all);
-    a backend kind name builds one sized to ``case.workers``, shares
-    it between the pipeline runner and every analytic (warm reuse,
-    exactly how the CLI wires it), and closes it afterwards.
-    ``shards=0`` runs the single-index layout.
+    a backend kind name builds one sized to ``case.workers`` for the
+    pipeline runner (exactly how the CLI wires it) and closes it
+    afterwards.
     """
     with (
         nullcontext() if kind is None
         else make_backend(kind, case.workers)
     ) as backend:
-        stages = build_stages(shards)
+        stages = build_stages()
         PipelineRunner(
             stages, batch_size=case.batch_size, backend=backend
         ).run(make_documents(case))
-        return run_analytics(case, stages[-1].index, backend=backend)
+    return run_analytics(case, stages[-1].index)
 
 
 def _build_consumer(case, backend, checkpoint_path=None):
@@ -297,7 +293,7 @@ def _build_consumer(case, backend, checkpoint_path=None):
     )
     return StreamConsumer(
         MemorySource(records),
-        build_stages(case.shards),
+        build_stages(),
         checkpointer=(
             Checkpointer(checkpoint_path) if checkpoint_path else None
         ),
@@ -368,14 +364,11 @@ def check_equivalences(seed):
 
     Asserts, on one generated corpus/configuration:
 
-    1. **sharded == single-index** — the partial/merge/finalize
-       algebra is layout-invariant;
-    2. **every backend == serial** — serial, thread and process
-       execution produce bit-identical analytics (shards and fan-out
-       armed);
-    3. **traced == untraced** — running under an active tracer and
+    1. **every backend == serial** — serial, thread and process
+       execution produce bit-identical analytics (fan-out armed);
+    2. **traced == untraced** — running under an active tracer and
        metrics registry changes nothing (observability is write-only);
-    4. **stream crash/resume == uninterrupted** — an injected crash
+    3. **stream crash/resume == uninterrupted** — an injected crash
        plus a checkpoint resume converges to the uninterrupted run's
        exact index state.
 
@@ -386,17 +379,14 @@ def check_equivalences(seed):
     case = generate_case(seed)
     reference = run_batch(case)
 
-    sharded = run_batch(case, shards=case.shards)
-    _check("sharded == single-index", reference, sharded, case)
-
     per_kind = {}
     for kind in BACKEND_KINDS:
-        per_kind[kind] = run_batch(case, kind=kind, shards=case.shards)
+        per_kind[kind] = run_batch(case, kind=kind)
         _check(f"{kind} backend == serial", reference, per_kind[kind],
                case)
 
     with activated(Tracer(), MetricsRegistry()):
-        traced = run_batch(case, kind=case.backend, shards=case.shards)
+        traced = run_batch(case, kind=case.backend)
     _check("traced == untraced", per_kind[case.backend], traced, case)
 
     expected_state = run_stream_reference(case)

@@ -10,13 +10,13 @@ bit-identical to the batch computations:
 * :mod:`~repro.serve.queries` — declarative query specs (relfreq /
   assoc2d / trends / emerging / cube / drilldown / status) with
   paper-style drill-down filters, canonicalized for caching and
-  planned onto the existing partial-aggregate algebra;
+  planned onto the existing batch analytics;
 * :mod:`~repro.serve.cache` — the epoch-keyed LRU result cache: keys
   carry the epoch, so advancing the stream invalidates every stale
   entry by construction and a cached result can never be stale;
 * :mod:`~repro.serve.engine` — :class:`QueryEngine`, executing specs
-  against the current :class:`~repro.stream.epoch.EpochStore` snapshot
-  on an injected execution backend, with ``query:*`` spans and
+  against the current :class:`~repro.stream.epoch.EpochStore` snapshot,
+  with ``query:*`` spans and
   latency/cache metrics (write-only: cached == uncached == untraced) —
   plus the resilience hooks: retries with deadlines around execution,
   and per-kind circuit breakers that degrade to last-good answers

@@ -8,11 +8,11 @@ batches mid-flight.  The result carries the epoch it answered from;
 callers that need read-your-writes can compare it to the consumer's
 committed offset.
 
-Execution reuses the partial-aggregate machinery verbatim: the engine
-hands :func:`~repro.serve.queries.plan_query` the snapshot plus its
-injected execution backend, exactly the arguments a batch caller
-would pass, which is what makes the served ``==`` bit-identity
-contract hold by construction rather than by testing luck.
+Execution reuses the batch analytics verbatim: the engine hands
+:func:`~repro.serve.queries.plan_query` the snapshot, exactly the
+index a batch caller would pass, which is what makes the served
+``==`` bit-identity contract hold by construction rather than by
+testing luck.
 
 The engine is also where the resilience layer meets serving:
 
@@ -75,13 +75,10 @@ class QueryEngine:
     """Plans declarative specs onto the current epoch snapshot.
 
     ``epochs`` is the :class:`~repro.stream.epoch.EpochStore` the
-    ingesting consumer publishes into.  ``backend`` is the
-    :class:`~repro.exec.ExecBackend` every query's per-shard partials
-    fan out on (``None`` = inline); it stays warm across queries and
-    the engine never closes it — whoever built it does.  ``cache``
-    is an optional :class:`~repro.serve.cache.QueryCache`; the engine
-    evicts entries below the current epoch whenever it observes an
-    advance.  ``clock`` injects the latency time source (defaults to
+    ingesting consumer publishes into.  ``cache`` is an optional
+    :class:`~repro.serve.cache.QueryCache`; the engine evicts entries
+    below the current epoch whenever it observes an advance.
+    ``clock`` injects the latency time source (defaults to
     ``time.perf_counter``); timing is observability-only.
 
     Resilience knobs (see the module docstring for semantics):
@@ -91,12 +88,13 @@ class QueryEngine:
     ``breakers`` is an optional
     :class:`~repro.faults.breaker.BreakerBoard` keyed by query kind.
 
-    Thread-safe: concurrent ``query()`` calls share the backend, the
-    cache, the breakers, the last-good store and the epoch store, each
-    of which carries its own lock.
+    Thread-safe: concurrent ``query()`` calls share the cache, the
+    breakers, the last-good store and the epoch store, each of which
+    carries its own lock; the analytics themselves are pure reads of
+    an immutable snapshot.
     """
 
-    def __init__(self, epochs, backend=None, cache=None, clock=None,
+    def __init__(self, epochs, cache=None, clock=None,
                  retry=None, retry_sleep=None, deadline_ms=None,
                  breakers=None):
         """See the class docstring for the knobs."""
@@ -111,7 +109,6 @@ class QueryEngine:
         self.breakers = breakers
         self._retry_sleep = retry_sleep
         self._clock = clock if clock is not None else time.perf_counter
-        self._backend = backend
         self._purge_lock = Lock()
         self._purged_below = None  # highest epoch we evicted below
         self._last_good_lock = Lock()
@@ -196,9 +193,7 @@ class QueryEngine:
 
                 def compute():
                     fault_point("query.execute")
-                    return plan_query(
-                        spec, snapshot.index, backend=self._backend
-                    )
+                    return plan_query(spec, snapshot.index)
 
                 if self.retry is not None:
                     value = call_with_retry(
@@ -274,14 +269,6 @@ class QueryEngine:
         body = dict(stats)
         body["cache"] = (
             None if self.cache is None else self.cache.stats()
-        )
-        body["workers"] = (
-            self._backend.effective_workers()
-            if self._backend is not None
-            else 0
-        )
-        body["backend"] = (
-            self._backend.kind if self._backend is not None else "serial"
         )
         body["breakers"] = (
             None if self.breakers is None else self.breakers.states()

@@ -8,10 +8,9 @@ batch entry points (:func:`~repro.mining.relfreq.relative_frequency`,
 :func:`~repro.mining.assoc2d.associate`,
 :func:`~repro.mining.trends.trend_series` /
 :func:`~repro.mining.trends.emerging_concepts`,
-:func:`~repro.mining.olap.concept_cube`) which run through the
-partial/merge/finalize algebra — so a served answer is, by
+:func:`~repro.mining.olap.concept_cube`) — so a served answer is, by
 construction, the same computation a batch caller would get on the
-same snapshot, serial or pooled, sharded or not.
+same snapshot.
 
 Canonicalization matters for the cache: two payloads meaning the same
 query (filters spelled explicitly vs. lowered, lists vs. tuples,
@@ -57,34 +56,48 @@ class QueryError(ValueError):
     """A malformed or unanswerable query spec (HTTP 400 territory)."""
 
 
+def _as_list(value, what):
+    """A list-valued parameter as a list.
+
+    A bare string is iterable but is never a list of values:
+    ``"boston"`` would otherwise read as six one-letter values.
+    """
+    if isinstance(value, str):
+        raise QueryError(f"{what} must be a list, got the string "
+                         f"{value!r}")
+    try:
+        return list(value)
+    except TypeError:
+        raise QueryError(f"{what} must be a list, got {value!r}") from None
+
+
+def _distinct_values(value, what):
+    """A list of values as a tuple of strings; duplicates raise."""
+    values = tuple(str(item) for item in _as_list(value, what))
+    if len(set(values)) != len(values):
+        raise QueryError(f"{what} lists a value twice: {list(values)!r}")
+    return values
+
+
+def _as_parts(value, what, parts):
+    """A key or dimension as a tuple of ``len(parts)`` strings."""
+    items = _as_list(value, what)
+    if len(items) != len(parts):
+        raise QueryError(
+            f"{what} must have exactly {len(parts)} parts "
+            f"[{', '.join(parts)}], got {items!r}"
+        )
+    return tuple(str(part) for part in items)
+
+
 def _as_key(value, what):
     """Normalise one concept key (3-sequence) to a tuple."""
-    try:
-        key = tuple(value)
-    except TypeError:
-        raise QueryError(f"{what} must be a [kind, name, value] key, "
-                         f"got {value!r}") from None
-    if len(key) != 3:
-        raise QueryError(
-            f"{what} must have exactly 3 parts [kind, name, value], "
-            f"got {list(key)!r}"
-        )
-    return tuple(str(part) for part in key)
+    return _as_parts(value, what, ("kind", "name", "value"))
 
 
 def _as_dimension(value, what):
     """Normalise one dimension (2-sequence) to a tuple."""
-    try:
-        dim = tuple(value)
-    except TypeError:
-        raise QueryError(f"{what} must be a [kind, name] dimension, "
-                         f"got {value!r}") from None
-    if len(dim) != 2:
-        raise QueryError(
-            f"{what} must have exactly 2 parts [kind, name], "
-            f"got {list(dim)!r}"
-        )
-    return tuple(str(part) for part in dim)
+    return _as_parts(value, what, ("kind", "name"))
 
 
 def _as_int(value, what, minimum=None):
@@ -94,16 +107,6 @@ def _as_int(value, what, minimum=None):
     if minimum is not None and value < minimum:
         raise QueryError(f"{what} must be >= {minimum}, got {value}")
     return value
-
-
-def _bucket_list(value, what):
-    """Normalise an explicit bucket list (kept as given, ordered)."""
-    try:
-        buckets = list(value)
-    except TypeError:
-        raise QueryError(f"{what} must be a list of time buckets, "
-                         f"got {value!r}") from None
-    return buckets
 
 
 def _take_filters(payload):
@@ -230,7 +233,7 @@ def _parse_relfreq(payload, filters):
     """Relevancy analysis: focus keys + candidate dimension."""
     focus = [
         _as_key(key, "focus key")
-        for key in payload.pop("focus", [])
+        for key in _as_list(payload.pop("focus", []), "focus")
     ]
     if "channel" in filters:
         focus.append(field_key("channel", filters.pop("channel")))
@@ -278,11 +281,11 @@ def _parse_assoc2d(payload, filters):
         "cols": _as_dimension(cols, "cols"),
         "row_values": (
             None if row_values is None
-            else tuple(str(v) for v in row_values)
+            else _distinct_values(row_values, "row_values")
         ),
         "col_values": (
             None if col_values is None
-            else tuple(str(v) for v in col_values)
+            else _distinct_values(col_values, "col_values")
         ),
         "confidence": float(confidence),
         "method": method,
@@ -307,7 +310,7 @@ def _parse_trends(payload, filters):
         "key": _as_key(key, "key"),
         "buckets": (
             None if buckets is None
-            else tuple(_bucket_list(buckets, "buckets"))
+            else tuple(_as_list(buckets, "buckets"))
         ),
     })
 
@@ -336,7 +339,7 @@ def _parse_emerging(payload, filters):
         "dimension": _as_dimension(dimension, "dimension"),
         "buckets": (
             None if buckets is None
-            else tuple(_bucket_list(buckets, "buckets"))
+            else tuple(_as_list(buckets, "buckets"))
         ),
         "min_total": _as_int(
             payload.pop("min_total", 3), "min_total", minimum=0
@@ -349,7 +352,7 @@ def _parse_cube(payload, filters):
     _reject_filters(filters, "cube", "buckets")
     dimensions = [
         _as_dimension(dim, "cube dimension")
-        for dim in payload.pop("dimensions", [])
+        for dim in _as_list(payload.pop("dimensions", []), "dimensions")
     ]
     if "category" in filters:
         extra = ("concept", str(filters.pop("category")))
@@ -389,7 +392,8 @@ def _parse_cube(payload, filters):
             )
     if rollup is not None:
         rollup = tuple(
-            _as_dimension(dim, "rollup dimension") for dim in rollup
+            _as_dimension(dim, "rollup dimension")
+            for dim in _as_list(rollup, "rollup")
         )
         missing = [d for d in rollup if d not in dimensions]
         if missing:
@@ -409,7 +413,7 @@ def _parse_drilldown(payload, filters):
     _reject_filters(filters, "drilldown", "buckets", "category")
     keys = [
         _as_key(key, "drilldown key")
-        for key in payload.pop("keys", [])
+        for key in _as_list(payload.pop("keys", []), "keys")
     ]
     if "channel" in filters:
         keys.append(field_key("channel", filters.pop("channel")))
@@ -447,18 +451,17 @@ _PARSERS = {
 # planning: canonical spec -> computation over one snapshot
 # ----------------------------------------------------------------------
 
-def _run_relfreq(spec, index, backend):
+def _run_relfreq(spec, index):
     """Execute a relfreq spec through the batch entry point."""
     return relative_frequency(
         index,
         list(spec.param("focus")),
         spec.param("candidates"),
         min_focus_count=spec.param("min_focus_count"),
-        backend=backend,
     )
 
 
-def _run_assoc2d(spec, index, backend):
+def _run_assoc2d(spec, index):
     """Execute an assoc2d spec through the batch entry point."""
     row_values = spec.param("row_values")
     col_values = spec.param("col_values")
@@ -470,22 +473,20 @@ def _run_assoc2d(spec, index, backend):
         interval_method=spec.param("method"),
         row_values=None if row_values is None else list(row_values),
         col_values=None if col_values is None else list(col_values),
-        backend=backend,
     )
 
 
-def _run_trends(spec, index, backend):
+def _run_trends(spec, index):
     """Execute a trends spec through the batch entry point."""
     buckets = spec.param("buckets")
     return trend_series(
         index,
         spec.param("key"),
         buckets=None if buckets is None else list(buckets),
-        backend=backend,
     )
 
 
-def _run_emerging(spec, index, backend):
+def _run_emerging(spec, index):
     """Execute an emerging spec through the batch entry point."""
     buckets = spec.param("buckets")
     return emerging_concepts(
@@ -493,15 +494,12 @@ def _run_emerging(spec, index, backend):
         spec.param("dimension"),
         buckets=None if buckets is None else list(buckets),
         min_total=spec.param("min_total"),
-        backend=backend,
     )
 
 
-def _run_cube(spec, index, backend):
+def _run_cube(spec, index):
     """Execute a cube spec, applying the optional view operation."""
-    cube = concept_cube(
-        index, list(spec.param("dimensions")), backend=backend
-    )
+    cube = concept_cube(index, list(spec.param("dimensions")))
     slice_ = spec.param("slice")
     if slice_ is not None:
         return cube.slice(slice_[0], slice_[1])
@@ -511,7 +509,7 @@ def _run_cube(spec, index, backend):
     return cube
 
 
-def _run_drilldown(spec, index, backend):
+def _run_drilldown(spec, index):
     """Execute a drill-down: intersect postings, optionally with text."""
     keys = spec.param("keys")
     docs = index.documents_with(keys[0])
@@ -529,7 +527,7 @@ def _run_drilldown(spec, index, backend):
     return {"doc_ids": doc_ids, "texts": texts}
 
 
-def _run_status(spec, index, backend):
+def _run_status(spec, index):
     """Execute a status query: the snapshot's structural counters."""
     return index.stats()
 
@@ -549,12 +547,11 @@ _RUNNERS = {
 CACHEABLE_KINDS = frozenset(QUERY_KINDS) - {"status"}
 
 
-def plan_query(spec, index, backend=None):
+def plan_query(spec, index):
     """Execute one canonical spec against one index snapshot.
 
-    ``backend`` is forwarded to the partial-aggregate ``compute``
-    exactly as a batch caller would pass it — which is the whole
-    point: the served result *is* the batch result on the snapshot,
-    on any execution backend.
+    Each kind calls its batch entry point with exactly the arguments a
+    batch caller would pass — which is the whole point: the served
+    result *is* the batch result on the snapshot.
     """
-    return _RUNNERS[spec.kind](spec, index, backend)
+    return _RUNNERS[spec.kind](spec, index)

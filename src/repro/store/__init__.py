@@ -7,11 +7,7 @@ of tables, and the exact/fuzzy indexes the linking engine uses for
 candidate generation.
 """
 
-from repro.store.contract import (
-    InvertedIndexContract,
-    concept_key,
-    field_key,
-)
+from repro.store.contract import concept_key, field_key
 from repro.store.schema import Attribute, AttributeType, Schema
 from repro.store.table import Entity, Table
 from repro.store.database import Database
@@ -24,7 +20,6 @@ from repro.store.index import (
 from repro.store.query import Query, count_by, ratio_by
 
 __all__ = [
-    "InvertedIndexContract",
     "concept_key",
     "field_key",
     "Attribute",

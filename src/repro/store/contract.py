@@ -1,4 +1,4 @@
-"""The concept-index read/write contract.
+"""Concept-key vocabulary of the concept index.
 
 The mining analytics (paper Section IV-D) run against an inverted
 index of *concept keys*.  Two key families exist so that one analysis
@@ -10,14 +10,9 @@ data", Section IV-D.2):
 * ``field_key(name, value)`` — a structured attribute of the linked
   record.
 
-:class:`InvertedIndexContract` pins down the full API every index
-implementation must honour — the single in-memory
-:class:`~repro.mining.index.ConceptIndex` and the hash-partitioned
-:class:`~repro.mining.sharded.ShardedConceptIndex` both subclass it —
-so analytics, checkpointing and the engine stage can treat "an index"
-as one interchangeable protocol.  The contract lives in the store
-layer (below mining) because it is pure storage vocabulary: it knows
-nothing about any analytic.
+The constructors live in the store layer (below mining) because they
+are pure storage vocabulary: they know nothing about any analytic.
+The index itself is :class:`~repro.mining.index.ConceptIndex`.
 """
 
 
@@ -29,172 +24,3 @@ def concept_key(category, canonical):
 def field_key(name, value):
     """Key for a structured field value of the linked record."""
     return ("field", name, str(value))
-
-
-class InvertedIndexContract:
-    """Abstract contract: concept key -> document ids.
-
-    Subclasses implement the primitive read/write methods; the
-    contract supplies the derived conveniences (:meth:`add`,
-    :meth:`keys_of_dimension`) on top of them so every implementation
-    exposes exactly the same public surface.
-
-    Two postings accessors exist on purpose:
-
-    * :meth:`documents_with` — the public read: always returns a
-      defensive copy callers may mutate freely;
-    * :meth:`postings_view` — the read-only hot-loop accessor: may
-      return internal state and must never be mutated by the caller.
-
-    Concurrent serving adds a third leg to that contract:
-    :meth:`snapshot` returns an *immutable point-in-time view* of the
-    index.  A snapshot may share postings storage with the live index
-    (copy-on-write), but the implementation guarantees that no
-    subsequent write to the live index — including replace-path
-    upserts — ever alters what the snapshot (or any
-    ``postings_view`` obtained from it) observes.  Snapshots are what
-    the serving layer publishes per epoch so readers never see a
-    half-applied micro-batch.
-    """
-
-    #: Accepted duplicate-handling policies for :meth:`add`/:meth:`add_keys`.
-    ON_DUPLICATE = ("raise", "replace", "skip")
-
-    def add(self, doc_id, annotated=None, fields=None, timestamp=None,
-            text=None, on_duplicate="raise"):
-        """Index one document.
-
-        ``annotated`` is an :class:`AnnotatedDocument` (its concepts are
-        indexed by (category, canonical)); ``fields`` maps structured
-        field names to values; ``timestamp`` is an arbitrary orderable
-        time bucket used by trend analysis.  ``text`` overrides the
-        stored drill-down text (defaults to ``annotated.text``) when the
-        index keeps documents.
-
-        ``on_duplicate`` selects what a re-delivered ``doc_id`` does:
-        ``"raise"`` (the default, the one-shot batch contract),
-        ``"replace"`` (drop the old postings and re-index — the
-        idempotent upsert streaming consumers need), or ``"skip"``
-        (keep the first delivery, ignore this one).
-        """
-        keys = set()
-        if annotated is not None:
-            for concept in annotated.concepts:
-                key = concept_key(concept.category, concept.canonical)
-                keys.add(key)
-        for name, value in (fields or {}).items():
-            if value is None:
-                continue
-            keys.add(field_key(name, value))
-        stored = text
-        if stored is None and annotated is not None:
-            stored = annotated.text
-        return self.add_keys(
-            doc_id,
-            keys,
-            timestamp=timestamp,
-            text=stored,
-            on_duplicate=on_duplicate,
-        )
-
-    def add_keys(self, doc_id, keys, timestamp=None, text=None,
-                 on_duplicate="raise"):
-        """Index one document under pre-built concept keys."""
-        raise NotImplementedError
-
-    def remove(self, doc_id):
-        """Un-index one document, releasing all its postings."""
-        raise NotImplementedError
-
-    def snapshot(self):
-        """An immutable point-in-time view of this index.
-
-        The view exposes the full read side of the contract and raises
-        :class:`RuntimeError` on any write.  Implementations may share
-        postings storage with the live index, but must copy-on-write
-        before mutating shared state so the view stays frozen forever
-        — an upsert on the live index after the snapshot never changes
-        what the snapshot reports.  Snapshotting a snapshot returns
-        the snapshot itself.
-        """
-        raise NotImplementedError
-
-    def stats(self):
-        """Cheap structural counters for health/status reporting.
-
-        Returns a JSON-safe dict with at least ``documents`` (indexed
-        document count), ``concepts`` (distinct concept keys) and
-        ``shards`` (partition count, 0 for a single index).  Sharded
-        implementations add ``shard_documents`` / ``shard_concepts``
-        per-shard size lists.
-        """
-        raise NotImplementedError
-
-    def concept_keys(self):
-        """All distinct concept keys in the index, sorted."""
-        raise NotImplementedError
-
-    @property
-    def keeps_documents(self):
-        """Whether the index stores drill-down texts."""
-        raise NotImplementedError
-
-    def text_of(self, doc_id):
-        """Drill-down text of a document (requires keep_documents)."""
-        raise NotImplementedError
-
-    def __len__(self):
-        raise NotImplementedError
-
-    def __contains__(self, doc_id):
-        raise NotImplementedError
-
-    @property
-    def document_ids(self):
-        """All indexed document ids, insertion-ordered."""
-        raise NotImplementedError
-
-    def keys_of(self, doc_id):
-        """All concept keys of one document."""
-        raise NotImplementedError
-
-    def timestamp_of(self, doc_id):
-        """The time bucket the document was indexed under."""
-        raise NotImplementedError
-
-    def postings_view(self, key):
-        """Read-only view of the doc-id set for one concept key.
-
-        Hot-loop accessor: implementations may return internal state
-        without copying, so the caller must treat the result as frozen
-        — use :meth:`documents_with` for a set that is safe to mutate.
-        """
-        raise NotImplementedError
-
-    def documents_with(self, key):
-        """Doc-id set for one concept key (a defensive copy)."""
-        return set(self.postings_view(key))
-
-    def count(self, key):
-        """Number of documents carrying the key."""
-        return len(self.postings_view(key))
-
-    def count_pair(self, key_a, key_b):
-        """Documents carrying both keys."""
-        return len(self.postings_view(key_a) & self.postings_view(key_b))
-
-    def values_of_dimension(self, dimension):
-        """All observed values of a dimension, sorted.
-
-        ``dimension`` is ``("concept", category)`` or
-        ``("field", name)``.
-        """
-        raise NotImplementedError
-
-    def keys_of_dimension(self, dimension):
-        """All concept keys of one dimension."""
-        dimension = tuple(dimension)
-        return [
-            dimension + (value,)
-            for value in self.values_of_dimension(dimension)
-        ]

@@ -28,13 +28,13 @@ import json
 import os
 
 from repro.faults import call_with_retry, corrupt_point, fault_point
-from repro.mining.sharded import make_concept_index, shard_count_of
+from repro.mining.index import ConceptIndex
 from repro.obs import get_metrics
 from repro.store.integrity import IntegrityError, decode_stamped, stamp_checksum
 
 #: Format version stamped into every checkpoint payload, and the only
 #: one :meth:`Checkpointer.load` reads.  Version 3 carries the SHA-256
-#: integrity stamp and the optional sharded ``layout`` key.
+#: integrity stamp.
 CHECKPOINT_VERSION = 3
 
 
@@ -43,14 +43,12 @@ class CheckpointCorrupt(ValueError):
 
 
 def index_to_state(index):
-    """JSON-safe snapshot of a concept index (single or sharded).
+    """JSON-safe snapshot of a concept index.
 
     Documents are listed in insertion order with their full key sets
     and timestamps (and drill-down texts when the index keeps them),
     which is exactly what :func:`index_from_state` needs to rebuild an
-    equal index.  A sharded index additionally records its layout
-    (``{"kind": "sharded", "shards": N}``); single indexes omit the
-    key entirely.
+    equal index.
     """
     keep_documents = index.keeps_documents
     documents = []
@@ -63,32 +61,21 @@ def index_to_state(index):
         if keep_documents:
             entry["text"] = index.text_of(doc_id)
         documents.append(entry)
-    state = {
+    return {
         "keep_documents": keep_documents,
         "documents": documents,
     }
-    shards = shard_count_of(index)
-    if shards:
-        state["layout"] = {"kind": "sharded", "shards": shards}
-    return state
 
 
-def index_from_state(state, shards=None):
+def index_from_state(state):
     """Rebuild a concept index from :func:`index_to_state`.
 
-    ``shards`` overrides the layout recorded in the snapshot: pass
-    ``0`` to force a single index, ``N >= 1`` to (re-)shard, ``None``
-    to honour the snapshot's own layout (a snapshot without one
-    restores as a single index).  Re-sharding is lossless —
-    shard routing is a pure function of ``doc_id``, so the same
-    documents land in the same shards regardless of the layout they
-    were saved under.
+    Older version-3 snapshots of a hash-sharded index also carry a
+    ``layout`` key, which is ignored: their ``documents`` list is
+    already in global insertion order, so they rebuild into the same
+    index an uninterrupted run holds.
     """
-    if shards is None:
-        shards = state.get("layout", {}).get("shards", 0)
-    index = make_concept_index(
-        shards=shards, keep_documents=state["keep_documents"]
-    )
+    index = ConceptIndex(keep_documents=state["keep_documents"])
     for entry in state["documents"]:
         index.add_keys(
             entry["doc_id"],

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 
 from repro.engine import PipelineReport, PipelineRunner, StageStats
 from repro.faults import fault_point
-from repro.mining.sharded import shard_count_of
 from repro.mining.stage import ConceptIndexStage
 from repro.obs import get_metrics, get_tracer
 from repro.stream.checkpoint import index_from_state, index_to_state
@@ -439,19 +438,8 @@ class StreamConsumer:
             return self._restore_from(state, metrics)
 
     def _restore_from(self, state, metrics):
-        """Apply a loaded checkpoint ``state`` to this consumer.
-
-        The configured stage graph's index layout is authoritative:
-        the snapshot is rebuilt into however many shards the stage was
-        wired with (zero for a single index), so a consumer upgraded
-        to a sharded layout restores single-index checkpoints
-        transparently — and vice versa.
-        """
-        restored_index = index_from_state(
-            state["index"],
-            shards=shard_count_of(self._index_stage.index),
-        )
-        self._index_stage.index = restored_index
+        """Apply a loaded checkpoint ``state`` to this consumer."""
+        self._index_stage.index = index_from_state(state["index"])
         if self.window is not None:
             if state["window"] is None:
                 raise ValueError(

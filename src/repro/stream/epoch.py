@@ -6,7 +6,7 @@ bridge between the two is the epoch protocol this module implements:
 
 * at every commit boundary the consumer **publishes** the live concept
   index into an :class:`EpochStore` — the store takes an immutable
-  copy-on-write :meth:`~repro.store.contract.InvertedIndexContract.snapshot`
+  copy-on-write :meth:`~repro.mining.index.ConceptIndex.snapshot`
   and stamps it with the committed source offset as its **epoch**;
 * readers take :meth:`EpochStore.current` and compute against that
   frozen view; nothing they can do observes a half-applied micro-batch,

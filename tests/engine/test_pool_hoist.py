@@ -5,7 +5,7 @@ stage of every run out on the one backend it was handed, so exactly
 one executor is built no matter how many stages or runs execute; the
 runner never shuts that backend down (whoever builds a backend closes
 it); a workers-N study uses exactly one executor end to end, across
-the engine stages and the sharded analytics; and parallel output stays
+every engine stage; and parallel output stays
 bit-identical to serial in every configuration.
 """
 
@@ -153,16 +153,15 @@ class TestOneExecutorPerStudy:
         metrics = MetricsRegistry()
         with activated(Tracer(), metrics):
             study = run_insight_analysis(corpus, BIVoCConfig(
-                use_asr=False, workers=2, shards=2, batch_size=8,
+                use_asr=False, workers=2, batch_size=8,
             ))
-        # The runner's parallel stages and all four associate() calls
-        # fanned out, every one of them on the same executor.
+        # Every parallel stage fanned out on the same executor.
         parallel = [
             s for s in study.analysis.stage_report.stages if s.parallel
         ]
         assert parallel
         maps = metrics.snapshot()["counters"]["exec.map.thread"]
-        assert maps == len(parallel) + 4
+        assert maps == len(parallel)
         assert counting.created == 1
         assert counting.closed == 1
 
@@ -172,7 +171,8 @@ class TestOneExecutorPerStudy:
             seed=1,
         ))
         result = run_churn_study(
-            corpus, channel="email", workers=2, shards=2, batch_size=16
+            corpus, channel="email", workers=2, driver_index=True,
+            batch_size=16,
         )
         assert any(s.parallel for s in result.stage_report.stages)
         assert counting.created == 1

@@ -1,12 +1,13 @@
 """Every backend is ``==`` to serial: analytics, pipeline, stream, serve.
 
 The acceptance bar of the execution-backend layer, on both synthetic
-corpora and shard counts 1, 2, 4 and 7 (7 deliberately divides
-neither corpus evenly): for every backend kind, the mining analytics,
-the full pipeline, a crash/resumed stream and served query results
-are *bit-identical* (``==``, never approximate) to the serial run.
-The randomized sweep over the same invariants lives in ``tests/prop``;
-these are the pinned, named configurations.
+corpora: for every backend kind, the mining analytics (over indexes
+ingested in 1, 2, 4 and 7 hash-partition orders), the full pipeline
+(1 and 4 workers), a stream crashed after 1, 4 or 7 commits and then
+resumed, and served query results (over streams re-delivering 1, 2, 4
+or 7 documents) are *bit-identical* (``==``, never approximate) to the
+serial run.  The randomized sweep over the same invariants lives in
+``tests/prop``; these are the pinned, named configurations.
 """
 
 import pytest
@@ -24,7 +25,7 @@ from repro.mining.relfreq import relative_frequency
 from repro.mining.trends import emerging_concepts, trend_series
 from repro.prop import PropCase
 from repro.prop.harness import run_stream_reference, run_stream_resumed
-from repro.serve import QueryEngine
+from repro.serve import QueryEngine, QuerySpec, plan_query
 from repro.serve.wire import result_to_wire
 from repro.stream import EpochStore
 from repro.stream.checkpoint import index_to_state
@@ -119,41 +120,43 @@ def corpus_pair(request, car_index, telecom_index):
     }
 
 
-def _analytics(index, spec, backend=None):
+def _analytics(index, spec):
     """Every mining analytic as comparable values."""
-    table = associate(
-        index, spec["rows"], spec["cols"], backend=backend
-    )
-    cube = concept_cube(index, spec["cube_dims"], backend=backend)
+    table = associate(index, spec["rows"], spec["cols"])
+    cube = concept_cube(index, spec["cube_dims"])
     return {
         "relfreq": relative_frequency(
-            index, spec["focus"], spec["candidates"], backend=backend
+            index, spec["focus"], spec["candidates"]
         ),
         "assoc_cells": table.cells(),
         "assoc_shares": table.row_share_matrix(),
         "trends": [
-            trend_series(index, key, backend=backend)
+            trend_series(index, key)
             for key in index.keys_of_dimension(spec["trend_dim"])
         ],
         "emerging": emerging_concepts(
-            index, spec["trend_dim"], min_total=1, backend=backend
+            index, spec["trend_dim"], min_total=1
         ),
         "cube_cells": cube.cells(include_empty_coordinates=True),
     }
 
 
 class TestAnalyticsBitIdentity:
-    """All analytics x shards {1,2,4,7} x backends, both corpora."""
+    """All analytics x partition orders {1,2,4,7} x backends."""
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_backend_equals_serial(self, corpus_pair, shards, kind):
+        # Each backend task computes every analytic over its own copy
+        # of the reordered index (a pickled one on processes).
         single, spec = corpus_pair
         expected = _analytics(single, spec)
-        sharded = reshard(single, shards)
+        reordered = reshard(single, shards)
         with make_backend(kind, workers=WORKERS) as backend:
-            actual = _analytics(sharded, spec, backend=backend)
-        assert actual == expected
+            actual = backend.map(
+                _analytics, [reordered] * WORKERS, [spec] * WORKERS
+            )
+        assert actual == [expected] * WORKERS
 
 
 class TestPipelineBitIdentity:
@@ -169,8 +172,8 @@ class TestPipelineBitIdentity:
         assert index_to_state(result.index) == index_to_state(car_index)
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_telecom_stage_graph(self, telecom_messages, kind, shards):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_telecom_stage_graph(self, telecom_messages, kind, workers):
         from repro.cleaning.stage import CleaningStage
         from repro.core.usecases.churn import (
             StreamAnnotateStage,
@@ -179,13 +182,11 @@ class TestPipelineBitIdentity:
         from repro.engine import Document, PipelineRunner
         from repro.mining.stage import ConceptIndexStage
 
-        def build_and_run(backend=None, shard_count=0):
+        def build_and_run(backend=None):
             stages = [
                 CleaningStage(),
                 StreamAnnotateStage(churn_driver_engine()),
-                ConceptIndexStage(
-                    on_duplicate="replace", shards=shard_count
-                ),
+                ConceptIndexStage(on_duplicate="replace"),
             ]
             documents = [
                 Document(
@@ -204,9 +205,9 @@ class TestPipelineBitIdentity:
             ).run(documents)
             return index_to_state(stages[-1].index)
 
-        expected = build_and_run(shard_count=shards)
-        with make_backend(kind, workers=WORKERS) as backend:
-            actual = build_and_run(backend=backend, shard_count=shards)
+        expected = build_and_run()
+        with make_backend(kind, workers=workers) as backend:
+            actual = build_and_run(backend=backend)
         assert actual == expected
 
 
@@ -214,15 +215,15 @@ class TestStreamBitIdentity:
     """Crash/resume under each backend converges to the serial run."""
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
-    @pytest.mark.parametrize("shards", [1, 4, 7])
+    @pytest.mark.parametrize("crash_after", [1, 4, 7])
     def test_crash_resume_equals_uninterrupted(
-        self, tmp_path, kind, shards
+        self, tmp_path, kind, crash_after
     ):
         case = PropCase(
             seed=99, n_docs=60, channels=("call", "email"),
-            shards=shards, batch_size=8, workers=WORKERS,
+            batch_size=8, workers=WORKERS,
             backend=kind, batch_docs=7, checkpoint_interval=2,
-            crash_after=2,
+            crash_after=crash_after,
         )
         expected = run_stream_reference(case)
         resumed = run_stream_resumed(case, str(tmp_path))
@@ -241,13 +242,13 @@ SERVE_QUERIES = [
 
 
 class TestServedQueryBitIdentity:
-    """Served answers per backend equal the serial engine's."""
+    """Query plans run on each backend equal the serial engine's answers."""
 
     @pytest.fixture(scope="class", params=SHARD_COUNTS)
     def epochs(self, request):
         store = EpochStore(history=None)
         consumer = make_consumer(
-            make_pairs(), shards=request.param, epochs=store
+            make_pairs(redeliver=request.param), epochs=store
         )
         consumer.run()
         return store
@@ -255,12 +256,15 @@ class TestServedQueryBitIdentity:
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
     def test_backend_engine_equals_serial_engine(self, epochs, kind):
         serial = QueryEngine(epochs)
+        snapshot = epochs.current()
+        specs = [QuerySpec.parse(payload) for payload in SERVE_QUERIES]
         with make_backend(kind, workers=WORKERS) as backend:
-            engine = QueryEngine(epochs, backend=backend)
-            for payload in SERVE_QUERIES:
-                expected = serial.query(payload)
-                actual = engine.query(payload)
-                assert actual.epoch == expected.epoch
-                assert result_to_wire(
-                    actual.kind, actual.value
-                ) == result_to_wire(expected.kind, expected.value)
+            planned = backend.map(
+                plan_query, specs, [snapshot.index] * len(specs)
+            )
+        for payload, spec, value in zip(SERVE_QUERIES, specs, planned):
+            expected = serial.query(payload)
+            assert expected.epoch == snapshot.epoch
+            assert result_to_wire(spec.kind, value) == result_to_wire(
+                expected.kind, expected.value
+            )

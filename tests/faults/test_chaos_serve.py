@@ -67,12 +67,12 @@ def query_fault_plan(times=8):
     )
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_faulted_responses_equal_batch_reference(shards):
+@pytest.mark.parametrize("redeliver", [1, 4])
+def test_faulted_responses_equal_batch_reference(redeliver):
     """Writer-vs-readers stress with execution faults being retried."""
-    pairs = make_pairs(seed=chaos_seed())
+    pairs = make_pairs(seed=chaos_seed(), redeliver=redeliver)
     epochs = EpochStore(history=None)
-    consumer = make_consumer(pairs, shards=shards, epochs=epochs)
+    consumer = make_consumer(pairs, epochs=epochs)
     assert consumer.step()
     engine = retrying_engine(epochs, cache=QueryCache(capacity=32))
     specs = [QuerySpec.parse(dict(p)) for p in PAYLOADS]
@@ -120,7 +120,7 @@ def test_faulted_responses_equal_batch_reference(shards):
         if key not in references:
             references[key] = plan_query(
                 specs[spec_index],
-                reference_index(pairs, epoch, shards=shards),
+                reference_index(pairs, epoch),
             )
         assert value == references[key], (
             f"epoch {epoch} spec {spec_index} diverged under "

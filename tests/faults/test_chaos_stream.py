@@ -40,14 +40,14 @@ NO_SLEEP = lambda _delay: None  # noqa: E731
 MAX_RESTARTS = 60  # far above any times-capped plan's crash budget
 
 
-def run_reference(pairs, shards):
+def run_reference(pairs):
     """The uninterrupted run: no faults, no checkpoints."""
-    consumer = make_consumer(pairs, shards=shards)
+    consumer = make_consumer(pairs)
     consumer.run()
     return consumer
 
 
-def run_chaos(pairs, shards, plan, checkpoint_path, seed):
+def run_chaos(pairs, plan, checkpoint_path, seed):
     """Crash/retry/resume the same stream under ``plan``.
 
     Each injected crash kills the consumer outright; the next
@@ -61,7 +61,7 @@ def run_chaos(pairs, shards, plan, checkpoint_path, seed):
     restarts = 0
     with injecting(plan.injector(sleep=NO_SLEEP)):
         while True:
-            consumer = make_consumer(pairs, shards=shards)
+            consumer = make_consumer(pairs)
             consumer.checkpointer = Checkpointer(
                 checkpoint_path, retry=retry, sleep=NO_SLEEP
             )
@@ -83,14 +83,14 @@ def run_chaos(pairs, shards, plan, checkpoint_path, seed):
                 )
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_chaos_run_bit_identical_to_uninterrupted(shards, tmp_path):
+@pytest.mark.parametrize("redeliver", [1, 4])
+def test_chaos_run_bit_identical_to_uninterrupted(redeliver, tmp_path):
     seed = chaos_seed()
-    pairs = make_pairs(seed=seed)
+    pairs = make_pairs(seed=seed, redeliver=redeliver)
     plan = default_chaos_plan(seed)
-    reference = run_reference(pairs, shards)
+    reference = run_reference(pairs)
     chaotic, restarts = run_chaos(
-        pairs, shards, plan, os.fspath(tmp_path / "ck.json"), seed
+        pairs, plan, os.fspath(tmp_path / "ck.json"), seed
     )
     assert index_to_state(chaotic.index) == index_to_state(
         reference.index
@@ -120,10 +120,10 @@ def test_chaos_faults_actually_fire():
     assert fired > 0
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_single_targeted_crash_then_resume(shards, tmp_path):
+@pytest.mark.parametrize("redeliver", [1, 4])
+def test_single_targeted_crash_then_resume(redeliver, tmp_path):
     """One fatal fault at the second commit, no probability draws."""
-    pairs = make_pairs(seed=chaos_seed())
+    pairs = make_pairs(seed=chaos_seed(), redeliver=redeliver)
     plan = FaultPlan(
         seed=chaos_seed(),
         specs=(
@@ -131,9 +131,9 @@ def test_single_targeted_crash_then_resume(shards, tmp_path):
                       times=1, after=1),
         ),
     )
-    reference = run_reference(pairs, shards)
+    reference = run_reference(pairs)
     chaotic, restarts = run_chaos(
-        pairs, shards, plan, os.fspath(tmp_path / "ck.json"),
+        pairs, plan, os.fspath(tmp_path / "ck.json"),
         chaos_seed(),
     )
     assert restarts == 1

@@ -1,12 +1,17 @@
-"""Sharded analytics are ``==``-identical to the single-index runs.
+"""Analytics depend on the indexed documents, never on their order.
 
-The acceptance bar of the partial/merge/finalize refactor: every
-mining analytic, on both synthetic corpora, for shard counts 1, 2, 4
-and 7 (7 deliberately does not divide either corpus evenly), produces
-*bit-identical* results to the unsharded index — ``==`` on the result
-objects, never approximate comparison.  The same holds when the shard
-partials run on a thread pool instead of serially.
+Every mining analytic counts over the index's document set, so an
+index that received the same documents in another order gives
+``==``-identical results.  The reordering used here ingests the
+documents one hash partition after another — CRC-32 of the doc id
+modulo 1, 2, 4 or 7 partitions (7 deliberately does not divide either
+corpus evenly), the routing of the retired sharded layout — on both
+synthetic corpora, and compares ``==`` on the result objects, never
+approximately.  The same holds when several threads run the analytics
+on one index at once, as ``bivoc serve``'s request threads do.
 """
+
+import zlib
 
 import pytest
 
@@ -20,7 +25,6 @@ from repro.mining.assoc2d import associate
 from repro.mining.index import ConceptIndex
 from repro.mining.olap import concept_cube
 from repro.mining.relfreq import relative_frequency
-from repro.mining.sharded import ShardedConceptIndex
 from repro.mining.trends import emerging_concepts, trend_series
 from repro.synth.carrental import CarRentalConfig, generate_car_rental
 from repro.synth.telecom import TelecomConfig, generate_telecom
@@ -28,12 +32,19 @@ from repro.synth.telecom import TelecomConfig, generate_telecom
 SHARD_COUNTS = [1, 2, 4, 7]
 
 
+def _partition(doc_id, n_shards):
+    """Deterministic partition number of a document id."""
+    return zlib.crc32(str(doc_id).encode("utf-8")) % n_shards
+
+
 def reshard(single, n_shards):
-    """Replicate a single index's contents into a sharded layout."""
-    sharded = ShardedConceptIndex(
-        n_shards, keep_documents=single.keeps_documents
+    """A copy of ``single`` ingested one hash partition at a time."""
+    sharded = ConceptIndex(keep_documents=single.keeps_documents)
+    ordered = sorted(
+        single.document_ids,
+        key=lambda doc_id: _partition(doc_id, n_shards),
     )
-    for doc_id in single.document_ids:
+    for doc_id in ordered:
         sharded.add_keys(
             doc_id,
             single.keys_of(doc_id),
@@ -118,7 +129,7 @@ def corpus_pair(request, car_index, telecom_index):
 
 @pytest.fixture(params=SHARD_COUNTS)
 def layout(request, corpus_pair):
-    """(single, sharded replica, spec) for every shard count."""
+    """(arrival-order index, partition-order copy, spec) per count."""
     single, spec = corpus_pair
     return single, reshard(single, request.param), spec
 
@@ -135,7 +146,15 @@ class TestShardedEquivalence:
     def test_index_reads_identical(self, layout):
         single, sharded, _ = layout
         assert len(sharded) == len(single)
-        assert sharded.document_ids == single.document_ids
+        assert sorted(sharded.document_ids, key=str) == sorted(
+            single.document_ids, key=str
+        )
+        for doc_id in single.document_ids:
+            assert sharded.keys_of(doc_id) == single.keys_of(doc_id)
+            assert sharded.timestamp_of(doc_id) == (
+                single.timestamp_of(doc_id)
+            )
+        assert sharded.concept_keys() == single.concept_keys()
 
     def test_relative_frequency(self, layout):
         single, sharded, spec = layout
@@ -182,26 +201,23 @@ class TestShardedEquivalence:
 
 class TestPooledEquivalence:
     def test_pool_matches_serial(self, corpus_pair):
-        # The thread-pool fan-out preserves shard order in the merge,
-        # so pooled results are bit-identical to serial ones.
+        # Every count pass is a pure read, so analytics run from four
+        # threads at once over one index equal the serial results.
         single, spec = corpus_pair
-        sharded = reshard(single, 4)
-        serial = {
-            "relfreq": relative_frequency(
-                sharded, spec["focus"], spec["candidates"]
-            ),
-            "emerging": emerging_concepts(sharded, spec["trend_dim"]),
-        }
-        serial_table = associate(sharded, spec["rows"], spec["cols"])
-        with ThreadBackend(4) as backend:
-            assert relative_frequency(
-                sharded, spec["focus"], spec["candidates"],
-                backend=backend,
-            ) == serial["relfreq"]
-            assert emerging_concepts(
-                sharded, spec["trend_dim"], backend=backend
-            ) == serial["emerging"]
-            pooled_table = associate(
-                sharded, spec["rows"], spec["cols"], backend=backend
+
+        def analytics(_):
+            return (
+                relative_frequency(
+                    single, spec["focus"], spec["candidates"]
+                ),
+                emerging_concepts(single, spec["trend_dim"]),
+                associate(single, spec["rows"], spec["cols"]),
             )
-        assert_tables_identical(serial_table, pooled_table)
+
+        serial = analytics(None)
+        with ThreadBackend(4) as backend:
+            pooled = backend.map(analytics, range(8))
+        for relfreq, emerging, table in pooled:
+            assert relfreq == serial[0]
+            assert emerging == serial[1]
+            assert_tables_identical(serial[2], table)

@@ -105,6 +105,18 @@ class TestAssociate:
         with pytest.raises(ValueError):
             associate(ConceptIndex(), ("field", "a"), ("field", "b"))
 
+    @pytest.mark.parametrize("values", [
+        {"row_values": ["boston", "boston"]},
+        {"col_values": ["suv", "luxury", "suv"]},
+    ])
+    def test_duplicate_values_rejected(self, index, values):
+        # A repeated value would score its cells twice, and strongest()
+        # could then rank one cell twice.
+        with pytest.raises(ValueError, match="twice"):
+            associate(
+                index, ("field", "place"), ("field", "vehicle"), **values
+            )
+
     def test_normal_interval_method(self, index):
         table = associate(
             index,

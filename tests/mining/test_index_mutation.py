@@ -120,3 +120,37 @@ class TestOnDuplicate:
         _add(index, 1, {"city": "denver"})
         _add(index, 0, {"city": "miami"}, on_duplicate="replace")
         assert index.document_ids == [1, 0]
+
+
+class TestPostingsAliasing:
+    """The copying public read and the non-copying hot-loop read."""
+
+    @pytest.fixture
+    def index(self):
+        index = ConceptIndex()
+        for doc_id, car in enumerate(["suv", "suv", "van", "suv"]):
+            _add(index, doc_id, {"car": car})
+        return index
+
+    def test_documents_with_still_copies(self, index):
+        key = field_key("car", "suv")
+        copied = index.documents_with(key)
+        copied.add(999)
+        assert 999 not in index.documents_with(key)
+        assert index.count(key) == 3
+
+    def test_postings_view_does_not_copy(self, index):
+        key = field_key("car", "suv")
+        assert index.postings_view(key) is index.postings_view(key)
+        assert index.postings_view(key) is index._postings[key]
+
+    def test_postings_view_missing_key_is_empty(self, index):
+        assert index.postings_view(("field", "x", "y")) == frozenset()
+
+    def test_missing_document_errors(self, index):
+        with pytest.raises(KeyError):
+            index.keys_of(99)
+        with pytest.raises(KeyError):
+            index.timestamp_of(99)
+        with pytest.raises(KeyError, match="not indexed"):
+            index.remove(99)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.mining.index import ConceptIndex, concept_key, field_key
 from repro.mining.relfreq import relative_frequency
-from repro.mining.sharded import ShardedConceptIndex
 
 
 def build(index):
@@ -32,10 +31,17 @@ def build(index):
 
 @pytest.fixture(params=[0, 3])
 def index(request):
-    """Both layouts: single (0) and a 3-shard partition."""
-    if request.param:
-        return build(ShardedConceptIndex(request.param))
-    return build(ConceptIndex())
+    """The eight documents, the first ``param`` re-delivered.
+
+    A replace-path re-delivery moves a document to the end of the
+    insertion order; no result below may depend on that order.
+    """
+    built = build(ConceptIndex())
+    for doc_id in built.document_ids[:request.param]:
+        built.add_keys(
+            doc_id, built.keys_of(doc_id), on_duplicate="replace"
+        )
+    return built
 
 
 class TestEmptyFocusSubset:

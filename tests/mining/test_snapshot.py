@@ -11,7 +11,6 @@ drive exactly those paths and assert the snapshot never moves.
 import pytest
 
 from repro.mining.index import ConceptIndex, concept_key, field_key
-from repro.mining.sharded import ShardedConceptIndex
 
 
 def _fill(index):
@@ -36,10 +35,20 @@ def _fill(index):
 
 @pytest.fixture(params=[0, 3])
 def live(request):
-    """A filled live index, single (0) and sharded (3) layouts."""
-    if request.param:
-        return _fill(ShardedConceptIndex(request.param))
-    return _fill(ConceptIndex())
+    """A filled live index after ``param`` replace-path re-deliveries.
+
+    0 is freshly filled; 3 re-delivers every document once, so each
+    postings set has been through the replace path before capture.
+    """
+    index = _fill(ConceptIndex())
+    for doc_id in index.document_ids[:request.param]:
+        index.add_keys(
+            doc_id,
+            index.keys_of(doc_id),
+            timestamp=index.timestamp_of(doc_id),
+            on_duplicate="replace",
+        )
+    return index
 
 
 class TestFrozenView:
@@ -145,25 +154,9 @@ class TestStats:
     """The cheap structural counters (health endpoint satellite)."""
 
     def test_single_index_stats(self):
-        """documents / concepts / shards for the single layout."""
+        """documents / concepts of the index."""
         index = _fill(ConceptIndex())
-        assert index.stats() == {
-            "documents": 3, "concepts": 4, "shards": 0,
-        }
-
-    def test_sharded_stats_add_per_shard_sizes(self):
-        """Sharded stats agree with the single layout and add the
-        per-shard breakdowns."""
-        single = _fill(ConceptIndex())
-        sharded = _fill(ShardedConceptIndex(3))
-        stats = sharded.stats()
-        assert stats["documents"] == single.stats()["documents"]
-        assert stats["concepts"] == single.stats()["concepts"]
-        assert stats["shards"] == 3
-        assert sum(stats["shard_documents"]) == stats["documents"]
-        assert len(stats["shard_concepts"]) == 3
-        # A key spanning shards counts once in the distinct total.
-        assert sum(stats["shard_concepts"]) >= stats["concepts"]
+        assert index.stats() == {"documents": 3, "concepts": 4}
 
     def test_concept_keys_sorted(self):
         """concept_keys is the sorted distinct key list."""
@@ -171,5 +164,3 @@ class TestStats:
         keys = index.concept_keys()
         assert keys == sorted(keys)
         assert field_key("city", "boston") in keys
-        sharded = _fill(ShardedConceptIndex(3))
-        assert sharded.concept_keys() == keys

@@ -14,12 +14,14 @@ assertions compare:
 
 A served answer at epoch ``e`` must equal (``==``) the analytic run
 against ``reference_index(pairs, e)`` — that is the snapshot-isolation
-contract.
+contract.  ``make_pairs(redeliver=N)`` appends an at-least-once tail:
+the first N documents arrive again with a changed car, so the stream
+exercises the index's replace path (and the copy-on-write snapshots
+that must not see it).
 """
 
 from repro.engine import Document
 from repro.mining.index import ConceptIndex
-from repro.mining.sharded import ShardedConceptIndex
 from repro.mining.stage import ConceptIndexStage
 from repro.stream import MemorySource, StreamConsumer
 from repro.util.rng import derive_rng
@@ -32,34 +34,40 @@ N_DOCS = 48       # not a multiple of BATCH_DOCS: ragged final epoch
 BATCH_DOCS = 7
 
 
-def make_pairs(n=N_DOCS, seed=11):
-    """Deterministic ``(timestamp, document)`` arrivals; fresh each call."""
+def make_pairs(n=N_DOCS, seed=11, redeliver=0):
+    """Deterministic ``(timestamp, document)`` arrivals; fresh each call.
+
+    The first ``redeliver`` documents arrive a second time at the end,
+    in the last time bucket, each with the next car in :data:`CARS`.
+    """
     rng = derive_rng(seed, "serve-test-corpus")
-    pairs = []
+    rows = []
     for i in range(n):
         fields = {
             "city": rng.choice(CITIES),
             "car": rng.choice(CARS),
             "channel": rng.choice(CHANNELS),
         }
-        document = Document(
-            doc_id=f"d{i}",
-            channel=fields["channel"],
-            text=f"voice of customer {i}",
-            artifacts={"index_fields": fields},
+        rows.append((i // 10, f"d{i}", fields))
+    last_bucket = (n - 1) // 10
+    for _, doc_id, fields in rows[:redeliver]:
+        car = CARS[(CARS.index(fields["car"]) + 1) % len(CARS)]
+        rows.append((last_bucket, doc_id, dict(fields, car=car)))
+    return [
+        (
+            timestamp,
+            Document(
+                doc_id=doc_id,
+                channel=fields["channel"],
+                text=f"voice of customer {doc_id[1:]}",
+                artifacts={"index_fields": fields},
+            ),
         )
-        pairs.append((i // 10, document))
-    return pairs
+        for timestamp, doc_id, fields in rows
+    ]
 
 
-def _new_index(shards, keep_documents=False):
-    """A fresh empty index in the requested layout."""
-    if shards:
-        return ShardedConceptIndex(shards, keep_documents=keep_documents)
-    return ConceptIndex(keep_documents=keep_documents)
-
-
-def reference_index(pairs, upto_offset, shards=0):
+def reference_index(pairs, upto_offset):
     """Batch-build the index for the stream prefix ``[0, upto_offset]``.
 
     Mirrors exactly what :class:`ConceptIndexStage` does per document
@@ -67,7 +75,7 @@ def reference_index(pairs, upto_offset, shards=0):
     batching, no snapshots — the independent reference the served
     answers are compared against.
     """
-    index = _new_index(shards)
+    index = ConceptIndex()
     for offset, (timestamp, document) in enumerate(pairs):
         if offset > upto_offset:
             break
@@ -80,11 +88,17 @@ def reference_index(pairs, upto_offset, shards=0):
     return index
 
 
-def make_consumer(pairs, shards=0, epochs=None, batch_docs=BATCH_DOCS):
-    """A stream consumer indexing ``pairs``, publishing into ``epochs``."""
+def make_consumer(pairs, epochs=None, batch_docs=BATCH_DOCS,
+                  backend=None):
+    """A stream consumer indexing ``pairs``, publishing into ``epochs``.
+
+    ``backend`` is the consumer's execution backend, as ``bivoc serve
+    --workers`` wires it.
+    """
     return StreamConsumer(
         MemorySource(pairs),
-        [ConceptIndexStage(on_duplicate="replace", shards=shards)],
+        [ConceptIndexStage(on_duplicate="replace")],
         batch_docs=batch_docs,
         epochs=epochs,
+        backend=backend,
     )

@@ -16,10 +16,12 @@ CUBE = {"kind": "cube",
 TRENDS = {"kind": "trends", "key": ["field", "car", "suv"]}
 
 
-def _drained_epochs(shards=0):
+def _drained_epochs(redeliver=0):
     """An EpochStore fully populated from the shared corpus."""
     epochs = EpochStore(history=None)
-    consumer = make_consumer(make_pairs(), shards=shards, epochs=epochs)
+    consumer = make_consumer(
+        make_pairs(redeliver=redeliver), epochs=epochs
+    )
     consumer.run()
     return epochs
 
@@ -98,47 +100,37 @@ class TestCaching:
         engine.query({"kind": "status"})
         assert len(cache) == 0
 
-    def test_status_body_merges_cache_and_workers(self):
-        """The status value reports cache occupancy and pool size."""
-        with ThreadBackend(3) as backend:
-            engine = QueryEngine(
-                _drained_epochs(), backend=backend,
-                cache=QueryCache(capacity=9),
-            )
-            engine.query(ASSOC)
-            body = engine.query({"kind": "status"}).value
+    def test_status_body_merges_cache_and_counters(self):
+        """The status value reports cache occupancy and index counts."""
+        engine = QueryEngine(
+            _drained_epochs(), cache=QueryCache(capacity=9),
+        )
+        engine.query(ASSOC)
+        body = engine.query({"kind": "status"}).value
         assert body["cache"]["entries"] == 1
         assert body["cache"]["capacity"] == 9
-        assert body["workers"] == 3
+        assert body["documents"] == len(make_pairs())
         assert QueryEngine(_drained_epochs()).query(
             {"kind": "status"}
-        ).value["workers"] == 0
-        assert body["documents"] == len(make_pairs())
+        ).value["cache"] is None
 
 
 class TestPooling:
-    """Injected backends: bit-identical to serial, never closed here."""
+    """Concurrent readers: bit-identical to one serial reader."""
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_pooled_equals_serial(self, shards):
-        """Every kind answers identically with and without a pool."""
-        epochs = _drained_epochs(shards=shards)
+    @pytest.mark.parametrize("redeliver", [1, 4])
+    def test_pooled_equals_serial(self, redeliver):
+        """Every kind answers identically from four reader threads."""
+        epochs = _drained_epochs(redeliver=redeliver)
         serial = QueryEngine(epochs)
+        shared = QueryEngine(epochs, cache=QueryCache())
+        payloads = [ASSOC, CUBE, TRENDS] * 4
         with ThreadBackend(4) as backend:
-            pooled = QueryEngine(epochs, backend=backend)
-            for payload in (ASSOC, CUBE, TRENDS):
-                assert (
-                    pooled.query(payload).value
-                    == serial.query(payload).value
-                )
-
-    def test_injected_pool_is_not_shut_down(self):
-        """The injected backend stays usable after the engine's queries."""
-        with ThreadBackend(2) as backend:
-            engine = QueryEngine(_drained_epochs(shards=2), backend=backend)
-            engine.query(ASSOC)
-            assert backend._pool is not None
-            assert backend.map(lambda x: x + 1, [6, 0]) == [7, 1]
+            answers = backend.map(
+                lambda payload: shared.query(payload).value, payloads
+            )
+        for payload, answer in zip(payloads, answers):
+            assert answer == serial.query(payload).value
 
 
 class TestObservability:

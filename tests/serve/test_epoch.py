@@ -91,7 +91,7 @@ class TestSnapshotStats:
         assert stats["epoch"] == 9
         assert stats["seq"] == 0
         assert stats["documents"] == 3
-        assert stats["shards"] == 0
+        assert stats["concepts"] == 1
 
 
 class TestConsumerIntegration:
@@ -105,19 +105,17 @@ class TestConsumerIntegration:
         assert snapshot.epoch == -1
         assert len(snapshot.index) == 0
 
-    @pytest.mark.parametrize("shards", [0, 4])
-    def test_every_commit_publishes_committed_offset(self, shards):
+    @pytest.mark.parametrize("redeliver", [0, 4])
+    def test_every_commit_publishes_committed_offset(self, redeliver):
         """After each batch the current epoch equals the committed offset,
         and the snapshot matches the batch-built reference index."""
-        pairs = make_pairs()
+        pairs = make_pairs(redeliver=redeliver)
         epochs = EpochStore(history=None)
-        consumer = make_consumer(pairs, shards=shards, epochs=epochs)
+        consumer = make_consumer(pairs, epochs=epochs)
         while consumer.step():
             snapshot = epochs.current()
             assert snapshot.epoch == consumer.committed_offset
-            reference = reference_index(
-                pairs, snapshot.epoch, shards=shards
-            )
+            reference = reference_index(pairs, snapshot.epoch)
             assert snapshot.index.stats() == reference.stats()
             assert snapshot.index.concept_keys() == (
                 reference.concept_keys()

@@ -116,6 +116,61 @@ class TestParsing:
             )
 
 
+class TestListParameters:
+    """A list-valued parameter never reads a string as its letters."""
+
+    @pytest.mark.parametrize("payload", [
+        {"kind": "assoc2d", "rows": ["field", "city"],
+         "cols": ["field", "car"], "row_values": "boston"},
+        {"kind": "assoc2d", "rows": ["field", "city"],
+         "cols": ["field", "car"], "col_values": "suv"},
+        {"kind": "relfreq", "focus": "cat",
+         "candidates": ["field", "car"]},
+        {"kind": "cube", "dimensions": "ab"},
+        {"kind": "cube", "dimensions": [["field", "city"]],
+         "rollup": "ab"},
+        {"kind": "drilldown", "keys": "abc"},
+        {"kind": "trends", "key": ["field", "car", "suv"],
+         "buckets": "0123"},
+        {"kind": "trends", "key": "abc"},
+        {"kind": "emerging", "dimension": "ab"},
+    ], ids=["row_values", "col_values", "focus", "dimensions", "rollup",
+            "keys", "buckets", "key", "dimension"])
+    def test_bare_string_rejected(self, payload):
+        with pytest.raises(QueryError, match="must be a list"):
+            QuerySpec.parse(payload)
+
+    def test_non_iterable_rejected(self):
+        with pytest.raises(QueryError, match="must be a list"):
+            QuerySpec.parse(
+                {"kind": "assoc2d", "rows": ["field", "city"],
+                 "cols": ["field", "car"], "row_values": 7}
+            )
+
+    def test_list_of_values_still_parses(self):
+        spec = QuerySpec.parse(
+            {"kind": "assoc2d", "rows": ["field", "city"],
+             "cols": ["field", "car"], "row_values": ["boston"]}
+        )
+        assert spec.param("row_values") == ("boston",)
+
+    @pytest.mark.parametrize("name", ["row_values", "col_values"])
+    def test_duplicate_association_values_rejected(self, name):
+        with pytest.raises(QueryError, match="twice"):
+            QuerySpec.parse(
+                {"kind": "assoc2d", "rows": ["field", "city"],
+                 "cols": ["field", "car"], name: ["boston", "boston"]}
+            )
+
+    def test_values_equal_after_string_conversion_are_duplicates(self):
+        # Values are canonicalized to strings, so 1 and "1" collide.
+        with pytest.raises(QueryError, match="twice"):
+            QuerySpec.parse(
+                {"kind": "assoc2d", "rows": ["field", "city"],
+                 "cols": ["field", "car"], "row_values": [1, "1"]}
+            )
+
+
 class TestCanonicalization:
     """Equivalent payloads collapse to one fingerprint."""
 

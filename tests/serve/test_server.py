@@ -16,7 +16,7 @@ from tests.serve.corpus import make_consumer, make_pairs
 def engine():
     """One engine over the fully drained shared corpus."""
     epochs = EpochStore(history=None)
-    make_consumer(make_pairs(), shards=2, epochs=epochs).run()
+    make_consumer(make_pairs(), epochs=epochs).run()
     return QueryEngine(epochs, cache=QueryCache())
 
 

@@ -3,11 +3,11 @@
 The acceptance bar for the serving subsystem: while a consumer commits
 micro-batches, concurrent readers issue analytic queries and *every*
 response must be ``==`` to the batch computation over the exact stream
-prefix named by its epoch stamp — serial and pooled, single-index and
-sharded, with tracing active.  A torn read (a response mixing two
-epochs, or observing a half-applied batch) cannot produce a value that
-equals any prefix's batch reference, so the equality sweep doubles as
-the no-torn-read check.
+prefix named by its epoch stamp — with and without re-delivered
+documents, serial and pooled ingestion, with tracing active.  A torn
+read (a response mixing two epochs, or observing a half-applied batch)
+cannot produce a value that equals any prefix's batch reference, so
+the equality sweep doubles as the no-torn-read check.
 """
 
 import threading
@@ -40,20 +40,18 @@ PAYLOADS = [
 ]
 
 
-@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("redeliver", [1, 4])
 @pytest.mark.parametrize("workers", [0, 2])
-def test_reader_responses_equal_batch_reference(shards, workers):
+def test_reader_responses_equal_batch_reference(redeliver, workers):
     """Every concurrent response == its epoch's batch computation."""
-    pairs = make_pairs()
+    pairs = make_pairs(redeliver=redeliver)
     epochs = EpochStore(history=None)  # retain every epoch to verify
-    consumer = make_consumer(pairs, shards=shards, epochs=epochs)
+    backend = make_backend("thread", workers)
+    consumer = make_consumer(pairs, epochs=epochs, backend=backend)
     # Commit one batch up front: association analysis (correctly)
     # refuses an empty index, so readers start at a non-empty epoch.
     assert consumer.step()
-    backend = make_backend("thread", workers)
-    engine = QueryEngine(
-        epochs, backend=backend, cache=QueryCache(capacity=32)
-    )
+    engine = QueryEngine(epochs, cache=QueryCache(capacity=32))
     specs = [QuerySpec.parse(dict(p)) for p in PAYLOADS]
 
     start = threading.Barrier(N_READERS + 1)
@@ -107,7 +105,7 @@ def test_reader_responses_equal_batch_reference(shards, workers):
     for epoch, spec_index, value in samples:
         key = (epoch, spec_index)
         if key not in references:
-            batch_index = reference_index(pairs, epoch, shards=shards)
+            batch_index = reference_index(pairs, epoch)
             references[key] = plan_query(specs[spec_index], batch_index)
         assert value == references[key]
 
@@ -119,12 +117,12 @@ def test_reader_responses_equal_batch_reference(shards, workers):
 
 def test_final_epoch_matches_full_batch():
     """After draining, the served view equals the full-corpus batch."""
-    pairs = make_pairs()
+    pairs = make_pairs(redeliver=4)
     epochs = EpochStore(history=None)
-    consumer = make_consumer(pairs, shards=4, epochs=epochs)
+    consumer = make_consumer(pairs, epochs=epochs)
     consumer.run()
     engine = QueryEngine(epochs)
-    full = reference_index(pairs, len(pairs) - 1, shards=4)
+    full = reference_index(pairs, len(pairs) - 1)
     for payload in PAYLOADS:
         spec = QuerySpec.parse(dict(payload))
         assert engine.query(spec).value == plan_query(spec, full)

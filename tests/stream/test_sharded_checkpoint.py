@@ -1,14 +1,25 @@
-"""Versioned sharded checkpoints: layouts, migration, crash/resume."""
+"""Checkpoint compatibility: versioning and checkpoints of older builds.
+
+Version-3 checkpoints written by a consumer on the retired hash-sharded
+index carry an ``index.layout`` key.  The two fixtures under
+``fixtures/`` were written by the 2-shard and the single-index
+consumers of :func:`_build` (with ``shards=2`` / ``shards=0`` on the
+index stage) under a fatal fault after the fifth committed batch, so
+each holds the state committed at offset 27 of the 53-record stream.
+Both must restore into today's consumer and resume to exactly the
+state of an uninterrupted run.
+"""
 
 import json
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
-from repro.engine import Document, FunctionStage
-from repro.faults import FaultPlan, FaultSpec, InjectedFault, injecting
+from repro.engine import Document
+from repro.mining.assoc2d import associate
 from repro.mining.index import ConceptIndex, concept_key, field_key
-from repro.mining.sharded import ShardedConceptIndex, shard_count_of
 from repro.mining.stage import ConceptIndexStage
 from repro.store.integrity import encode_stamped
 from repro.stream import (
@@ -22,8 +33,17 @@ from repro.stream import (
 )
 from repro.stream.checkpoint import CHECKPOINT_VERSION
 
+FIXTURES = Path(__file__).parent / "fixtures"
+TWO_SHARDS = FIXTURES / "v3_two_shards.ck.json"
+SINGLE_INDEX = FIXTURES / "v3_single_index.ck.json"
+#: Offset and committed batches the fixtures were saved at.
+FIXTURE_OFFSET = 27
+FIXTURE_BATCHES = 4
+
 CITIES = ["seattle", "boston", "denver"]
 CARS = ["suv", "compact", "luxury"]
+CITY = ("field", "city")
+CAR = ("field", "car")
 
 
 def _fill(index):
@@ -37,48 +57,16 @@ def _fill(index):
 
 
 class TestShardedIndexState:
-    def test_sharded_state_records_layout(self):
-        state = index_to_state(_fill(ShardedConceptIndex(3)))
-        assert state["layout"] == {"kind": "sharded", "shards": 3}
-        assert json.loads(json.dumps(state)) == state
-
     def test_single_state_has_no_layout_key(self):
-        # Single-index snapshots stay byte-identical to version 1, so
-        # old readers can still load them.
         state = index_to_state(_fill(ConceptIndex()))
         assert "layout" not in state
-
-    def test_sharded_round_trip_is_lossless(self):
-        index = _fill(ShardedConceptIndex(3))
-        rebuilt = index_from_state(index_to_state(index))
-        assert isinstance(rebuilt, ShardedConceptIndex)
-        assert rebuilt.n_shards == 3
-        assert index_to_state(rebuilt) == index_to_state(index)
-        assert rebuilt.document_ids == index.document_ids
 
     def test_v1_state_restores_as_single_index(self):
         # A single-index checkpoint payload carries no layout key.
         state = index_to_state(_fill(ConceptIndex()))
         rebuilt = index_from_state(state)
         assert isinstance(rebuilt, ConceptIndex)
-        assert shard_count_of(rebuilt) == 0
-
-    @pytest.mark.parametrize("shards", [0, 1, 2, 4])
-    def test_shards_override_reshards_losslessly(self, shards):
-        single = _fill(ConceptIndex())
-        rebuilt = index_from_state(index_to_state(single), shards=shards)
-        assert shard_count_of(rebuilt) == shards
-        assert rebuilt.document_ids == single.document_ids
-        for doc_id in single.document_ids:
-            assert rebuilt.keys_of(doc_id) == single.keys_of(doc_id)
-        key = concept_key("topic", "billing")
-        assert rebuilt.documents_with(key) == single.documents_with(key)
-
-    def test_override_can_flatten_a_sharded_snapshot(self):
-        sharded = _fill(ShardedConceptIndex(4))
-        rebuilt = index_from_state(index_to_state(sharded), shards=0)
-        assert isinstance(rebuilt, ConceptIndex)
-        assert rebuilt.document_ids == sharded.document_ids
+        assert index_to_state(rebuilt) == state
 
 
 class TestVersioning:
@@ -113,15 +101,12 @@ def _make_pairs(n=53, seed=6):
     return pairs
 
 
-def _build(shards, checkpoint_path=None):
-    """A fresh consumer with the requested index layout."""
+def _build(checkpoint_path=None):
+    """The consumer the fixtures were written by, on today's index."""
     return StreamConsumer(
         MemorySource(_make_pairs()),
-        [ConceptIndexStage(on_duplicate="replace", shards=shards)],
-        window=WindowedAnalytics(
-            3,
-            assoc_specs=[AssocSpec(("field", "city"), ("field", "car"))],
-        ),
+        [ConceptIndexStage(on_duplicate="replace")],
+        window=WindowedAnalytics(3, assoc_specs=[AssocSpec(CITY, CAR)]),
         checkpointer=(
             Checkpointer(checkpoint_path) if checkpoint_path else None
         ),
@@ -130,93 +115,72 @@ def _build(shards, checkpoint_path=None):
     )
 
 
-def _crashing(event, crash_at):
-    """Arm a fatal fault at the consumer's ``event`` commit boundary.
-
-    It fires on the ``crash_at``-th hit and on every later one.
-    """
-    plan = FaultPlan(
-        seed=0,
-        specs=[
-            FaultSpec(
-                point=f"stream.{event}", kind="fatal", after=crash_at - 1
-            )
-        ],
-    )
-    return injecting(plan.injector())
+def _restored(fixture, tmp_path):
+    """A fresh consumer restored from a copy of ``fixture``."""
+    path = tmp_path / "ck.json"
+    shutil.copyfile(fixture, path)
+    consumer = _build(path)
+    assert consumer.restore()
+    return consumer
 
 
-class TestShardedConsumer:
-    def test_sharded_run_checkpoints_its_layout(self, tmp_path):
-        consumer = _build(3, tmp_path / "ck.json")
-        consumer.run()
-        saved = Checkpointer(tmp_path / "ck.json").load()
-        assert saved["version"] == CHECKPOINT_VERSION
-        assert saved["index"]["layout"]["shards"] == 3
+class TestLegacyCheckpoints:
+    def test_fixtures_are_v3_with_and_without_layout(self):
+        sharded = json.loads(TWO_SHARDS.read_text())
+        single = json.loads(SINGLE_INDEX.read_text())
+        assert sharded["version"] == single["version"] == 3
+        assert sharded["index"]["layout"] == {
+            "kind": "sharded", "shards": 2,
+        }
+        assert "layout" not in single["index"]
+        assert sharded["offset"] == single["offset"] == FIXTURE_OFFSET
 
-    def test_crash_resume_bit_identical_with_shards(self, tmp_path):
-        reference = _build(3)
-        reference.run()
+    @pytest.mark.parametrize("fixture", [TWO_SHARDS, SINGLE_INDEX],
+                             ids=["two-shards", "single-index"])
+    def test_restore_equals_uninterrupted_prefix(self, fixture, tmp_path):
+        restored = _restored(fixture, tmp_path)
+        prefix = _build()
+        prefix.run(max_batches=FIXTURE_BATCHES, checkpoint_at_end=False)
+        assert restored.committed_offset == prefix.committed_offset
+        assert restored.index.document_ids == prefix.index.document_ids
+        assert index_to_state(restored.index) == index_to_state(
+            prefix.index
+        )
+        assert restored.window.to_state() == prefix.window.to_state()
+        assert associate(restored.index, CITY, CAR) == associate(
+            prefix.index, CITY, CAR
+        )
+        assert restored.window.assoc_snapshot(0) == (
+            prefix.window.assoc_snapshot(0)
+        )
 
-        crashed = _build(3, tmp_path / "ck.json")
-        with _crashing("batch-committed", 3), pytest.raises(InjectedFault):
-            crashed.run()
-        resumed = _build(3, tmp_path / "ck.json")
-        assert resumed.restore()
+    @pytest.mark.parametrize("fixture", [TWO_SHARDS, SINGLE_INDEX],
+                             ids=["two-shards", "single-index"])
+    def test_resumed_run_equals_uninterrupted(self, fixture, tmp_path):
+        resumed = _restored(fixture, tmp_path)
         resumed.run()
-
+        reference = _build()
+        reference.run()
+        assert resumed.index.document_ids == reference.index.document_ids
         assert index_to_state(resumed.index) == index_to_state(
             reference.index
         )
         assert resumed.window.to_state() == reference.window.to_state()
         assert resumed.committed_offset == reference.committed_offset
-
-    def test_window_snapshots_identical_across_layouts(self):
-        single = _build(0)
-        single.run()
-        sharded = _build(4)
-        sharded.run()
-        assert sharded.window.to_state() == single.window.to_state()
-        table = sharded.window.assoc_snapshot(0)
-        expected = single.window.assoc_snapshot(0)
-        assert table.cells() == expected.cells()
-
-    def test_pre_sharding_checkpoint_restores_into_shards(
-        self, tmp_path
-    ):
-        # A checkpoint written by a single-index consumer restores
-        # into a consumer upgraded to shards: the configured stage
-        # layout is authoritative.
-        path = tmp_path / "ck.json"
-        old = _build(0, path)
-        old.run()
-        payload = json.loads(path.read_text())
-        assert "layout" not in payload["index"]
-
-        upgraded = _build(3, path)
-        assert upgraded.restore()
-        assert isinstance(upgraded.index, ShardedConceptIndex)
-        assert upgraded.index.n_shards == 3
-        upgraded.run()
-
-        reference = _build(3)
-        reference.run()
-        state = index_to_state(upgraded.index)
-        assert state == index_to_state(reference.index)
-        assert state["layout"]["shards"] == 3
-        assert upgraded.window.to_state() == reference.window.to_state()
-
-    def test_sharded_checkpoint_restores_into_single(self, tmp_path):
-        # And the downgrade direction: a sharded snapshot flattens
-        # into a single-index consumer.
-        path = tmp_path / "ck.json"
-        _build(4, path).run()
-        downgraded = _build(0, path)
-        assert downgraded.restore()
-        assert isinstance(downgraded.index, ConceptIndex)
-        downgraded.run()
-        reference = _build(0)
-        reference.run()
-        assert index_to_state(downgraded.index) == index_to_state(
-            reference.index
+        assert associate(resumed.index, CITY, CAR) == associate(
+            reference.index, CITY, CAR
         )
+
+    def test_single_index_state_loads_unchanged(self):
+        payload = Checkpointer(SINGLE_INDEX).load()
+        rebuilt = index_from_state(payload["index"])
+        assert index_to_state(rebuilt) == payload["index"]
+
+    def test_sharded_layout_key_is_ignored(self):
+        payload = Checkpointer(TWO_SHARDS).load()
+        rebuilt = index_from_state(payload["index"])
+        state = index_to_state(rebuilt)
+        assert "layout" not in state
+        expected = dict(payload["index"])
+        del expected["layout"]
+        assert state == expected
