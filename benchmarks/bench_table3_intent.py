@@ -6,6 +6,8 @@
 The bench runs the BIVoC pipeline on the shared corpus (reference
 transcripts — the calibrated headline path) and prints the measured
 shares; the ASR-noise sensitivity lives in bench_ablation_asr_noise.
+Its payload also carries the pipeline's document funnel
+(``pipeline.total_in`` / ``total_out``), gated at tolerance 0.
 """
 
 import pytest
@@ -54,6 +56,10 @@ def test_table3_intent_vs_outcome(benchmark, car_corpus, smoke):
             "gap": strong - weak,
             "intent_detected": study.analysis.stats["intent_detected"],
             "total": study.analysis.stats["total"],
+            "pipeline": {
+                "total_in": study.analysis.stage_report.total_in,
+                "total_out": study.analysis.stage_report.total_out,
+            },
         },
     )
 

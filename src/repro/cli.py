@@ -31,19 +31,10 @@ def _add_common(parser):
 
 def _add_engine_options(parser):
     """Pipeline-engine knobs shared by the staged commands."""
-    from repro.exec import BACKEND_KINDS
-
     parser.add_argument(
         "--workers", type=int, default=0,
-        help="workers for pure pipeline stages "
-             "(0 = serial; parallel output is bit-identical)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKEND_KINDS, default="thread",
-        help="execution backend behind --workers: 'thread' shares the "
-             "GIL, 'process' escapes it via a ProcessPoolExecutor, "
-             "'serial' forces inline; every backend's output is "
-             "bit-identical (default: thread)",
+        help="worker processes for pure pipeline stages "
+             "(0 or 1 = inline; parallel output is bit-identical)",
     )
     parser.add_argument(
         "--stage-stats", action="store_true",
@@ -80,7 +71,6 @@ def cmd_tables(args):
             use_asr=args.asr,
             link_mode="content",
             workers=args.workers,
-            backend=args.backend,
         ),
     )
     if args.stage_stats:
@@ -191,7 +181,7 @@ def cmd_churn(args):
     )
     result = run_churn_study(
         corpus, channel=args.channel, workers=args.workers,
-        driver_index=True, backend=args.backend,
+        driver_index=True,
     )
     if args.stage_stats:
         print(result.stage_report.render_text())
@@ -341,7 +331,7 @@ def cmd_stream(args):
     checkpointer = (
         Checkpointer(args.checkpoint) if args.checkpoint else None
     )
-    with make_backend(args.backend, args.workers) as backend:
+    with make_backend("process", args.workers) as backend:
         consumer = StreamConsumer(
             source,
             stages,
@@ -396,7 +386,7 @@ def cmd_serve(args):
     """
     from repro.exec import make_backend
 
-    with make_backend(args.backend, args.workers) as ingest_backend:
+    with make_backend("process", args.workers) as ingest_backend:
         return _serve(args, ingest_backend)
 
 
@@ -543,7 +533,7 @@ def cmd_chaos(args):
         return 0
     # One backend serves the reference run and every restart: a crash
     # kills the consumer, never the backend built here.
-    with make_backend(args.backend, args.workers) as backend:
+    with make_backend("process", args.workers) as backend:
         return _chaos(args, plan, backend)
 
 
@@ -801,8 +791,6 @@ def cmd_effects(args):
 
 def build_parser():
     """Build the argparse parser for all subcommands."""
-    from repro.exec import BACKEND_KINDS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="BIVoC (ICDE 2009) reproduction toolkit",
@@ -1003,13 +991,9 @@ def build_parser():
                        help="documents per ingestion micro-batch")
     chaos.add_argument(
         "--workers", type=int, default=0,
-        help="workers for pure pipeline stages during the drill "
-             "(0 = serial)",
-    )
-    chaos.add_argument(
-        "--backend", choices=BACKEND_KINDS, default="thread",
-        help="execution backend behind --workers (the crash/resume "
-             "contract holds on every backend)",
+        help="worker processes for pure pipeline stages during the "
+             "drill (0 or 1 = inline; the crash/resume contract holds "
+             "either way)",
     )
     chaos.add_argument("--window", type=int, default=3,
                        help=argparse.SUPPRESS)
@@ -1022,7 +1006,7 @@ def build_parser():
             "Generates a random corpus/config from --seed (doc "
             "counts, channels, batch sizes, worker counts, backends) "
             "and asserts every equivalence the repo guarantees on it: "
-            "every backend == serial, stream crash/resume == "
+            "process fan-out == serial, stream crash/resume == "
             "uninterrupted, traced == untraced. The tests/prop suite "
             "runs 25 seeds "
             "of exactly this oracle in CI; a failing seed there "

@@ -2,8 +2,6 @@
 
 from dataclasses import dataclass
 
-from repro.exec import BACKEND_KINDS
-
 
 @dataclass(frozen=True)
 class BIVoCConfig:
@@ -33,15 +31,13 @@ class BIVoCConfig:
     two_pass: bool = False
     two_pass_top_n: int = 5
     # Engine execution knobs: documents flow through the stage graph in
-    # batches of ``batch_size``.  ``run_insight_analysis`` turns
-    # ``backend`` ("serial" / "thread" / "process") and ``workers``
-    # into the one execution backend its pure stages fan out on
-    # (bit-identical to serial on every backend — see
-    # repro.engine.runner and repro.exec); fan-out engages only when
-    # ``workers`` > 1, and "serial" forces inline execution.
+    # batches of ``batch_size``.  ``workers`` alone picks how pure
+    # stages run: 0 and 1 inline, more on a pool of that many worker
+    # processes, which ``run_insight_analysis`` builds and closes
+    # (bit-identical to serial — see repro.engine.runner and
+    # repro.exec).
     batch_size: int = 64
     workers: int = 0
-    backend: str = "thread"
 
     def __post_init__(self):
         if self.link_mode not in ("content", "metadata"):
@@ -53,8 +49,3 @@ class BIVoCConfig:
             raise ValueError("batch_size must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.backend not in BACKEND_KINDS:
-            raise ValueError(
-                f"backend must be one of {list(BACKEND_KINDS)}, "
-                f"got {self.backend!r}"
-            )

@@ -54,16 +54,14 @@ _OUTCOMES = ["reservation", "unbooked"]
 def run_insight_analysis(corpus, config=None):
     """Run the BIVoC pipeline and build the paper's tables.
 
-    One execution backend of the configured kind (``config.backend``:
-    thread pool by default, process pool for GIL-free fan-out; wide
-    enough to fan out when ``config.workers > 1``) serves the engine's
-    parallel stages and is closed here (the order-preserving fan-out
-    keeps every table bit-identical to the serial run on any
-    backend).
+    ``config.workers`` picks the execution: 0 and 1 run inline, more
+    build one process pool that wide, which serves the engine's pure
+    stages and is closed here (the order-preserving fan-out keeps every
+    table bit-identical to the serial run).
     """
     config = config or BIVoCConfig()
     system = BIVoCSystem(config=config)
-    with make_backend(config.backend, config.workers) as backend:
+    with make_backend("process", config.workers) as backend:
         analysis = system.process_call_center(corpus, backend=backend)
     index = analysis.index
     intent_table = associate(

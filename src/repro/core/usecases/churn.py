@@ -345,16 +345,17 @@ def run_churn_study(corpus, channel="email", split_month=None,
                     classifier=None, undersample_ratio=6.0,
                     threshold=0.5, spell_correct=False,
                     batch_size=64, workers=0, driver_index=False,
-                    backend="thread"):
+                    backend="process"):
     """Run the churn study over one channel of a telecom corpus.
 
     ``split_month`` separates training history from the evaluation
     month (defaults to the corpus's last month).  ``batch_size``,
     ``workers`` and ``backend`` are the engine execution knobs:
-    ``backend`` is a kind name (:data:`~repro.exec.BACKEND_KINDS`)
-    sized by ``workers``, built once here and closed after the run
-    (parallel execution of pure stages is bit-identical to serial on
-    every backend).
+    ``workers`` > 1 runs pure stages on a process pool that wide,
+    built once here and closed after the run, unless ``backend`` is
+    ``"serial"`` (a :data:`~repro.exec.BACKEND_KINDS` name), which
+    forces inline execution.  Parallel output is bit-identical to
+    serial.
 
     ``driver_index=True`` adds the churn-driver concept index
     (:func:`build_driver_index_stages`) to the graph; the built index

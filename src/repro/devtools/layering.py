@@ -36,10 +36,9 @@ DEFAULT_LAYERS = {
     # bump counters, so the tracer/metrics substrate must be
     # importable from rank 2 upward while itself importing nothing.
     "obs": 1,
-    # Execution backends (serial / thread / process fan-out) sit just
-    # above observability: the engine, the mining algebra and the
-    # serving layer all map work through them, while the backends
-    # themselves only record write-only metrics.
+    # Execution backends (inline / process fan-out) sit just above
+    # observability: the engine maps its pure stages through them,
+    # while the backends themselves only record write-only metrics.
     "exec": 2,
     "engine": 3,
     "store": 3,

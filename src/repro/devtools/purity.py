@@ -1,8 +1,9 @@
 """Concurrency-safety checker for the engine's purity contract.
 
 The parallel executor trusts ``Stage.pure`` declarations: a pure stage
-is run on worker threads, so a mis-declared one silently becomes a
-data race.  This module makes the declaration checkable: it finds every
+is run in worker processes, so a mis-declared one silently diverges
+(its writes to shared state land in a worker's copy, never in the
+parent's).  This module makes the declaration checkable: it finds every
 stage class (structurally — any class defining both a ``pure`` class
 attribute and a ``process`` method, plus all subclasses — so vendored
 test engines are recognised without configuration), infers the effects

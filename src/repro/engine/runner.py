@@ -22,10 +22,9 @@ across runs — worker spawn is paid once per backend, not once per run.
 The runner never builds or closes a backend: whoever built it (see
 :func:`repro.exec.make_backend`) closes it.
 
-On backends that pickle tasks across a process boundary, each batch
-ships inside a module-level :class:`_StageTask` envelope instead of a
-span-opening closure; per-batch child spans are skipped there (the
-parent tracer is unreachable from a worker process), which cannot
+A parallel batch ships to a worker process inside a module-level
+:class:`_StageTask` envelope; per-batch child spans are skipped there
+(the parent tracer is unreachable from a worker process), which cannot
 change results because observability is write-only.
 
 Wall-time measurement is instrumentation only: it is reported, never
@@ -35,11 +34,10 @@ fake.
 
 The runner is also the engine's observability anchor (see
 :mod:`repro.obs`): every run opens a ``pipeline:run`` span, every
-stage a ``stage:<name>`` span, and every batch a ``batch`` span
-parented to its stage (explicitly, so the hierarchy survives the
-thread-pool executor), while a metrics registry accumulates document
-counters and per-stage wall-time histograms.  Both default to the
-ambient collectors, which are no-ops unless a trace is active —
+stage a ``stage:<name>`` span, and every inline batch a ``batch``
+span nested in its stage, while a metrics registry accumulates
+document counters and per-stage wall-time histograms.  Both default
+to the ambient collectors, which are no-ops unless a trace is active —
 tracing never alters document flow, so traced and untraced runs are
 bit-identical in outputs.
 """
@@ -294,48 +292,29 @@ class PipelineRunner:
             f"stage:{stage.stage_name}",
             category="engine",
             tags=tags,
-        ) as stage_span:
-
-            def process(index, batch):
-                # Explicit parent: worker threads have no span stack,
-                # so thread-local nesting alone would orphan batches.
-                with tracer.span(
-                    "batch",
-                    category="engine",
-                    tags={"batch": index, "docs": len(batch)},
-                    parent=stage_span,
-                ):
-                    return stage.process(batch)
-
+        ):
             started = self._clock()
-            if use_parallel and backend.requires_pickling:
-                # Across a process boundary the batch travels inside a
-                # picklable envelope; per-batch child spans are skipped
-                # (the parent tracer is unreachable from a worker), and
-                # because observability is write-only, skipping them
-                # cannot change any document.  Order preservation keeps
-                # output identical to serial.
+            if use_parallel:
+                # Across the process boundary the batch travels inside
+                # a picklable envelope; per-batch child spans are
+                # skipped (the parent tracer is unreachable from a
+                # worker), and because observability is write-only,
+                # skipping them cannot change any document.  Order
+                # preservation keeps output identical to serial.
                 out_batches = backend.map(
                     _StageTask(stage),
                     batches,
                     label=f"stage:{stage.stage_name}",
                 )
-            elif use_parallel:
-                # Order-preserving map: the backend yields results in
-                # submission order, so output order (and therefore
-                # every downstream computation) matches serial
-                # execution exactly.
-                out_batches = backend.map(
-                    process,
-                    range(len(batches)),
-                    batches,
-                    label=f"stage:{stage.stage_name}",
-                )
             else:
-                out_batches = [
-                    process(index, batch)
-                    for index, batch in enumerate(batches)
-                ]
+                out_batches = []
+                for index, batch in enumerate(batches):
+                    with tracer.span(
+                        "batch",
+                        category="engine",
+                        tags={"batch": index, "docs": len(batch)},
+                    ):
+                        out_batches.append(stage.process(batch))
             stats.wall_time = self._clock() - started
         out = []
         for batch_in, batch_out in zip(batches, out_batches):

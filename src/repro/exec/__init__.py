@@ -1,17 +1,18 @@
-"""Pluggable execution backends: serial, thread and process fan-out.
+"""Execution backends: inline or process fan-out.
 
 One protocol — :class:`~repro.exec.backend.ExecBackend` with an
 order-preserving ``map`` — behind the reproduction's parallel hot
-path, the engine's pure-stage batches.  The backends differ only in
-*where* tasks run (inline, a warm thread pool, a warm process pool);
-because every caller folds results in submission order, each backend
-is bit-identical to serial execution.
+path, the engine's pure-stage batches.  The two backends differ only
+in *where* tasks run (inline, or a warm process pool); because every
+caller folds results in submission order, the process backend is
+bit-identical to serial execution.  There is no thread backend: the
+pipeline is pure-Python compute, so threads only interleave under the
+GIL and never beat inline execution.
 
 Callers take one ``backend`` argument (``None`` = inline) and never
 build or close a backend themselves: :func:`make_backend` turns the
-user's ``(kind, workers)`` choice into one, inside a ``with``, at the
-entry point that carries the configuration — whoever builds a backend
-closes it.
+user's worker count into one, inside a ``with``, at the entry point
+that carries the configuration — whoever builds a backend closes it.
 
 See DESIGN.md §15 for the protocol, the pickling contract of the
 process backend and the merge-determinism argument.
@@ -22,7 +23,6 @@ from repro.exec.backend import (
     BackendError,
     ExecBackend,
     SerialBackend,
-    ThreadBackend,
 )
 from repro.exec.procpool import ProcessBackend
 
@@ -30,8 +30,9 @@ from repro.exec.procpool import ProcessBackend
 def make_backend(kind, workers=0):
     """Build a backend by name (:data:`~repro.exec.BACKEND_KINDS`).
 
-    ``workers`` sizes the thread/process pools; 0 and 1 both mean a
-    one-wide pool, which runs inline and never spawns workers.
+    ``workers`` alone decides whether work fans out: 0 and 1 build a
+    :class:`SerialBackend` whatever the kind, and ``"process"`` with
+    more workers builds a :class:`ProcessBackend` that wide.
     """
     if kind not in BACKEND_KINDS:
         raise ValueError(
@@ -39,11 +40,9 @@ def make_backend(kind, workers=0):
         )
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    if kind == "serial":
+    if kind == "serial" or workers <= 1:
         return SerialBackend()
-    if kind == "thread":
-        return ThreadBackend(max(1, workers))
-    return ProcessBackend(max(1, workers))
+    return ProcessBackend(workers)
 
 
 __all__ = [
@@ -52,6 +51,5 @@ __all__ = [
     "ExecBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "make_backend",
 ]

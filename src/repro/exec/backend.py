@@ -1,4 +1,4 @@
-"""The execution-backend protocol and its in-process implementations.
+"""The execution-backend protocol and its inline implementation.
 
 :class:`ExecBackend` is the one contract every parallel hot path codes
 against: an **order-preserving** ``map`` over equal-length column
@@ -8,30 +8,21 @@ callers fold results left-to-right in submission order, so any backend
 satisfying it is bit-identical to serial execution by construction
 (see :mod:`repro.mining.algebra` for the merge-determinism argument).
 
-Implementations here stay inside one process:
-
-* :class:`SerialBackend` — inline execution; the reference semantics.
-* :class:`ThreadBackend` — one warm :class:`ThreadPoolExecutor` reused
-  across ``map`` calls (worker warm-reuse: thread spawn is paid once
-  per backend, not once per stage or per query).  ``workers <= 1``
-  degrades to inline execution without ever spawning a pool.
-
-The multiprocess implementation lives in :mod:`repro.exec.procpool`;
-:func:`~repro.exec.make_backend`, which needs every concrete backend,
-lives in the package ``__init__``.
+:class:`SerialBackend` here runs every task inline; it is the
+reference semantics.  The one implementation that fans out, a warm
+process pool, lives in :mod:`repro.exec.procpool`;
+:func:`~repro.exec.make_backend`, which needs both, lives in the
+package ``__init__``.
 
 Observability is write-only: each fan-out records the backend kind,
 worker count and task/chunk counts on the ambient metrics registry and
 never feeds anything back into results.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from threading import Lock
-
 from repro.obs import get_metrics
 
-#: Backend names accepted by ``--backend`` and :func:`make_backend`.
-BACKEND_KINDS = ("serial", "thread", "process")
+#: Backend names accepted by :func:`make_backend`.
+BACKEND_KINDS = ("serial", "process")
 
 
 class BackendError(RuntimeError):
@@ -42,15 +33,12 @@ class ExecBackend:
     """Order-preserving task fan-out behind one ``map`` call.
 
     Subclasses implement :meth:`map`; everything else has working
-    defaults.  ``requires_pickling`` tells callers whether task
-    callables and arguments cross a process boundary — span-opening
-    closures, for example, must stay on backends where it is False.
+    defaults.  A backend that can fan out ships its tasks to worker
+    processes, so callers hand it picklable callables and arguments.
     """
 
     #: Kind label recorded in metrics and span tags.
     kind = "backend"
-    #: True when tasks are pickled across a process boundary.
-    requires_pickling = False
 
     def effective_workers(self):
         """How many tasks can run concurrently (1 = inline)."""
@@ -115,55 +103,3 @@ class SerialBackend(ExecBackend):
         results = [fn(*args) for args in zip(*made)]
         self._record(count)
         return results
-
-
-class ThreadBackend(ExecBackend):
-    """A warm, reused :class:`ThreadPoolExecutor` behind ``map``.
-
-    The executor is created lazily on the first fan-out and reused by
-    every later one (warm-reuse), then shut down by :meth:`close`.
-    Creation is locked, so threads that race into their first ``map``
-    (the HTTP server's request threads share one backend) still build
-    exactly one executor.  With ``workers <= 1`` — or a single task —
-    execution is inline and no pool is ever spawned.
-    """
-
-    kind = "thread"
-
-    def __init__(self, workers):
-        """``workers`` is the pool width (>= 1)."""
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self._pool = None
-        self._pool_lock = Lock()
-
-    def effective_workers(self):
-        """The configured pool width."""
-        return self.workers
-
-    def map(self, fn, *columns, label=None):
-        """Order-preserving map on the warm pool (inline if 1 task)."""
-        made, count = _materialize(columns)
-        if self.workers <= 1 or count <= 1:
-            results = [fn(*args) for args in zip(*made)]
-        else:
-            with self._pool_lock:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="bivoc-exec",
-                    )
-                pool = self._pool
-            # Executor.map yields results in submission order, so the
-            # output (and every downstream fold) matches serial.
-            results = list(pool.map(fn, *made))
-        self._record(count)
-        return results
-
-    def close(self):
-        """Shut the warm pool down (idempotent)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)

@@ -9,8 +9,8 @@ The contract stacks three guarantees on top of
 
 * **Picklable task envelopes** — everything shipped to a worker must
   pickle, which is why callers hand this backend module-level envelope
-  objects (the engine's stage task, the algebra's partial task), never
-  span-opening closures.  An unpicklable payload raises a clear
+  objects (the engine's stage task), never span-opening closures.  An
+  unpicklable payload raises a clear
   :class:`~repro.exec.backend.BackendError` naming the work unit
   *before* any task is submitted, so a poisoned payload can never
   wedge the warm pool.
@@ -58,7 +58,6 @@ class ProcessBackend(ExecBackend):
     """
 
     kind = "process"
-    requires_pickling = True
 
     def __init__(self, workers, chunk_size=None, mp_context=None):
         """See the class docstring for the knobs."""
@@ -113,8 +112,8 @@ class ProcessBackend(ExecBackend):
             what = label if label is not None else repr(fn)
             raise BackendError(
                 f"{what} is not picklable and cannot cross the process "
-                f"boundary ({exc}); run it on the serial or thread "
-                f"backend, or make the payload picklable"
+                f"boundary ({exc}); run it with one worker (the "
+                f"serial backend), or make the payload picklable"
             ) from exc
 
     def map(self, fn, *columns, label=None):

@@ -64,7 +64,7 @@ class InjectedFault(RuntimeError):
         formatted message — into a two-argument ``__init__`` and
         breaks.  Faults must pickle so one injected in a process-pool
         worker crosses back to the parent as itself, traceback
-        chained, exactly like a thread-backend failure.
+        chained, exactly like the serial failure.
         """
         return type(self), (self.point, self.hit)
 

@@ -17,7 +17,8 @@ for spans and counters).
 :func:`injecting` swaps a real :class:`~repro.faults.plan.FaultInjector`
 in for one ``with`` block, exactly like ``repro.obs.activated``:
 activation is for the top of a run (a chaos test, ``bivoc chaos``),
-worker threads inside the block observe the same injector, and the
+threads inside the block (and process-pool workers forked inside it)
+observe the same injector, and the
 previous slot is always restored — even when the injected fault
 escapes the block, which in a chaos test it regularly does.
 """

@@ -19,9 +19,9 @@ do exactly this around one command) and always restores the previous
 slots, even on error.
 
 Activation is intended for the top of a run (CLI entry, a test), not
-for concurrent per-thread scopes: worker threads spawned inside an
-activated block observe the same collectors, which is what makes the
-engine's parallel batches land in one trace.
+for concurrent per-thread scopes: threads spawned inside an activated
+block observe the same collectors, which is what puts ``bivoc
+serve``'s request and ingest threads in one trace.
 """
 
 from contextlib import contextmanager

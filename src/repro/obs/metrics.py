@@ -124,8 +124,8 @@ class Histogram:
 class MetricsRegistry:
     """Named instruments, get-or-create, one snapshot.
 
-    Thread-safe for instrument creation (the engine's worker threads
-    may race to create the same counter); individual ``inc``/``observe``
+    Thread-safe for instrument creation (``bivoc serve``'s request
+    threads may race to create the same counter); individual ``inc``/``observe``
     calls on CPython are dict/int operations and are only ever issued
     from code that already serialises its shared state.
     """

@@ -20,10 +20,10 @@ Design constraints, in order:
   ``span()`` returns one shared no-op context manager; instrumented
   hot paths pay a dict lookup and a no-op call, nothing else.
 * **Thread-correct nesting.**  Parent linkage uses a per-thread span
-  stack, so spans opened inside the engine's worker threads nest under
-  the span their thread entered; callers that fan work out across
-  threads (the batch executor) pass ``parent=`` explicitly to keep the
-  stage -> batch hierarchy intact.
+  stack, so spans opened on ``bivoc serve``'s request threads and its
+  ingesting thread nest under the span their own thread entered;
+  callers that fan work out across threads pass ``parent=`` explicitly
+  to keep a hierarchy intact.
 """
 
 import threading
@@ -128,8 +128,8 @@ class Tracer:
     def span(self, name, category="", tags=None, parent=None):
         """A context manager that times one region.
 
-        ``parent`` overrides the per-thread nesting (pass the stage
-        span when fanning batches out across worker threads); ``tags``
+        ``parent`` overrides the per-thread nesting (pass the
+        enclosing span when fanning work out across threads); ``tags``
         seeds the span's tag dict.
         """
         return _SpanContext(self, name, category, tags, parent)

@@ -10,7 +10,7 @@ from repro.core.usecases.churn import (
     link_evidence_text,
     run_churn_study,
 )
-from repro.exec import ThreadBackend
+from repro.exec import ProcessBackend
 from repro.synth.carrental import CarRentalConfig, generate_car_rental
 from repro.synth.telecom import Message, TelecomConfig, generate_telecom
 
@@ -87,7 +87,7 @@ class TestCallCenterStageGraph:
         serial = BIVoCSystem(
             BIVoCConfig(use_asr=False, link_mode="content")
         ).process_call_center(car_corpus)
-        with ThreadBackend(4) as backend:
+        with ProcessBackend(4) as backend:
             parallel = BIVoCSystem(
                 BIVoCConfig(
                     use_asr=False,
@@ -111,7 +111,7 @@ class TestCallCenterStageGraph:
         serial = BIVoCSystem(
             BIVoCConfig(use_asr=True, link_mode="content")
         ).process_call_center(car_corpus)
-        with ThreadBackend(3) as backend:
+        with ProcessBackend(3) as backend:
             parallel = BIVoCSystem(
                 BIVoCConfig(
                     use_asr=True,

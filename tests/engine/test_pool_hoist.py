@@ -9,15 +9,15 @@ every engine stage; and parallel output stays
 bit-identical to serial in every configuration.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.core import BIVoCConfig, run_insight_analysis
 from repro.core.usecases.churn import run_churn_study
 from repro.engine import Document, MapStage, PipelineRunner
-from repro.exec import ThreadBackend
-import repro.exec.backend as backend_module
+from repro.exec import ProcessBackend
+import repro.exec.procpool as procpool_module
 from repro.obs import MetricsRegistry, Tracer, activated
 from repro.synth.carrental import CarRentalConfig, generate_car_rental
 from repro.synth.telecom import TelecomConfig, generate_telecom
@@ -57,8 +57,12 @@ def _values(result):
     return [d.get("value") for d in result.documents]
 
 
-class CountingExecutor(ThreadPoolExecutor):
-    """ThreadPoolExecutor that counts constructions and shutdowns."""
+def _increment(x):
+    return x + 1
+
+
+class CountingExecutor(ProcessPoolExecutor):
+    """ProcessPoolExecutor that counts constructions and shutdowns."""
 
     created = 0
     closed = 0
@@ -74,18 +78,18 @@ class CountingExecutor(ThreadPoolExecutor):
 
 @pytest.fixture
 def counting(monkeypatch):
-    """Patch the thread backend's executor class and reset counters."""
+    """Patch the process backend's executor class and reset counters."""
     CountingExecutor.created = 0
     CountingExecutor.closed = 0
     monkeypatch.setattr(
-        backend_module, "ThreadPoolExecutor", CountingExecutor
+        procpool_module, "ProcessPoolExecutor", CountingExecutor
     )
     return CountingExecutor
 
 
 class TestOneExecutorPerRunner:
     def test_single_pool_spans_all_stages(self, counting):
-        with ThreadBackend(3) as backend:
+        with ProcessBackend(3) as backend:
             runner = PipelineRunner(
                 [Square(), Offset(), Offset2()], batch_size=4,
                 backend=backend,
@@ -99,7 +103,7 @@ class TestOneExecutorPerRunner:
         assert counting.closed == 1
 
     def test_runs_share_the_warm_pool(self, counting):
-        with ThreadBackend(2) as backend:
+        with ProcessBackend(2) as backend:
             runner = PipelineRunner(
                 [Square()], batch_size=4, backend=backend
             )
@@ -116,7 +120,7 @@ class TestOneExecutorPerRunner:
         assert not any(s.parallel for s in result.report.stages)
 
     def test_workers_one_builds_no_pool(self, counting):
-        with ThreadBackend(1) as backend:
+        with ProcessBackend(1) as backend:
             result = PipelineRunner(
                 [Square()], batch_size=4, backend=backend
             ).run(_docs(16))
@@ -126,7 +130,7 @@ class TestOneExecutorPerRunner:
 
 class TestExternalPool:
     def test_injected_pool_is_used_and_kept_open(self, counting):
-        with ThreadBackend(3) as backend:
+        with ProcessBackend(3) as backend:
             runner = PipelineRunner(
                 [Square(), Offset()], batch_size=4, backend=backend
             )
@@ -137,7 +141,7 @@ class TestExternalPool:
             assert counting.created == 1
             assert counting.closed == 0
             assert all(s.parallel for s in first.report.stages)
-            assert backend.map(lambda x: x + 1, [41, 1]) == [42, 2]
+            assert backend.map(_increment, [41, 1]) == [42, 2]
         assert counting.closed == 1
         assert _values(first) == _values(second)
 
@@ -160,7 +164,7 @@ class TestOneExecutorPerStudy:
             s for s in study.analysis.stage_report.stages if s.parallel
         ]
         assert parallel
-        maps = metrics.snapshot()["counters"]["exec.map.thread"]
+        maps = metrics.snapshot()["counters"]["exec.map.process"]
         assert maps == len(parallel)
         assert counting.created == 1
         assert counting.closed == 1
@@ -184,7 +188,7 @@ class TestBitIdentity:
         serial = PipelineRunner(
             [Square(), Offset()], batch_size=4
         ).run(_docs(40))
-        with ThreadBackend(4) as backend:
+        with ProcessBackend(4) as backend:
             hoisted = PipelineRunner(
                 [Square(), Offset()], batch_size=4, backend=backend
             ).run(_docs(40))

@@ -10,7 +10,7 @@ from repro.engine import (
     PipelineRunner,
     Stage,
 )
-from repro.exec import ThreadBackend
+from repro.exec import ProcessBackend
 
 
 class AddOne(MapStage):
@@ -51,6 +51,11 @@ class BatchSpy(Stage):
 
 def _docs(n):
     return [Document(doc_id=i) for i in range(n)]
+
+
+def _square(document):
+    """Module-level, so a stage built on it pickles into workers."""
+    document.put("square", document.get("value") ** 2)
 
 
 class TestRunBasics:
@@ -170,18 +175,14 @@ class TestParallelDeterminism:
     def _run(self, workers, n=37, batch_size=4):
         stages = [
             AddOne(),
-            FunctionStage(
-                "square",
-                lambda d: d.put("square", d.get("value") ** 2),
-                pure=True,
-            ),
+            FunctionStage("square", _square, pure=True),
             DropOdd(),
         ]
         if workers == 0:
             return PipelineRunner(stages, batch_size=batch_size).run(
                 _docs(n)
             )
-        with ThreadBackend(workers) as backend:
+        with ProcessBackend(workers) as backend:
             return PipelineRunner(
                 stages, batch_size=batch_size, backend=backend
             ).run(_docs(n))
@@ -195,7 +196,7 @@ class TestParallelDeterminism:
     def test_parallel_marks_pure_stages_only(self):
         impure_spy = BatchSpy()
         stages = [AddOne(), impure_spy]
-        with ThreadBackend(4) as backend:
+        with ProcessBackend(4) as backend:
             report = PipelineRunner(
                 stages, batch_size=2, backend=backend
             ).run(_docs(8)).report
@@ -203,7 +204,7 @@ class TestParallelDeterminism:
         assert not report.stage("spy").parallel
 
     def test_single_batch_stays_serial(self):
-        with ThreadBackend(4) as backend:
+        with ProcessBackend(4) as backend:
             report = PipelineRunner(
                 [AddOne()], batch_size=100, backend=backend
             ).run(_docs(8)).report

@@ -12,6 +12,7 @@ on one index at once, as ``bivoc serve``'s request threads do.
 """
 
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -20,7 +21,6 @@ from repro.annotation.domains import CHURN_DRIVER_SURFACES
 from repro.annotation.matcher import AnnotationEngine
 from repro.core import BIVoCConfig
 from repro.core.pipeline import BIVoCSystem
-from repro.exec import ThreadBackend
 from repro.mining.assoc2d import associate
 from repro.mining.index import ConceptIndex
 from repro.mining.olap import concept_cube
@@ -215,8 +215,8 @@ class TestPooledEquivalence:
             )
 
         serial = analytics(None)
-        with ThreadBackend(4) as backend:
-            pooled = backend.map(analytics, range(8))
+        with ThreadPoolExecutor(4) as pool:
+            pooled = list(pool.map(analytics, range(8)))
         for relfreq, emerging, table in pooled:
             assert relfreq == serial[0]
             assert emerging == serial[1]

@@ -4,7 +4,8 @@ The acceptance bar for the obs layer — activating a tracer and a
 metrics registry around the engine, the stream consumer, the linking
 hot paths or the association finalize must not change a single output
 bit.  Also pins the span hierarchy (pipeline:run -> stage -> batch,
-stream:batch above them)
+stream:batch above them; batches that ran in worker processes leave
+no span)
 and the zero-row funnel guarantee for fully-discarded / fully-skipped
 micro-batches.
 """
@@ -70,7 +71,7 @@ class TestEngineEquivalence:
                 [AddOne(), DropOdd()], batch_size=4, backend=backend
             )
 
-        with make_backend("thread", workers) as backend:
+        with make_backend("process", workers) as backend:
             untraced = build(backend).run(_docs(23))
             with activated(Tracer(), MetricsRegistry()):
                 traced = build(backend).run(_docs(23))
@@ -92,7 +93,7 @@ class TestEngineEquivalence:
     def test_stage_batch_nesting(self, workers):
         tracer = Tracer()
         with activated(tracer, MetricsRegistry()), \
-                make_backend("thread", workers) as backend:
+                make_backend("process", workers) as backend:
             PipelineRunner(
                 [AddOne(), DropOdd()], batch_size=4, backend=backend
             ).run(_docs(10))
@@ -101,10 +102,17 @@ class TestEngineEquivalence:
         assert run.parent_id is None
         stages = by_name["stage:add-one"] + by_name["stage:drop-odd"]
         assert all(s.parent_id == run.span_id for s in stages)
-        stage_ids = {s.span_id for s in stages}
-        batches = by_name["batch"]
-        assert len(batches) == 6  # 3 batches per stage
-        assert all(b.parent_id in stage_ids for b in batches)
+        if workers > 1:
+            # Batches ran in worker processes, out of the tracer's
+            # reach: the stage spans say so and no batch span exists.
+            assert all(s.tags["parallel"] for s in stages)
+            assert all(s.tags["backend"] == "process" for s in stages)
+            assert "batch" not in by_name
+        else:
+            stage_ids = {s.span_id for s in stages}
+            batches = by_name["batch"]
+            assert len(batches) == 6  # 3 batches per stage
+            assert all(b.parent_id in stage_ids for b in batches)
 
     def test_hot_path_nests_under_ambient_span(self):
         tracer = Tracer()

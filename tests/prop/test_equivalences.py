@@ -46,11 +46,11 @@ class TestCaseGenerator:
         # printed repro line must keep replaying the same run.
         pinned = [
             (33, ("call", "email"), 8, 2, "process", 13, 2, 2),
-            (79, ("call", "email"), 21, 3, "thread", 7, 3, 2),
+            (79, ("call", "email"), 21, 3, "process", 7, 3, 2),
             (61, ("sms",), 25, 4, "serial", 19, 2, 1),
             (71, ("call",), 9, 2, "process", 5, 2, 1),
-            (38, ("call",), 28, 3, "thread", 6, 1, 2),
-            (72, ("sms",), 31, 4, "thread", 8, 1, 2),
+            (38, ("call",), 28, 3, "process", 6, 1, 2),
+            (72, ("sms",), 31, 4, "process", 8, 1, 2),
         ]
         drawn = [
             (

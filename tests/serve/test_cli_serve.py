@@ -4,23 +4,11 @@ import json
 import threading
 import time
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
 from repro.cli import main
-
-
-def _serve_in_thread(argv):
-    """Run ``main(argv)`` on a thread; returns (thread, result box)."""
-    box = {}
-
-    def run():
-        """Capture the CLI exit code for the joining test."""
-        box["code"] = main(argv)
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    return thread, box
 
 
 def _await_ready(path, timeout=30.0):
@@ -71,6 +59,38 @@ def _await_drained(base, timeout=30.0):
     raise AssertionError("ingestion never settled")
 
 
+@contextmanager
+def _serving(argv, ready):
+    """Run ``bivoc serve`` on a thread; yields (base URL, result box).
+
+    On the way out it always posts ``/shutdown`` and joins the thread,
+    so a failed assertion never leaves the non-daemon server running
+    (and pytest waiting on it forever).  Posting twice is harmless: a
+    second request finds the server stopping or already gone.
+    """
+    box = {}
+
+    def run():
+        """Capture the CLI exit code for the joining test."""
+        box["code"] = main(argv)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    base = None
+    try:
+        info = _await_ready(ready)
+        base = f"http://{info['host']}:{info['port']}"
+        yield base, box
+    finally:
+        if base is not None:
+            try:
+                _post(base, "/shutdown", {})
+            except OSError:
+                pass  # already drained and closed
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+
 @pytest.fixture()
 def serve_args(tmp_path):
     """Small-corpus baseline argv; tests extend it."""
@@ -85,10 +105,7 @@ def serve_args(tmp_path):
 def test_serve_answers_and_shuts_down_gracefully(serve_args):
     """The CLI server ingests, answers queries, and drains on request."""
     ready, argv = serve_args
-    thread, box = _serve_in_thread(argv + ["--workers", "2"])
-    try:
-        info = _await_ready(ready)
-        base = f"http://{info['host']}:{info['port']}"
+    with _serving(argv + ["--workers", "2"], ready) as (base, box):
         status = _get(base, "/status")
         assert {"documents", "concepts"} <= set(status["result"])
         body = _post(
@@ -98,9 +115,6 @@ def test_serve_answers_and_shuts_down_gracefully(serve_args):
         assert body["kind"] == "cube"
         assert body["epoch"] >= -1
         assert _post(base, "/shutdown", {}) == {"stopping": True}
-    finally:
-        thread.join(timeout=60)
-    assert not thread.is_alive()
     assert box["code"] == 0
     # A clean drain removes the ready file: a stale address must not
     # outlive the server that wrote it (supervisors poll this path).
@@ -114,24 +128,16 @@ def test_serve_warm_starts_from_checkpoint(serve_args, tmp_path):
     argv = argv + ["--checkpoint", str(checkpoint),
                    "--checkpoint-interval", "1"]
 
-    thread, box = _serve_in_thread(list(argv))
-    info = _await_ready(ready)
-    base = f"http://{info['host']}:{info['port']}"
-    first = _await_drained(base)
-    _post(base, "/shutdown", {})
-    thread.join(timeout=60)
+    with _serving(list(argv), ready) as (base, box):
+        first = _await_drained(base)
     assert box["code"] == 0
     assert checkpoint.exists()
 
     # The drained first run already removed its own ready file, so the
     # second run's _await_ready cannot read a stale address.
     assert not ready.exists()
-    thread, box = _serve_in_thread(list(argv))
-    info = _await_ready(ready)
-    base = f"http://{info['host']}:{info['port']}"
-    second = _await_drained(base)
-    _post(base, "/shutdown", {})
-    thread.join(timeout=60)
+    with _serving(list(argv), ready) as (base, box):
+        second = _await_drained(base)
     assert box["code"] == 0
     # The warm-started server sees the same fully drained corpus.
     assert second["result"]["documents"] == first["result"]["documents"]

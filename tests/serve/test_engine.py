@@ -1,8 +1,9 @@
 """QueryEngine: epoch stamping, caching, pooling, observability."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from repro.exec import ThreadBackend
 from repro.obs import MetricsRegistry, Tracer, activated
 from repro.serve import QueryCache, QueryEngine
 from repro.stream import EpochStore
@@ -125,10 +126,10 @@ class TestPooling:
         serial = QueryEngine(epochs)
         shared = QueryEngine(epochs, cache=QueryCache())
         payloads = [ASSOC, CUBE, TRENDS] * 4
-        with ThreadBackend(4) as backend:
-            answers = backend.map(
+        with ThreadPoolExecutor(4) as pool:
+            answers = list(pool.map(
                 lambda payload: shared.query(payload).value, payloads
-            )
+            ))
         for payload, answer in zip(payloads, answers):
             assert answer == serial.query(payload).value
 

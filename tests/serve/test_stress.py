@@ -46,7 +46,7 @@ def test_reader_responses_equal_batch_reference(redeliver, workers):
     """Every concurrent response == its epoch's batch computation."""
     pairs = make_pairs(redeliver=redeliver)
     epochs = EpochStore(history=None)  # retain every epoch to verify
-    backend = make_backend("thread", workers)
+    backend = make_backend("process", workers)
     consumer = make_consumer(pairs, epochs=epochs, backend=backend)
     # Commit one batch up front: association analysis (correctly)
     # refuses an empty index, so readers start at a non-empty epoch.
