@@ -6,7 +6,8 @@ ingested in 1, 2, 4 and 7 hash-partition orders), the full pipeline
 (1 and 4 workers), a stream crashed after 1, 4 or 7 commits and then
 resumed, and served query results (over streams re-delivering 1, 2, 4
 or 7 documents) are *bit-identical* (``==``, never approximate) to the
-serial run.  The randomized sweep over the same invariants lives in
+serial run.  All but the served queries also run the process backend
+from a worker thread, as ``bivoc serve`` does (``tests.exec.drivers``).  The randomized sweep over the same invariants lives in
 ``tests/prop``; these are the pinned, named configurations.
 """
 
@@ -32,6 +33,7 @@ from repro.stream.checkpoint import index_to_state
 from repro.synth.carrental import CarRentalConfig, generate_car_rental
 from repro.synth.telecom import TelecomConfig, generate_telecom
 
+from tests.exec.drivers import DRIVERS, drive
 from tests.mining.test_algebra_equivalence import reshard
 from tests.serve.corpus import make_consumer, make_pairs
 
@@ -142,38 +144,47 @@ def _analytics(index, spec):
 
 
 class TestAnalyticsBitIdentity:
-    """All analytics x partition orders {1,2,4,7} x backends."""
+    """All analytics x partition orders {1,2,4,7} x drivers."""
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("kind", BACKEND_KINDS)
-    def test_backend_equals_serial(self, corpus_pair, shards, kind):
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_backend_equals_serial(self, corpus_pair, shards, driver):
         # Each backend task computes every analytic over its own copy
         # of the reordered index (a pickled one on processes).
         single, spec = corpus_pair
         expected = _analytics(single, spec)
         reordered = reshard(single, shards)
-        with make_backend(kind, workers=WORKERS) as backend:
-            actual = backend.map(
-                _analytics, [reordered] * WORKERS, [spec] * WORKERS
-            )
-        assert actual == [expected] * WORKERS
+
+        def fan_out(kind):
+            with make_backend(kind, workers=WORKERS) as backend:
+                return backend.map(
+                    _analytics, [reordered] * WORKERS, [spec] * WORKERS
+                )
+
+        assert drive(driver, fan_out) == [expected] * WORKERS
 
 
 class TestPipelineBitIdentity:
-    """The full call-center pipeline per backend equals serial."""
+    """The full call-center pipeline per driver equals serial."""
 
-    @pytest.mark.parametrize("kind", BACKEND_KINDS)
-    def test_carrental_pipeline(self, car_corpus, car_index, kind):
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_carrental_pipeline(self, car_corpus, car_index, driver):
         system = BIVoCSystem(
             BIVoCConfig(use_asr=False, link_mode="content")
         )
-        with make_backend(kind, workers=WORKERS) as backend:
-            result = system.process_call_center(car_corpus, backend=backend)
+
+        def run(kind):
+            with make_backend(kind, workers=WORKERS) as backend:
+                return system.process_call_center(
+                    car_corpus, backend=backend
+                )
+
+        result = drive(driver, run)
         assert index_to_state(result.index) == index_to_state(car_index)
 
-    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    @pytest.mark.parametrize("driver", DRIVERS)
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_telecom_stage_graph(self, telecom_messages, kind, workers):
+    def test_telecom_stage_graph(self, telecom_messages, driver, workers):
         from repro.cleaning.stage import CleaningStage
         from repro.core.usecases.churn import (
             StreamAnnotateStage,
@@ -205,28 +216,35 @@ class TestPipelineBitIdentity:
             ).run(documents)
             return index_to_state(stages[-1].index)
 
+        def run(kind):
+            with make_backend(kind, workers=workers) as backend:
+                return build_and_run(backend=backend)
+
         expected = build_and_run()
-        with make_backend(kind, workers=workers) as backend:
-            actual = build_and_run(backend=backend)
-        assert actual == expected
+        assert drive(driver, run) == expected
 
 
 class TestStreamBitIdentity:
-    """Crash/resume under each backend converges to the serial run."""
+    """Crash/resume under each driver converges to the serial run."""
 
-    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    @pytest.mark.parametrize("driver", DRIVERS)
     @pytest.mark.parametrize("crash_after", [1, 4, 7])
     def test_crash_resume_equals_uninterrupted(
-        self, tmp_path, kind, crash_after
+        self, tmp_path, driver, crash_after
     ):
-        case = PropCase(
-            seed=99, n_docs=60, channels=("call", "email"),
-            batch_size=8, workers=WORKERS,
-            backend=kind, batch_docs=7, checkpoint_interval=2,
-            crash_after=crash_after,
-        )
-        expected = run_stream_reference(case)
-        resumed = run_stream_resumed(case, str(tmp_path))
+        def run(kind):
+            case = PropCase(
+                seed=99, n_docs=60, channels=("call", "email"),
+                batch_size=8, workers=WORKERS,
+                backend=kind, batch_docs=7, checkpoint_interval=2,
+                crash_after=crash_after,
+            )
+            return (
+                run_stream_reference(case),
+                run_stream_resumed(case, str(tmp_path)),
+            )
+
+        expected, resumed = drive(driver, run)
         assert resumed == expected
 
 
