@@ -29,13 +29,17 @@ def _add_common(parser):
                         help="corpus random seed")
 
 
-def _add_engine_options(parser):
-    """Pipeline-engine knobs shared by the staged commands."""
+def _add_workers_option(parser):
+    """The fan-out knob of the batch commands (``tables``, ``churn``)."""
     parser.add_argument(
         "--workers", type=int, default=0,
-        help="worker processes for pure pipeline stages "
+        help="worker processes for the pure stages of this batch run "
              "(0 or 1 = inline; parallel output is bit-identical)",
     )
+
+
+def _add_engine_options(parser):
+    """Pipeline-engine knobs shared by the staged commands."""
     parser.add_argument(
         "--stage-stats", action="store_true",
         help="print the per-stage docs in/out/discard + wall-time table",
@@ -282,9 +286,7 @@ def _build_telecom_stream(args):
         )
     )
     # One shared "churn driver" category so windowed trend/association
-    # snapshots can rank the drivers against each other.  The annotate
-    # stage is a module-level class (not a lambda FunctionStage) so it
-    # pickles into process-backend workers.
+    # snapshots can rank the drivers against each other.
     stages = [
         CleaningStage(),
         StreamAnnotateStage(churn_driver_engine()),
@@ -318,7 +320,6 @@ def _build_telecom_stream(args):
 
 def cmd_stream(args):
     """Run the incremental streaming consumer over a synthetic feed."""
-    from repro.exec import make_backend
     from repro.mining.reports import render_association, render_relevancy
     from repro.stream import Checkpointer, StreamConsumer
 
@@ -331,22 +332,20 @@ def cmd_stream(args):
     checkpointer = (
         Checkpointer(args.checkpoint) if args.checkpoint else None
     )
-    with make_backend("process", args.workers) as backend:
-        consumer = StreamConsumer(
-            source,
-            stages,
-            window=window,
-            checkpointer=checkpointer,
-            batch_docs=args.batch_docs,
-            checkpoint_interval=args.checkpoint_interval,
-            backend=backend,
+    consumer = StreamConsumer(
+        source,
+        stages,
+        window=window,
+        checkpointer=checkpointer,
+        batch_docs=args.batch_docs,
+        checkpoint_interval=args.checkpoint_interval,
+    )
+    if checkpointer is not None and consumer.restore():
+        print(
+            f"resumed from checkpoint at offset "
+            f"{consumer.committed_offset}"
         )
-        if checkpointer is not None and consumer.restore():
-            print(
-                f"resumed from checkpoint at offset "
-                f"{consumer.committed_offset}"
-            )
-        report = consumer.run(max_batches=args.max_batches)
+    report = consumer.run(max_batches=args.max_batches)
     if args.stage_stats:
         print(consumer.stage_report().render_text())
         print()
@@ -381,17 +380,9 @@ def cmd_stream(args):
 def cmd_serve(args):
     """Serve analytic queries over HTTP while a stream ingests.
 
-    Builds one backend for the ingesting consumer (``--workers``);
-    queries run on the server's request threads.
+    The consumer ingests inline on one background thread; queries run
+    on the server's request threads.
     """
-    from repro.exec import make_backend
-
-    with make_backend("process", args.workers) as ingest_backend:
-        return _serve(args, ingest_backend)
-
-
-def _serve(args, ingest_backend):
-    """The body of :func:`cmd_serve`, on a backend it does not own."""
     import json
     import os
     import signal
@@ -427,7 +418,6 @@ def _serve(args, ingest_backend):
         checkpointer=checkpointer,
         batch_docs=args.batch_docs,
         checkpoint_interval=args.checkpoint_interval,
-        backend=ingest_backend,
         epochs=epochs,
     )
     if checkpointer is not None and consumer.restore():
@@ -523,29 +513,22 @@ def cmd_chaos(args):
     (with the plan JSON on stderr for one-command reproduction).
     """
     import json
+    import os
+    import tempfile
 
-    from repro.exec import make_backend
-    from repro.faults import default_chaos_plan
+    from repro.faults import (
+        InjectedFault,
+        RetryPolicy,
+        default_chaos_plan,
+        injecting,
+    )
+    from repro.stream import CheckpointCorrupt, Checkpointer, StreamConsumer
+    from repro.stream.checkpoint import index_to_state
 
     plan = default_chaos_plan(args.seed)
     if args.plan_only:
         print(json.dumps(plan.to_json_dict(), indent=2))
         return 0
-    # One backend serves the reference run and every restart: a crash
-    # kills the consumer, never the backend built here.
-    with make_backend("process", args.workers) as backend:
-        return _chaos(args, plan, backend)
-
-
-def _chaos(args, plan, backend):
-    """The body of :func:`cmd_chaos`, on a backend it does not own."""
-    import json
-    import os
-    import tempfile
-
-    from repro.faults import InjectedFault, RetryPolicy, injecting
-    from repro.stream import CheckpointCorrupt, Checkpointer, StreamConsumer
-    from repro.stream.checkpoint import index_to_state
 
     def build_consumer(checkpointer):
         # Rebuilt from scratch per (re)start: a crash loses every bit
@@ -557,7 +540,6 @@ def _chaos(args, plan, backend):
             checkpointer=checkpointer,
             batch_docs=args.batch_docs,
             checkpoint_interval=2,
-            backend=backend,
         )
 
     reference = build_consumer(None)
@@ -799,6 +781,7 @@ def build_parser():
 
     tables = sub.add_parser("tables", help="regenerate Tables II-IV")
     _add_common(tables)
+    _add_workers_option(tables)
     _add_engine_options(tables)
     tables.add_argument(
         "--source", choices=("carrental",), default="carrental",
@@ -823,6 +806,7 @@ def build_parser():
 
     churn = sub.add_parser("churn", help="run the SecVI churn study")
     _add_common(churn)
+    _add_workers_option(churn)
     _add_engine_options(churn)
     churn.add_argument("--scale", type=float, default=0.05,
                        help="fraction of the paper's message volume")
@@ -989,12 +973,6 @@ def build_parser():
                        help="carrental: number of days")
     chaos.add_argument("--batch-docs", type=int, default=16,
                        help="documents per ingestion micro-batch")
-    chaos.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes for pure pipeline stages during the "
-             "drill (0 or 1 = inline; the crash/resume contract holds "
-             "either way)",
-    )
     chaos.add_argument("--window", type=int, default=3,
                        help=argparse.SUPPRESS)
     chaos.set_defaults(func=cmd_chaos)

@@ -177,9 +177,7 @@ class StreamAnnotateStage(MapStage):
 
     The streaming sibling of :class:`DriverAnnotateStage`: the stream
     source stages ``index_fields`` (and any time bucket) on its
-    documents up front, so this hook writes only the annotation.  A
-    module-level class — not a lambda ``FunctionStage`` — so the stage
-    pickles into process-backend workers.
+    documents up front, so this hook writes only the annotation.
     """
 
     name = "annotate"

@@ -149,7 +149,7 @@ class PropCase:
     channels: tuple      # channel mix (1-3 of CHANNELS)
     batch_size: int      # pipeline-runner batch size
     workers: int         # fan-out width for parallel runs
-    backend: str         # backend kind the stream/traced checks use
+    backend: str         # backend kind the traced check uses
     batch_docs: int      # stream micro-batch size
     checkpoint_interval: int  # micro-batches between checkpoints
     crash_after: int     # committed batches before the injected crash
@@ -284,7 +284,7 @@ def run_batch(case, kind=None):
     return run_analytics(case, stages[-1].index)
 
 
-def _build_consumer(case, backend, checkpoint_path=None):
+def _build_consumer(case, checkpoint_path=None):
     """A fresh streaming consumer over ``case``'s corpus.
 
     Arrival order is (time bucket, generation order) — deterministic,
@@ -304,16 +304,14 @@ def _build_consumer(case, backend, checkpoint_path=None):
         ),
         batch_docs=case.batch_docs,
         checkpoint_interval=case.checkpoint_interval,
-        backend=backend,
     )
 
 
 def run_stream_reference(case):
     """Final index state of the uninterrupted streaming run."""
-    with make_backend(case.backend, case.workers) as backend:
-        consumer = _build_consumer(case, backend)
-        consumer.run()
-        return index_to_state(consumer.index)
+    consumer = _build_consumer(case)
+    consumer.run()
+    return index_to_state(consumer.index)
 
 
 def run_stream_resumed(case, tmpdir):
@@ -328,16 +326,15 @@ def run_stream_resumed(case, tmpdir):
             )
         ],
     )
-    with make_backend(case.backend, case.workers) as backend:
-        try:
-            with injecting(crash.injector()):
-                _build_consumer(case, backend, checkpoint_path).run()
-        except InjectedFault:
-            pass  # scheduled death; resume from the checkpoint below
-        resumed = _build_consumer(case, backend, checkpoint_path)
-        resumed.restore()
-        resumed.run()
-        return index_to_state(resumed.index)
+    try:
+        with injecting(crash.injector()):
+            _build_consumer(case, checkpoint_path).run()
+    except InjectedFault:
+        pass  # scheduled death; resume from the checkpoint below
+    resumed = _build_consumer(case, checkpoint_path)
+    resumed.restore()
+    resumed.run()
+    return index_to_state(resumed.index)
 
 
 def _diff_keys(expected, actual):

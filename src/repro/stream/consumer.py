@@ -105,7 +105,6 @@ class _StageTotals:
             total.discarded += stats.discarded
             total.batches += stats.batches
             total.wall_time += stats.wall_time
-            total.parallel = total.parallel or stats.parallel
 
     def report(self, total_in, total_out, wall_time):
         """The accumulated totals as one :class:`PipelineReport`."""
@@ -138,16 +137,13 @@ class StreamConsumer:
 
     def __init__(self, source, stages, window=None, checkpointer=None,
                  batch_docs=32, queue_capacity=4, checkpoint_interval=4,
-                 runner_batch_size=64, backend=None, clock=None,
-                 tracer=None, metrics=None, epochs=None):
+                 clock=None, tracer=None, metrics=None, epochs=None):
         """Wire the consumer; raises on an unsafe index stage.
 
-        ``backend`` is the embedded runner's
-        :class:`~repro.exec.ExecBackend` (see
-        :class:`~repro.engine.PipelineRunner`; ``None`` = inline):
-        pure stages fan out across it, bit-identical to serial, and it
-        stays warm across micro-batches — and across restarts, when
-        the caller reuses it.  The consumer never closes it.
+        Every micro-batch runs inline, on the calling thread, through
+        an embedded :class:`~repro.engine.PipelineRunner`: a batch is
+        committed within milliseconds, which no per-batch process
+        fan-out can pay for.
 
         ``tracer``/``metrics`` override the ambient observability
         collectors (``None`` resolves the ambient slot per step, so an
@@ -195,8 +191,7 @@ class StreamConsumer:
         self._metrics = metrics
         self.epochs = epochs
         self._runner = PipelineRunner(
-            stages, batch_size=runner_batch_size, backend=backend,
-            clock=self._clock, tracer=tracer, metrics=metrics,
+            stages, clock=self._clock, tracer=tracer, metrics=metrics,
         )
         self._queue = deque()
         self._committed_offset = -1

@@ -62,12 +62,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "improvement" in out
 
-    @pytest.mark.parametrize("source", ["carrental", "telecom"])
-    def test_stream_rejects_negative_workers(self, source):
+    @pytest.mark.parametrize("argv", [
+        ["tables", "--agents", "2", "--days", "1"],
+        ["churn", "--scale", "0.002", "--customers", "50"],
+    ], ids=["tables", "churn"])
+    def test_batch_command_rejects_negative_workers(self, argv):
         with pytest.raises(ValueError, match="workers must be >= 0"):
-            main(["stream", "--source", source, "--agents", "2",
-                  "--days", "1", "--scale", "0.002", "--customers", "50",
-                  "--workers", "-1"])
+            main(argv + ["--workers", "-1"])
 
 
 class TestTrace:

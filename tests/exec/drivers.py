@@ -2,9 +2,9 @@
 
 The contract and bit-identity tests run each case once per *driver*:
 every backend kind called from the test's own thread, plus ``"thread"``,
-the process backend called from a fresh worker thread.  The last is how
-``bivoc serve`` drives it: the stream consumer and the query handlers
-run off the main thread, so the warm pool is forked from one of them.
+the process backend called from a fresh worker thread.  The last covers
+a library caller that runs a pipeline off its main thread, so the warm
+pool is forked from a process that already runs other threads.
 """
 
 import threading

@@ -202,8 +202,8 @@ class TestWorkerFaults:
         assert "exec:worker" in str(err.value)
 
     def test_thread_worker_fault_surfaces(self):
-        # The pool forked from a worker thread, as ``bivoc serve`` forks
-        # it, still inherits the armed injector and re-raises its fault.
+        # A pool forked from a worker thread still inherits the armed
+        # injector and re-raises its fault.
         def fan_out():
             with ProcessBackend(2, mp_context="fork") as backend:
                 return backend.map(_fault_then_double, range(8))

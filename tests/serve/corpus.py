@@ -88,17 +88,11 @@ def reference_index(pairs, upto_offset):
     return index
 
 
-def make_consumer(pairs, epochs=None, batch_docs=BATCH_DOCS,
-                  backend=None):
-    """A stream consumer indexing ``pairs``, publishing into ``epochs``.
-
-    ``backend`` is the consumer's execution backend, as ``bivoc serve
-    --workers`` wires it.
-    """
+def make_consumer(pairs, epochs=None, batch_docs=BATCH_DOCS):
+    """A stream consumer indexing ``pairs``, publishing into ``epochs``."""
     return StreamConsumer(
         MemorySource(pairs),
         [ConceptIndexStage(on_duplicate="replace")],
         batch_docs=batch_docs,
         epochs=epochs,
-        backend=backend,
     )

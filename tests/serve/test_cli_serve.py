@@ -105,7 +105,7 @@ def serve_args(tmp_path):
 def test_serve_answers_and_shuts_down_gracefully(serve_args):
     """The CLI server ingests, answers queries, and drains on request."""
     ready, argv = serve_args
-    with _serving(argv + ["--workers", "2"], ready) as (base, box):
+    with _serving(argv, ready) as (base, box):
         status = _get(base, "/status")
         assert {"documents", "concepts"} <= set(status["result"])
         body = _post(
