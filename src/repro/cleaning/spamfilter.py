@@ -5,14 +5,18 @@ and discard them from further processing as they do not contain useful
 information." (paper Section IV-A.2)
 
 The classifier is a from-scratch multinomial NB with add-one smoothing
-over lower-cased word features.  :func:`train_default_spam_filter`
-trains it on synthetic spam/ham drawn from the shipped lexicons, so the
-cleaning pipeline works out of the box; real deployments would retrain
-on their own labeled mail.
+over lower-cased word features.  Fitting tabulates each word's
+log-probability per class, so scoring a message is table lookups.
+:func:`train_default_spam_filter` trains it on synthetic spam/ham
+drawn from the shipped lexicons, so the cleaning pipeline works out of
+the box; real deployments would retrain on their own labeled mail.
 """
 
 import math
 from collections import Counter
+from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from repro.synth.lexicon import (
     CALL_CENTER_SENTENCES,
@@ -24,65 +28,101 @@ from repro.util.rng import derive_rng
 from repro.util.tokenize import words as tokenize_words
 
 
+def _features(text):
+    return tokenize_words(text, lower=True)
+
+
+@dataclass(frozen=True)
+class SpamTables:
+    """Read-only log-probabilities of one fitted filter, per class.
+
+    ``log_priors[label]`` is the class's log prior, ``log_probs[label]``
+    maps each word seen in the class to its smoothed log-probability and
+    ``unseen[label]`` is the log-probability of every other word.  The
+    mappings are :class:`types.MappingProxyType` views, so filters can
+    share one instance without sharing mutable state.
+    """
+
+    log_priors: MappingProxyType
+    log_probs: MappingProxyType
+    unseen: MappingProxyType
+
+
+def fit_tables(texts, labels, smoothing=1.0):
+    """Tabulate add-``smoothing`` naive Bayes over labeled ``texts``.
+
+    Each log-probability is the float the per-word formula
+    ``log((count + smoothing) / denominator)`` gives, so summing table
+    lookups in token order reproduces it bit for bit.
+    """
+    texts = list(texts)
+    labels = list(labels)
+    if len(texts) != len(labels):
+        raise ValueError("texts and labels must align")
+    if not texts or len(set(labels)) < 2:
+        raise ValueError("need examples of both classes")
+    word_counts = {True: Counter(), False: Counter()}
+    class_counts = Counter()
+    vocabulary = set()
+    for text, label in zip(texts, labels):
+        label = bool(label)
+        class_counts[label] += 1
+        for word in _features(text):
+            word_counts[label][word] += 1
+            vocabulary.add(word)
+    total_docs = sum(class_counts.values())
+    log_probs = {}
+    unseen = {}
+    for label, counts in word_counts.items():
+        denominator = (
+            sum(counts.values()) + smoothing * len(vocabulary)
+        )
+        log_probs[label] = MappingProxyType({
+            word: math.log((count + smoothing) / denominator)
+            for word, count in counts.items()
+        })
+        unseen[label] = math.log(smoothing / denominator)
+    return SpamTables(
+        log_priors=MappingProxyType({
+            label: math.log(count / total_docs)
+            for label, count in class_counts.items()
+        }),
+        log_probs=MappingProxyType(log_probs),
+        unseen=MappingProxyType(unseen),
+    )
+
+
 class SpamFilter:
     """Binary multinomial naive Bayes: spam vs ham."""
 
     def __init__(self, smoothing=1.0):
         self._smoothing = smoothing
-        self._fitted = False
-
-    @staticmethod
-    def _features(text):
-        return tokenize_words(text, lower=True)
+        self._tables = None
 
     def fit(self, texts, labels):
-        """Train on texts with boolean labels (True = spam)."""
-        texts = list(texts)
-        labels = list(labels)
-        if len(texts) != len(labels):
-            raise ValueError("texts and labels must align")
-        if not texts or len(set(labels)) < 2:
-            raise ValueError("need examples of both classes")
-        self._word_counts = {True: Counter(), False: Counter()}
-        self._class_counts = Counter()
-        vocabulary = set()
-        for text, label in zip(texts, labels):
-            label = bool(label)
-            self._class_counts[label] += 1
-            for word in self._features(text):
-                self._word_counts[label][word] += 1
-                vocabulary.add(word)
-        self._vocabulary_size = len(vocabulary)
-        self._totals = {
-            label: sum(counts.values())
-            for label, counts in self._word_counts.items()
-        }
-        total_docs = sum(self._class_counts.values())
-        self._log_priors = {
-            label: math.log(count / total_docs)
-            for label, count in self._class_counts.items()
-        }
-        self._fitted = True
+        """Train on texts with boolean labels (True = spam).
+
+        Rebinds this filter's tables; tables it shared are untouched.
+        """
+        self._tables = fit_tables(texts, labels, self._smoothing)
         return self
 
-    def _log_likelihood(self, text, label):
-        score = self._log_priors[label]
-        denominator = (
-            self._totals[label] + self._smoothing * self._vocabulary_size
-        )
-        counts = self._word_counts[label]
-        for word in self._features(text):
-            score += math.log(
-                (counts[word] + self._smoothing) / denominator
-            )
+    def _log_likelihood(self, tokens, label):
+        tables = self._tables
+        score = tables.log_priors[label]
+        log_probs = tables.log_probs[label]
+        unseen = tables.unseen[label]
+        for word in tokens:
+            score += log_probs.get(word, unseen)
         return score
 
     def spam_score(self, text):
         """P(spam | text) via the two class log-likelihoods."""
-        if not self._fitted:
+        if self._tables is None:
             raise RuntimeError("fit() the filter before scoring")
-        log_spam = self._log_likelihood(text, True)
-        log_ham = self._log_likelihood(text, False)
+        tokens = _features(text)
+        log_spam = self._log_likelihood(tokens, True)
+        log_ham = self._log_likelihood(tokens, False)
         # Stable sigmoid of the log-odds.
         delta = log_spam - log_ham
         if delta > 50:
@@ -126,7 +166,22 @@ def _synthetic_training_set(n_per_class=200, seed=97):
     return texts, labels
 
 
-def train_default_spam_filter(seed=97):
-    """A spam filter trained on synthetic spam/ham from the lexicons."""
+@lru_cache(maxsize=8)
+def _default_tables(seed):
+    """The default filter's tables: a pure function of ``seed``.
+
+    Cached, so every default filter in a process shares one fit.
+    """
     texts, labels = _synthetic_training_set(seed=seed)
-    return SpamFilter().fit(texts, labels)
+    return fit_tables(texts, labels)
+
+
+def train_default_spam_filter(seed=97):
+    """A spam filter trained on synthetic spam/ham from the lexicons.
+
+    Each call returns a new filter over tables fitted once per seed in
+    a process and shared read-only; refitting it rebinds only its own.
+    """
+    spam_filter = SpamFilter()
+    spam_filter._tables = _default_tables(seed)
+    return spam_filter

@@ -16,12 +16,15 @@ under every string its deletes reach, a query looks up the strings its
 own deletes reach, and only that pool is verified with the distance
 function.  The index is compiled once per corpus and edit budget in a
 process and shared, read-only, by every corrector built over them.
+Each corrector memoises its own candidate searches, so a word it has
+corrected once is looked up, not searched, the next time.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
+from repro.obs import get_metrics
 from repro.synth.lexicon import (
     CALL_CENTER_SENTENCES,
     CHURN_DRIVERS,
@@ -33,6 +36,9 @@ from repro.synth.lexicon import (
     VEHICLE_SURFACES,
 )
 from repro.util.textdist import damerau_levenshtein
+
+#: Candidate searches a corrector remembers; past it the memo starts over.
+SEARCH_MEMO_LIMIT = 1 << 16
 
 
 def default_spelling_corpus():
@@ -124,13 +130,21 @@ def compile_vocabulary(sentences, max_edit_distance):
 
 
 class SpellCorrector:
-    """Edit-distance spell corrector over a unigram vocabulary."""
+    """Edit-distance spell corrector over a unigram vocabulary.
+
+    The best correction of an out-of-vocabulary word is a pure function
+    of the lowered word, the compiled tables and ``min_length``, so each
+    corrector memoises it per lowered word.  The memo belongs to the
+    corrector and starts empty; past :data:`SEARCH_MEMO_LIMIT` words it
+    starts over, so a long-lived corrector cannot grow without limit.
+    """
 
     def __init__(self, corpus=None, max_edit_distance=2, min_length=4):
         if corpus is None:
             corpus = default_spelling_corpus()
         self._tables = compile_vocabulary(tuple(corpus), max_edit_distance)
         self._min_length = min_length
+        self._searches = {}
 
     @property
     def vocabulary(self):
@@ -150,12 +164,17 @@ class SpellCorrector:
         of the postings of the word's own deletes holds every candidate.
         Only that pool is verified, in the order of a scan by length
         then first occurrence, so ``max`` breaks score ties as a full
-        scan of the vocabulary would.
+        scan of the vocabulary would.  Counts one search, and one
+        distance evaluation per pooled word, on
+        ``cleaning.spelling.searches`` and ``.evaluations``.
         """
         tables = self._tables
         pool = set()
         for variant in _deletes(word, tables.max_edit):
             pool.update(tables.deletes.get(variant, ()))
+        metrics = get_metrics()
+        metrics.counter("cleaning.spelling.searches").inc()
+        metrics.counter("cleaning.spelling.evaluations").inc(len(pool))
         found = []
         for candidate in sorted(
             pool, key=lambda c: (len(c), tables.ranks[c])
@@ -178,9 +197,19 @@ class SpellCorrector:
             or lowered in self._tables.counts
         ):
             return word
+        best = self._searches.get(lowered)
+        if best is None:
+            if len(self._searches) > SEARCH_MEMO_LIMIT:
+                self._searches = {}
+            best = self._searches[lowered] = self._search(lowered)
+        # "" means no candidate: the token keeps its own case.
+        return best or word
+
+    def _search(self, lowered):
+        """The best candidate for ``lowered``, or "" when there is none."""
         candidates = self._candidates(lowered)
         if not candidates:
-            return word
+            return ""
         # Noisy channel: maximise P(candidate) * P(typo | candidate),
         # the channel term decaying geometrically with edit distance.
         def score(pair):

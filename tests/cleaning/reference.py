@@ -1,15 +1,24 @@
-"""The linear-scan spell corrector, kept as the reference for the index.
+"""Reference cleaning kernels, kept to check the compiled ones with ``==``.
 
-Candidate generation runs the distance function against every
-vocabulary word within the edit budget in length, in order of length
-then first occurrence: the corrector before candidates came from a
-symmetric-delete index.  Only tests use it.
+:class:`ReferenceSpellCorrector` is the linear-scan corrector: candidate
+generation runs the distance function against every vocabulary word
+within the edit budget in length, in order of length then first
+occurrence, as before candidates came from a symmetric-delete index.
+
+:class:`ReferenceSpamFilter` is the naive-Bayes filter that takes one
+``math.log`` per word per class on every score and tokenizes a message
+once per class, as before fitting tabulated the log-probabilities.
+
+Only tests use them.
 """
 
+import math
 from collections import Counter
 
+from repro.cleaning.spamfilter import _synthetic_training_set
 from repro.cleaning.spelling import default_spelling_corpus
 from repro.util.textdist import damerau_levenshtein
+from repro.util.tokenize import words as tokenize_words
 
 
 class ReferenceSpellCorrector:
@@ -88,3 +97,65 @@ class ReferenceSpellCorrector:
     def correct(self, text):
         """Correct every token of a message."""
         return " ".join(self.correct_word(token) for token in text.split())
+
+
+class ReferenceSpamFilter:
+    """Multinomial naive Bayes scored with a ``math.log`` per word."""
+
+    def __init__(self, smoothing=1.0):
+        self._smoothing = smoothing
+
+    @classmethod
+    def default(cls, seed=97):
+        """Trained on the default filter's synthetic spam/ham."""
+        return cls().fit(*_synthetic_training_set(seed=seed))
+
+    def fit(self, texts, labels):
+        """Train on texts with boolean labels (True = spam)."""
+        self._word_counts = {True: Counter(), False: Counter()}
+        class_counts = Counter()
+        vocabulary = set()
+        for text, label in zip(texts, labels):
+            label = bool(label)
+            class_counts[label] += 1
+            for word in tokenize_words(text, lower=True):
+                self._word_counts[label][word] += 1
+                vocabulary.add(word)
+        self._vocabulary_size = len(vocabulary)
+        self._totals = {
+            label: sum(counts.values())
+            for label, counts in self._word_counts.items()
+        }
+        total_docs = sum(class_counts.values())
+        self._log_priors = {
+            label: math.log(count / total_docs)
+            for label, count in class_counts.items()
+        }
+        return self
+
+    def _log_likelihood(self, text, label):
+        score = self._log_priors[label]
+        denominator = (
+            self._totals[label] + self._smoothing * self._vocabulary_size
+        )
+        counts = self._word_counts[label]
+        for word in tokenize_words(text, lower=True):
+            score += math.log(
+                (counts[word] + self._smoothing) / denominator
+            )
+        return score
+
+    def spam_score(self, text):
+        """P(spam | text) via the two class log-likelihoods."""
+        log_spam = self._log_likelihood(text, True)
+        log_ham = self._log_likelihood(text, False)
+        delta = log_spam - log_ham
+        if delta > 50:
+            return 1.0
+        if delta < -50:
+            return 0.0
+        return 1.0 / (1.0 + math.exp(-delta))
+
+    def is_spam(self, text, threshold=0.5):
+        """True when P(spam | text) reaches the threshold."""
+        return self.spam_score(text) >= threshold

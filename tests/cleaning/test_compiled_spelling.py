@@ -8,53 +8,36 @@ telecom email and SMS, car-rental agent notes and channel-noised text
 from seeds 1-3, over edit budgets 0-3, and a small corpus whose words
 are transpositions of one another.
 
-The work gate: on the seed-1 ``telecom-stream`` corpus the compiled
-corrector makes at most 5% of the reference's distance evaluations.
+The work gate: one corrector over the seed-1 ``telecom-stream`` words
+makes exactly one candidate search per distinct lowered word and
+exactly the pinned number of distance evaluations, and its in-program
+counters say the same.
 """
 
 import pytest
 
-from repro.cleaning import CleaningPipeline, spelling
+from repro.cleaning import CleaningPipeline
 from repro.cleaning.sms import SmsNormalizer
 from repro.cleaning.spelling import SpellCorrector
-from repro.synth.carrental import CarRentalConfig, generate_car_rental
+from repro.obs import MetricsRegistry, Tracer, activated
 from repro.synth.noise import NoiseConfig, TextNoiser
-from repro.synth.notes import AgentNoteGenerator
-from repro.synth.telecom import TelecomConfig, generate_telecom
+from tests.cleaning.corpus import (
+    SEEDS,
+    callcenter_notes,
+    counting_evaluations,
+    counting_searches,
+    stream_words,
+)
 from tests.cleaning.reference import ReferenceSpellCorrector
-
-SEEDS = (1, 2, 3)
 
 #: Reference distance evaluations while cleaning the seed-1
 #: telecom-stream corpus (1,128 corrected words reach the scan).
 SEED1_REFERENCE_EVALUATIONS = 228_951
 
-
-def telecom_corpus(seed):
-    """The telecom-stream benchmark corpus: 674 messages."""
-    return generate_telecom(TelecomConfig(
-        scale=0.002, n_customers=300, seed=seed,
-    ))
-
-
-def callcenter_notes(seed):
-    """Agent notes for the 96 calls of the call-center benchmark corpus."""
-    corpus = generate_car_rental(CarRentalConfig(
-        n_agents=12, n_days=2, calls_per_agent_per_day=4,
-        n_customers=160, seed=seed,
-    ))
-    return AgentNoteGenerator(seed=seed).notes_for_corpus(corpus)
-
-
-@pytest.fixture(scope="module")
-def telecom():
-    return {seed: telecom_corpus(seed) for seed in SEEDS}
-
-
-@pytest.fixture(scope="module")
-def reference():
-    """One default reference; its memo is shared by every test."""
-    return ReferenceSpellCorrector()
+#: Candidate searches and distance evaluations one memoising corrector
+#: makes over the same words: one search per distinct lowered word.
+SEED1_SEARCHES = 464
+SEED1_EVALUATIONS = 1_320
 
 
 def assert_same_as_reference(compiled, reference, texts):
@@ -171,44 +154,25 @@ class TestTransposedCorpus:
         assert corrector.correct_word("cab") == "abc"
 
 
-def stream_words(corpus):
-    """Every word the telecom-stream cleaning step corrects, in order."""
-    words = []
-    original = SpellCorrector.correct_word
-
-    def recording(self, word):
-        words.append(word)
-        return original(self, word)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SpellCorrector, "correct_word", recording)
-        pipeline = CleaningPipeline()
-        for message in corpus.messages:
-            pipeline.clean(message.raw_text, channel=message.channel)
-    return words
-
-
 class TestWorkGate:
-    def test_compiled_makes_at_most_five_percent_of_evaluations(
-        self, telecom, reference
-    ):
+    def test_one_search_per_distinct_word(self, telecom, reference):
         words = stream_words(telecom[1])
-        expected = sum(reference.evaluations(word) for word in words)
-        assert expected == SEED1_REFERENCE_EVALUATIONS
-
-        evaluations = []
-        original = spelling.damerau_levenshtein
-
-        def counting(a, b):
-            evaluations.append((a, b))
-            return original(a, b)
-
+        assert sum(
+            reference.evaluations(word) for word in words
+        ) == SEED1_REFERENCE_EVALUATIONS
         corrector = SpellCorrector()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spelling, "damerau_levenshtein", counting)
+        metrics = MetricsRegistry()
+        with pytest.MonkeyPatch.context() as patch, \
+                activated(Tracer(), metrics):
+            searches = counting_searches(patch)
+            evaluations = counting_evaluations(patch)
             for word in words:
                 corrector.correct_word(word)
-        assert 0 < len(evaluations) <= expected // 20
+        assert len(searches) == len(set(searches)) == SEED1_SEARCHES
+        assert len(evaluations) == SEED1_EVALUATIONS
+        counters = metrics.snapshot()["counters"]
+        assert counters["cleaning.spelling.searches"] == len(searches)
+        assert counters["cleaning.spelling.evaluations"] == len(evaluations)
 
 
 class TestSharedTables:

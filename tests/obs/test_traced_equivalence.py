@@ -2,18 +2,18 @@
 
 The acceptance bar for the obs layer — activating a tracer and a
 metrics registry around the engine, the stream consumer, the linking
-hot paths or the association finalize must not change a single output
-bit.  Also pins the span hierarchy (pipeline:run -> stage -> batch,
-stream:batch above them; batches that ran in worker processes leave
-no span)
-and the zero-row funnel guarantee for fully-discarded / fully-skipped
-micro-batches.
+hot paths, the association finalize or the cleaning pipeline must not
+change a single output bit.  Also pins the span hierarchy
+(pipeline:run -> stage -> batch, stream:batch above them; batches that
+ran in worker processes leave no span) and the zero-row funnel
+guarantee for fully-discarded / fully-skipped micro-batches.
 """
 
 import random
 
 import pytest
 
+from repro.cleaning import CleaningPipeline
 from repro.engine import Document, FunctionStage, MapStage, PipelineRunner
 from repro.exec import make_backend
 from repro.faults import FaultPlan, FaultSpec, InjectedFault, injecting
@@ -28,6 +28,11 @@ from repro.stream import (
     StreamConsumer,
     WindowedAnalytics,
     index_to_state,
+)
+from tests.cleaning.corpus import (
+    counting_evaluations,
+    counting_searches,
+    telecom_corpus,
 )
 
 
@@ -282,6 +287,34 @@ class TestMiningEquivalence:
         counters = metrics.snapshot()["counters"]
         assert counters["mining.associate.intervals"] == expected
         assert counters["mining.analytics"] == 2
+
+
+class TestCleaningEquivalence:
+    def test_traced_cleaning_matches_untraced(self):
+        """The spelling counters are write-only: cleaning stays ``==``."""
+        messages = telecom_corpus(2).messages
+
+        def clean():
+            pipeline = CleaningPipeline()
+            return [
+                pipeline.clean(message.raw_text, channel=message.channel)
+                for message in messages
+            ], pipeline.stats
+
+        with pytest.MonkeyPatch.context() as patch:
+            searches = counting_searches(patch)
+            evaluations = counting_evaluations(patch)
+            untraced = clean()
+        metrics = MetricsRegistry()
+        with activated(Tracer(), metrics):
+            traced = clean()
+        assert traced == untraced
+        # One search per distinct lowered word, one evaluation per
+        # pooled candidate, counted as the patched kernels saw them.
+        assert len(searches) == len(set(searches)) > 0
+        counters = metrics.snapshot()["counters"]
+        assert counters["cleaning.spelling.searches"] == len(searches)
+        assert counters["cleaning.spelling.evaluations"] == len(evaluations)
 
 
 class TestZeroRowFunnel:
