@@ -10,6 +10,8 @@ counted as explicit negative evidence so short mixed messages are
 handled sensibly.
 """
 
+from functools import lru_cache
+
 from repro.cleaning.spelling import default_spelling_corpus
 from repro.synth.lexicon import (
     CITIES,
@@ -29,41 +31,46 @@ _STOPWORDS = {
 }
 
 
+@lru_cache(maxsize=1)
+def _vocabularies():
+    """The (English, foreign) word sets, built once per process."""
+    vocabulary = set(_STOPWORDS)
+    for sentence in default_spelling_corpus():
+        vocabulary.update(sentence.lower().split())
+    vocabulary.update(word.lower() for word in FIRST_NAMES)
+    vocabulary.update(word.lower() for word in SURNAMES)
+    # Domain vocabulary from the call-center side (cities, vehicle
+    # surfaces) is English even though the telecom corpora never
+    # use it.
+    for city in CITIES:
+        vocabulary.update(city.split())
+    for surfaces in VEHICLE_SURFACES.values():
+        for surface in surfaces:
+            vocabulary.update(surface.split())
+    vocabulary.update(
+        ("quoted", "agreed", "rates", "prices", "dates", "status",
+         "conf", "expensive", "satisfied")
+    )
+    # SMS lingo counts as English: it will be normalised later.
+    vocabulary.update(SMS_LINGO.values())
+    # Spam is English too — it must survive to the spam filter so
+    # the funnel attributes the discard to the right reason.
+    for template in SPAM_TEMPLATES:
+        vocabulary.update(
+            word for word in template.split() if word.isalpha()
+        )
+    foreign = set()
+    for fragment in MULTILINGUAL_FRAGMENTS:
+        foreign.update(fragment.split())
+    return frozenset(vocabulary), frozenset(foreign)
+
+
 class LanguageFilter:
     """Flags messages that are largely non-English."""
 
-    def __init__(self, english_threshold=0.5, extra_vocabulary=()):
+    def __init__(self, english_threshold=0.5):
         self._threshold = english_threshold
-        vocabulary = set(_STOPWORDS)
-        for sentence in default_spelling_corpus():
-            vocabulary.update(sentence.lower().split())
-        vocabulary.update(word.lower() for word in FIRST_NAMES)
-        vocabulary.update(word.lower() for word in SURNAMES)
-        # Domain vocabulary from the call-center side (cities, vehicle
-        # surfaces) is English even though the telecom corpora never
-        # use it.
-        for city in CITIES:
-            vocabulary.update(city.split())
-        for surfaces in VEHICLE_SURFACES.values():
-            for surface in surfaces:
-                vocabulary.update(surface.split())
-        vocabulary.update(
-            ("quoted", "agreed", "rates", "prices", "dates", "status",
-             "conf", "expensive", "satisfied")
-        )
-        # SMS lingo counts as English: it will be normalised later.
-        vocabulary.update(SMS_LINGO.values())
-        # Spam is English too — it must survive to the spam filter so
-        # the funnel attributes the discard to the right reason.
-        for template in SPAM_TEMPLATES:
-            vocabulary.update(
-                word for word in template.split() if word.isalpha()
-            )
-        vocabulary.update(extra_vocabulary)
-        self._vocabulary = vocabulary
-        self._foreign = set()
-        for fragment in MULTILINGUAL_FRAGMENTS:
-            self._foreign.update(fragment.split())
+        self._vocabulary, self._foreign = _vocabularies()
 
     def english_score(self, text):
         """Fraction of alphabetic tokens recognised as English."""

@@ -136,9 +136,9 @@ class ConceptIndex:
         """Index one document under pre-built concept keys.
 
         The low-level core of :meth:`add` — used directly when the keys
-        already exist (checkpoint restore, windowed re-ingest) and
-        re-annotating would be wasted work.  ``keys`` is an iterable of
-        3-tuples from :func:`concept_key`/:func:`field_key`;
+        already exist (checkpoint restore) and re-annotating would be
+        wasted work.  ``keys`` is an iterable of 3-tuples from
+        :func:`concept_key`/:func:`field_key`;
         ``on_duplicate`` follows the :meth:`add` contract.  A
         ``"replace"`` re-insert moves the document to the end of the
         insertion order.
@@ -302,17 +302,48 @@ class ConceptIndex:
         """
         if self._frozen:
             return self
-        view = ConceptIndex.__new__(ConceptIndex)
-        view._postings = dict(self._postings)
-        view._documents = dict(self._documents)
-        view._dimension_values = dict(self._dimension_values)
-        view._keep_documents = self._keep_documents
-        view._texts = dict(self._texts)
-        view._frozen = True
-        view._shared_postings = set()
-        view._shared_dimensions = set()
+        view = self._frozen_view(
+            dict(self._postings), dict(self._documents),
+            dict(self._dimension_values), dict(self._texts),
+        )
         # Every current set is now aliased by the view: the live index
         # must copy-on-write before its next in-place mutation.
         self._shared_postings = set(self._postings)
         self._shared_dimensions = set(self._dimension_values)
+        return view
+
+    def between(self, lo, hi):
+        """A frozen view of the documents whose time bucket is in [lo, hi].
+
+        Insertion order is kept; postings, dimension values and texts
+        are filtered down to those documents, so every read answers as
+        an index of them alone would.  Untimed documents are never in
+        range, and the view shares no set with this index.
+        """
+        documents = {
+            doc_id: entry for doc_id, entry in self._documents.items()
+            if entry["timestamp"] is not None
+            and lo <= entry["timestamp"] <= hi
+        }
+        postings = {}
+        dimension_values = defaultdict(set)
+        for key, ids in self._postings.items():
+            kept = ids & documents.keys()
+            if kept:
+                postings[key] = kept
+                dimension_values[key[:2]].add(key[2])
+        texts = {d: self._texts[d] for d in documents if d in self._texts}
+        return self._frozen_view(postings, documents, dimension_values, texts)
+
+    def _frozen_view(self, postings, documents, dimension_values, texts):
+        """An immutable index over the given tables (no copies made)."""
+        view = ConceptIndex.__new__(ConceptIndex)
+        view._postings = postings
+        view._documents = documents
+        view._dimension_values = dimension_values
+        view._keep_documents = self._keep_documents
+        view._texts = texts
+        view._frozen = True
+        view._shared_postings = set()
+        view._shared_dimensions = set()
         return view

@@ -4,8 +4,7 @@ Three instrument kinds, all plain counters over plain dicts:
 
 * :class:`Counter` — monotonically increasing totals (documents
   indexed, Fagin random accesses, EM iterations);
-* :class:`Gauge` — last-written values (committed stream offset,
-  live window size);
+* :class:`Gauge` — last-written values (committed stream offset);
 * :class:`Histogram` — value distributions over **fixed** bucket
   boundaries declared at creation time, so two runs (or two processes)
   bucket identically and snapshots can be compared line-by-line.

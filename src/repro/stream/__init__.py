@@ -13,10 +13,10 @@ Section IV-D).  This subsystem turns the one-shot stage graphs of
   at-least-once, idempotent delivery;
 * :mod:`~repro.stream.window` — :class:`WindowedAnalytics`, sliding-
   window relative-frequency / association / trend snapshots: the
-  batch mining functions run on an index of the window's live
-  documents;
+  batch mining functions run on the last buckets of the consumer's
+  one index, read as a frozen bucket-range view;
 * :mod:`~repro.stream.checkpoint` — atomic, checksummed JSON
-  checkpoints of offset + index + window (with fallback to the
+  checkpoints of offset + index + window cursor (with fallback to the
   previous good copy on corruption) so a killed consumer resumes
   without reprocessing or double-counting;
 * :mod:`~repro.stream.epoch` — :class:`EpochStore`, the snapshot

@@ -3,11 +3,13 @@
 A checkpoint captures everything a killed consumer needs to resume
 without losing or double-counting documents: the last committed source
 offset, the full main :class:`~repro.mining.index.ConceptIndex`, and
-the sliding-window state.  The style follows :mod:`repro.store.persist`
-— plain JSON dicts, explicit ``*_to_state`` / ``*_from_state``
-round-trip functions — and writes are atomic (temp file +
-``os.replace``) so a crash *during* checkpointing leaves the previous
-checkpoint intact rather than a torn file.
+the window's width and newest-bucket cursor (its documents are a
+bucket range of that index).  The style follows
+:mod:`repro.store.persist` — plain JSON dicts, explicit
+``*_to_state`` / ``*_from_state`` round-trip functions — and writes
+are atomic (temp file + ``os.replace``) so a crash *during*
+checkpointing leaves the previous checkpoint intact rather than a
+torn file.
 
 On top of atomicity, checkpoints are defended in depth:
 

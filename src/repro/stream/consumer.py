@@ -11,13 +11,15 @@ graph into a long-running incremental consumer:
 * **At-least-once, idempotent** — a record delivered twice is
   harmless: offsets at or below the committed offset are skipped
   outright, and a re-delivered ``doc_id`` at a fresh offset upserts
-  the main index (``on_duplicate="replace"``) and the analytics
-  window instead of raising.
+  the main index (``on_duplicate="replace"``) instead of raising.
+  The analytics window is a bucket range of that same index, so it
+  sees whatever version the index kept.
 * **Checkpoint / resume** — every ``checkpoint_interval`` committed
   batches the consumer snapshots its offset, the main index and the
-  window state through a :class:`~repro.stream.checkpoint.Checkpointer`.
-  :meth:`restore` rewinds the source to the committed offset and
-  rebuilds both structures, so a killed consumer resumes with final
+  window's newest-bucket cursor through a
+  :class:`~repro.stream.checkpoint.Checkpointer`.  :meth:`restore`
+  rewinds the source to the committed offset, rebuilds the index and
+  points the window at it, so a killed consumer resumes with final
   state bit-identical to an uninterrupted run — provided the stage
   graph is deterministic per document (no cross-document RNG
   ordering), which is the same contract the engine's parallel
@@ -124,8 +126,9 @@ class StreamConsumer:
     ``on_duplicate="replace"`` or ``"skip"`` — the consumer refuses a
     ``"raise"`` index stage because at-least-once delivery would then
     crash on the first redelivered record.  ``window`` is an optional
-    :class:`~repro.stream.window.WindowedAnalytics` fed with every
-    surviving document; ``checkpointer`` an optional
+    :class:`~repro.stream.window.WindowedAnalytics` over the main
+    index, advanced once per committed batch with the buckets of its
+    surviving documents; ``checkpointer`` an optional
     :class:`~repro.stream.checkpoint.Checkpointer`.
 
     Every commit boundary is a named fault point
@@ -251,8 +254,8 @@ class StreamConsumer:
         """Consume one micro-batch; False when the source is idle.
 
         One step = poll (bounded), run the stage graph over the fresh
-        records, fold survivors into the window, commit the offset,
-        and checkpoint when the interval elapses.
+        records, advance the window over the survivors, commit the
+        offset, and checkpoint when the interval elapses.
 
         The stage graph runs even when every record in the batch was a
         skipped re-delivery: the runner then reports a zero-count row
@@ -298,13 +301,10 @@ class StreamConsumer:
             self.report.discarded += len(result.discarded)
             if self.window is not None and result.documents:
                 index = self.index
-                for document in result.documents:
-                    doc_id = document.doc_id
-                    self.window.ingest(
-                        doc_id,
-                        index.keys_of(doc_id),
-                        index.timestamp_of(doc_id),
-                    )
+                self.window.ingest(index, {
+                    document.doc_id: index.timestamp_of(document.doc_id)
+                    for document in result.documents
+                })
             batch_span.tag("fresh", len(fresh))
             batch_span.tag("skipped", len(records) - len(fresh))
             batch_span.tag("processed", len(result.documents))
@@ -327,8 +327,6 @@ class StreamConsumer:
         metrics.gauge("stream.committed_offset").set(
             self._committed_offset
         )
-        if self.window is not None:
-            metrics.gauge("stream.window_docs").set(len(self.window))
         self._publish_epoch()
         fault_point("stream.batch-committed")
         if (
@@ -382,7 +380,7 @@ class StreamConsumer:
     # ------------------------------------------------------------------
 
     def checkpoint(self):
-        """Snapshot offset + index + window through the checkpointer.
+        """Snapshot offset + index + window cursor via the checkpointer.
 
         The snapshot itself is never observed: tracing a checkpoint
         times it and counts it but writes nothing into the state, so
@@ -415,8 +413,8 @@ class StreamConsumer:
     def restore(self):
         """Resume from the last checkpoint; False if none exists.
 
-        Rebuilds the main index in place of the stage graph's, replays
-        the window state, restores the cumulative counters, and seeks
+        Rebuilds the main index in place of the stage graph's, points
+        the window at it, restores the cumulative counters, and seeks
         the source to the record after the committed offset.
         """
         if self.checkpointer is None:
@@ -434,14 +432,15 @@ class StreamConsumer:
 
     def _restore_from(self, state, metrics):
         """Apply a loaded checkpoint ``state`` to this consumer."""
-        self._index_stage.index = index_from_state(state["index"])
+        index = index_from_state(state["index"])
+        self._index_stage.index = index
         if self.window is not None:
             if state["window"] is None:
                 raise ValueError(
                     "checkpoint carries no window state but the "
                     "consumer is configured with windowed analytics"
                 )
-            self.window.restore_state(state["window"])
+            self.window.restore_state(state["window"], index)
         saved = state["report"]
         self.report = StreamReport(
             polled=saved["polled"],

@@ -2,17 +2,16 @@
 
 A stream needs "the increase and decrease of occurrences of each
 concept in a certain period" (paper Section IV-D) after every
-micro-batch.  :class:`WindowedAnalytics` keeps the last
-``window_buckets`` integer time buckets of documents in a
-window-scoped :class:`~repro.mining.index.ConceptIndex`: ingest adds
-or upserts one document, and advancing the newest bucket evicts every
-document that falls below the window floor.
+micro-batch.  Every indexed document carries its time bucket, so that
+period is a bucket range of the consumer's one
+:class:`~repro.mining.index.ConceptIndex`, read through
+:meth:`~repro.mining.index.ConceptIndex.between`.
 
 Each snapshot is one call to the batch mining function —
 :func:`~repro.mining.assoc2d.associate`,
 :func:`~repro.mining.relfreq.relative_frequency`,
 :func:`~repro.mining.trends.trend_series` or
-:func:`~repro.mining.trends.emerging_concepts` — on that index, so a
+:func:`~repro.mining.trends.emerging_concepts` — on that range, so a
 snapshot equals the batch result over exactly the window's documents
 by construction.
 """
@@ -59,17 +58,13 @@ class RelFreqSpec:
 
 
 class WindowedAnalytics:
-    """A sliding window of documents with batch-computed snapshots.
+    """The last ``window_buckets`` time buckets of one concept index.
 
-    ``window_buckets`` is the window width in integer time buckets:
-    after a document with bucket ``t`` arrives, only documents with
-    buckets in ``[t - window_buckets + 1, t]`` remain live.  Documents
-    older than the current floor are *late* — counted and dropped, not
-    ingested — so window state never depends on arrival order beyond
-    the in-window upsert semantics.
-
-    Re-ingesting a live ``doc_id`` replaces it, mirroring the
-    at-least-once/idempotent contract of the stream consumer.
+    Holds no documents: with ``t`` the newest committed bucket, the
+    window is every document of the index with a bucket in
+    ``[t - window_buckets + 1, t]``.  A re-delivered ``doc_id`` is
+    whatever version the index kept, so one re-delivered below the
+    floor leaves the window, as in a batch run over the final index.
     """
 
     def __init__(self, window_buckets, assoc_specs=(), relfreq_specs=()):
@@ -79,63 +74,24 @@ class WindowedAnalytics:
         self.window_buckets = int(window_buckets)
         self.assoc_specs = list(assoc_specs)
         self.relfreq_specs = list(relfreq_specs)
-        self._reset()
-
-    def _reset(self):
-        """Blank every window structure (fresh or pre-restore)."""
-        self._index = ConceptIndex()
-        self._by_bucket = {}  # bucket -> [doc_id, ...] in ingest order
+        self._index = None
         self._max_bucket = None
-        self.late_dropped = 0
-        self.evicted = 0
 
-    # ------------------------------------------------------------------
-    # ingest / evict
-    # ------------------------------------------------------------------
+    def ingest(self, index, buckets):
+        """Advance the cursor over one committed batch of ``index``.
 
-    def ingest(self, doc_id, keys, timestamp):
-        """Add one document to the window; returns False if late.
-
-        ``keys`` is the document's full concept-key set (as produced
-        by the main :class:`ConceptIndex`); ``timestamp`` its integer
-        time bucket.  Advancing the maximum bucket evicts every bucket
-        that falls off the window floor.
+        ``buckets`` maps each surviving doc id to its time bucket; a
+        document without one is rejected.
         """
-        if timestamp is None:
-            raise ValueError(
-                f"document {doc_id!r} has no timestamp; windowed "
-                f"analytics need a time bucket per document"
-            )
-        floor = self.window_floor
-        if floor is not None and timestamp < floor:
-            self.late_dropped += 1
-            return False
-        if doc_id in self._index:
-            self._forget(doc_id)
-        self._index.add_keys(
-            doc_id, keys, timestamp=timestamp, on_duplicate="raise"
-        )
-        self._by_bucket.setdefault(timestamp, []).append(doc_id)
-        if self._max_bucket is None or timestamp > self._max_bucket:
-            self._max_bucket = timestamp
-            self._evict_below(self.window_floor)
-        return True
-
-    def _forget(self, doc_id):
-        """Drop one live document from the index and its bucket."""
-        timestamp = self._index.timestamp_of(doc_id)
-        self._by_bucket[timestamp].remove(doc_id)
-        if not self._by_bucket[timestamp]:
-            del self._by_bucket[timestamp]
-        self._index.remove(doc_id)
-
-    def _evict_below(self, floor):
-        """Evict every document in a bucket below ``floor``."""
-        stale = sorted(b for b in self._by_bucket if b < floor)
-        for bucket in stale:
-            for doc_id in list(self._by_bucket[bucket]):
-                self._forget(doc_id)
-                self.evicted += 1
+        for doc_id, bucket in buckets.items():
+            if bucket is None:
+                raise ValueError(
+                    f"document {doc_id!r} has no timestamp; windowed "
+                    f"analytics need a time bucket per document"
+                )
+            if self._max_bucket is None or bucket > self._max_bucket:
+                self._max_bucket = bucket
+        self._index = index
 
     # ------------------------------------------------------------------
     # window state
@@ -143,8 +99,10 @@ class WindowedAnalytics:
 
     @property
     def index(self):
-        """The window-scoped concept index (read it, don't mutate it)."""
-        return self._index
+        """A frozen view of the index's documents inside the window."""
+        if self._max_bucket is None:
+            return ConceptIndex().snapshot()
+        return self._index.between(self.window_floor, self._max_bucket)
 
     @property
     def window_floor(self):
@@ -156,43 +114,45 @@ class WindowedAnalytics:
     @property
     def buckets(self):
         """Sorted non-empty buckets currently inside the window."""
-        return sorted(self._by_bucket)
+        view = self.index
+        return sorted({view.timestamp_of(doc) for doc in view.document_ids})
 
     def __len__(self):
-        return len(self._index)
+        return len(self.index)
 
     # ------------------------------------------------------------------
-    # snapshots: the batch mining functions on the window index
+    # snapshots: the batch mining functions on the window's documents
     # ------------------------------------------------------------------
 
     def trend_snapshot(self, key, buckets=None):
         """``(bucket, count)`` series for ``key`` over the window.
 
-        :func:`~repro.mining.trends.trend_series` on the window index.
+        :func:`~repro.mining.trends.trend_series` on the window view.
         """
-        return trend_series(self._index, key, buckets=buckets)
+        return trend_series(self.index, key, buckets=buckets)
 
     def emerging_snapshot(self, dimension, buckets=None, min_total=3):
         """Rising concepts of a dimension, steepest slope first.
 
         :func:`~repro.mining.trends.emerging_concepts` on the window
-        index.
+        view.
         """
         return emerging_concepts(
-            self._index, dimension, buckets=buckets, min_total=min_total
+            self.index, dimension, buckets=buckets, min_total=min_total
         )
 
     def assoc_snapshot(self, spec_index=0):
         """The registered association's table over the window.
 
-        :func:`~repro.mining.assoc2d.associate` on the window index;
+        :func:`~repro.mining.assoc2d.associate` on the window view;
         raises ``ValueError`` on an empty window.
         """
-        if not len(self._index):
+        view = self.index
+        if not len(view):
             raise ValueError("cannot analyse an empty window")
         spec = self.assoc_specs[spec_index]
         return associate(
-            self._index, spec.row_dimension, spec.col_dimension,
+            view, spec.row_dimension, spec.col_dimension,
             confidence=spec.confidence,
             interval_method=spec.interval_method,
         )
@@ -201,11 +161,11 @@ class WindowedAnalytics:
         """The registered relevancy ranking over the window.
 
         :func:`~repro.mining.relfreq.relative_frequency` on the window
-        index.
+        view.
         """
         spec = self.relfreq_specs[spec_index]
         return relative_frequency(
-            self._index, spec.focus_keys, spec.candidate_dimension,
+            self.index, spec.focus_keys, spec.candidate_dimension,
             min_focus_count=spec.min_focus_count,
         )
 
@@ -214,29 +174,18 @@ class WindowedAnalytics:
     # ------------------------------------------------------------------
 
     def to_state(self):
-        """JSON-safe snapshot of the window's documents and cursor."""
+        """JSON-safe snapshot of the window: its width and its cursor."""
         return {
             "window_buckets": self.window_buckets,
             "max_bucket": self._max_bucket,
-            "late_dropped": self.late_dropped,
-            "evicted": self.evicted,
-            "documents": [
-                {
-                    "doc_id": doc_id,
-                    "keys": sorted(
-                        list(key) for key in self._index.keys_of(doc_id)
-                    ),
-                    "timestamp": self._index.timestamp_of(doc_id),
-                }
-                for doc_id in self._index.document_ids
-            ],
         }
 
-    def restore_state(self, state):
-        """Rebuild the window from a :meth:`to_state` snapshot.
+    def restore_state(self, state, index):
+        """Point the window at ``index`` with a :meth:`to_state` cursor.
 
-        Documents are re-ingested in their original insertion order,
-        which reproduces the window index and its bucket lists exactly.
+        Older blocks also list the window's ``documents`` and its
+        ``late_dropped``/``evicted`` counters; they are ignored, since
+        the documents are in the consumer's rebuilt ``index``.
         """
         if state["window_buckets"] != self.window_buckets:
             raise ValueError(
@@ -244,10 +193,6 @@ class WindowedAnalytics:
                 f"buckets, consumer is configured for "
                 f"{self.window_buckets}"
             )
-        self._reset()
-        for entry in state["documents"]:
-            self.ingest(entry["doc_id"], entry["keys"], entry["timestamp"])
+        self._index = index
         self._max_bucket = state["max_bucket"]
-        self.late_dropped = state["late_dropped"]
-        self.evicted = state["evicted"]
         return self

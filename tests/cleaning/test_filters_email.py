@@ -5,6 +5,7 @@ import pytest
 from repro.cleaning.email import parse_email, segment_customer_text
 from repro.cleaning.langfilter import LanguageFilter
 from repro.cleaning.spamfilter import SpamFilter, train_default_spam_filter
+from tests.cleaning.corpus import telecom_corpus
 
 RAW_EMAIL = """\
 from: john smith <john.smith42@example.com>
@@ -56,6 +57,17 @@ class TestLanguageFilter:
 
     def test_empty_passes(self, language_filter):
         assert language_filter.is_english("")
+
+    def test_filters_share_one_vocabulary(self, language_filter):
+        """The word sets are built once per process, not per filter."""
+        other = LanguageFilter()
+        assert other._vocabulary is language_filter._vocabulary
+        assert other._foreign is language_filter._foreign
+        assert isinstance(other._vocabulary, frozenset)
+        texts = [message.raw_text for message in telecom_corpus(1).messages]
+        assert [other.english_score(text) for text in texts] == [
+            language_filter.english_score(text) for text in texts
+        ]
 
 
 class TestSpamFilter:

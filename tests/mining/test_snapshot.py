@@ -150,6 +150,59 @@ class TestCopyOnWriteIsolation:
         assert "a" in first and "a" in second and "a" not in live
 
 
+class TestBucketRange:
+    """``between``: a frozen view of the documents in a bucket range."""
+
+    @staticmethod
+    def _rebuilt(index, lo, hi):
+        """The in-range documents re-added, in order, to a new index."""
+        rebuilt = ConceptIndex(keep_documents=index.keeps_documents)
+        for doc_id in index.document_ids:
+            timestamp = index.timestamp_of(doc_id)
+            if timestamp is not None and lo <= timestamp <= hi:
+                rebuilt.add_keys(
+                    doc_id, index.keys_of(doc_id), timestamp=timestamp,
+                    text=(index.text_of(doc_id)
+                          if index.keeps_documents else None),
+                )
+        return rebuilt
+
+    @pytest.mark.parametrize("bounds", [(0, 0), (1, 1), (0, 1), (2, 9)])
+    def test_view_equals_index_of_its_documents(self, live, bounds):
+        view = live.between(*bounds)
+        rebuilt = self._rebuilt(live, *bounds)
+        assert view.document_ids == rebuilt.document_ids
+        assert view.concept_keys() == rebuilt.concept_keys()
+        for key in rebuilt.concept_keys():
+            assert view.postings_view(key) == rebuilt.postings_view(key)
+        for dimension in (("field", "city"), ("concept", "issue")):
+            assert view.values_of_dimension(dimension) == (
+                rebuilt.values_of_dimension(dimension)
+            )
+        assert view.stats() == rebuilt.stats()
+
+    def test_texts_and_untimed_documents(self):
+        index = _fill(ConceptIndex(keep_documents=True))
+        index.add_keys("u", [field_key("city", "boston")], text="untimed")
+        view = index.between(1, 1)
+        assert view.keeps_documents
+        assert view.document_ids == ["b", "c"]
+        assert "u" not in view
+        assert view.text_of("b") == index.text_of("b")
+
+    def test_view_is_frozen_and_isolated(self, live):
+        view = live.between(0, 1)
+        with pytest.raises(RuntimeError):
+            view.add_keys("z", [field_key("city", "boston")], timestamp=0)
+        assert view.is_snapshot
+        live.add_keys("d", [field_key("city", "boston")], timestamp=1)
+        live.remove("b")
+        assert view.documents_with(field_key("city", "boston")) == (
+            {"a", "b"}
+        )
+        assert "d" not in view
+
+
 class TestStats:
     """The cheap structural counters (health endpoint satellite)."""
 

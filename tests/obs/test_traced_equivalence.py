@@ -19,12 +19,14 @@ from repro.exec import make_backend
 from repro.faults import FaultPlan, FaultSpec, InjectedFault, injecting
 from repro.linking.fagin import fagin_merge
 from repro.mining.assoc2d import associate
+from repro.mining.index import field_key
 from repro.mining.stage import ConceptIndexStage
 from repro.obs import MetricsRegistry, Tracer, activated
 from repro.stream import (
     AssocSpec,
     Checkpointer,
     MemorySource,
+    RelFreqSpec,
     StreamConsumer,
     WindowedAnalytics,
     index_to_state,
@@ -34,6 +36,7 @@ from tests.cleaning.corpus import (
     counting_searches,
     telecom_corpus,
 )
+from tests.stream.reference import window_snapshots
 
 
 class AddOne(MapStage):
@@ -177,6 +180,9 @@ def _build(checkpoint_path=None):
         window=WindowedAnalytics(
             3,
             assoc_specs=[AssocSpec(("field", "city"), ("field", "car"))],
+            relfreq_specs=[
+                RelFreqSpec((field_key("car", "suv"),), ("field", "city"))
+            ],
         ),
         checkpointer=(
             Checkpointer(checkpoint_path) if checkpoint_path else None
@@ -208,6 +214,9 @@ def _assert_same_final_state(resumed, reference):
         reference.index
     )
     assert resumed.window.to_state() == reference.window.to_state()
+    assert window_snapshots(resumed.window) == window_snapshots(
+        reference.window
+    )
     assert resumed.committed_offset == reference.committed_offset
     assert resumed.report.processed == reference.report.processed
     assert resumed.report.discarded == reference.report.discarded
@@ -263,6 +272,9 @@ class TestStreamEquivalence:
         assert state["offset"] == reference.committed_offset
         assert state["index"] == index_to_state(reference.index)
         assert state["window"] == reference.window.to_state()
+        assert window_snapshots(traced.window) == window_snapshots(
+            reference.window
+        )
 
 
 class TestMiningEquivalence:

@@ -15,15 +15,18 @@ import pytest
 
 from repro.engine import Document, FunctionStage
 from repro.faults import FaultPlan, FaultSpec, InjectedFault, injecting
+from repro.mining.index import field_key
 from repro.mining.stage import ConceptIndexStage
 from repro.stream import (
     AssocSpec,
     Checkpointer,
     MemorySource,
+    RelFreqSpec,
     StreamConsumer,
     WindowedAnalytics,
     index_to_state,
 )
+from tests.stream.reference import window_snapshots
 
 CITIES = ["seattle", "boston", "denver"]
 CARS = ["suv", "compact", "luxury"]
@@ -65,7 +68,11 @@ def _build(checkpoint_path=None):
             ConceptIndexStage(on_duplicate="replace"),
         ],
         window=WindowedAnalytics(
-            3, assoc_specs=[AssocSpec(("field", "city"), ("field", "car"))]
+            3,
+            assoc_specs=[AssocSpec(("field", "city"), ("field", "car"))],
+            relfreq_specs=[
+                RelFreqSpec((field_key("car", "suv"),), ("field", "city"))
+            ],
         ),
         checkpointer=(
             Checkpointer(checkpoint_path) if checkpoint_path else None
@@ -97,6 +104,9 @@ def _assert_same_final_state(resumed, reference):
         reference.index
     )
     assert resumed.window.to_state() == reference.window.to_state()
+    assert window_snapshots(resumed.window) == window_snapshots(
+        reference.window
+    )
     assert resumed.committed_offset == reference.committed_offset
     assert resumed.report.processed == reference.report.processed
     assert resumed.report.discarded == reference.report.discarded
@@ -188,6 +198,9 @@ class TestDeliverySemantics:
             reference.index
         )
         assert consumer.window.to_state() == reference.window.to_state()
+        assert window_snapshots(consumer.window) == window_snapshots(
+            reference.window
+        )
 
     def test_duplicate_doc_id_at_fresh_offset_upserts(self):
         source = MemorySource()

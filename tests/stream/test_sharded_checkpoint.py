@@ -26,12 +26,14 @@ from repro.stream import (
     AssocSpec,
     Checkpointer,
     MemorySource,
+    RelFreqSpec,
     StreamConsumer,
     WindowedAnalytics,
     index_from_state,
     index_to_state,
 )
 from repro.stream.checkpoint import CHECKPOINT_VERSION
+from tests.stream.reference import window_snapshots
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TWO_SHARDS = FIXTURES / "v3_two_shards.ck.json"
@@ -106,7 +108,11 @@ def _build(checkpoint_path=None):
     return StreamConsumer(
         MemorySource(_make_pairs()),
         [ConceptIndexStage(on_duplicate="replace")],
-        window=WindowedAnalytics(3, assoc_specs=[AssocSpec(CITY, CAR)]),
+        window=WindowedAnalytics(
+            3,
+            assoc_specs=[AssocSpec(CITY, CAR)],
+            relfreq_specs=[RelFreqSpec((field_key("car", "suv"),), CITY)],
+        ),
         checkpointer=(
             Checkpointer(checkpoint_path) if checkpoint_path else None
         ),
@@ -147,6 +153,9 @@ class TestLegacyCheckpoints:
             prefix.index
         )
         assert restored.window.to_state() == prefix.window.to_state()
+        assert window_snapshots(restored.window) == window_snapshots(
+            prefix.window
+        )
         assert associate(restored.index, CITY, CAR) == associate(
             prefix.index, CITY, CAR
         )
@@ -166,6 +175,9 @@ class TestLegacyCheckpoints:
             reference.index
         )
         assert resumed.window.to_state() == reference.window.to_state()
+        assert window_snapshots(resumed.window) == window_snapshots(
+            reference.window
+        )
         assert resumed.committed_offset == reference.committed_offset
         assert associate(resumed.index, CITY, CAR) == associate(
             reference.index, CITY, CAR

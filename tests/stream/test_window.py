@@ -1,12 +1,12 @@
 """WindowedAnalytics: window snapshots == batch mining.
 
 The central claim of the streaming subsystem: after any sequence of
-ingests (including upserts, late arrivals and evictions), every
+deliveries (including upserts, late arrivals and evictions), every
 snapshot is *bit-identical* to running the batch mining function over
 an index holding exactly the window's documents.  The expected window
 membership is computed here independently (last-write-wins per doc_id,
-buckets within ``[max - W + 1, max]``), so the test does not trust the
-window's own bookkeeping.
+then buckets within ``[max - W + 1, max]``), so the test does not trust
+the window's bucket-range read.
 """
 
 import random
@@ -18,6 +18,7 @@ from repro.mining.index import ConceptIndex, concept_key, field_key
 from repro.mining.relfreq import relative_frequency
 from repro.mining.trends import emerging_concepts, trend_series
 from repro.stream import AssocSpec, RelFreqSpec, WindowedAnalytics
+from tests.stream.reference import ReferenceWindow, window_snapshots
 
 CITIES = ["seattle", "boston", "denver", "miami"]
 CARS = ["suv", "compact", "luxury"]
@@ -59,16 +60,15 @@ def _deliveries(seed, n=150):
 
 
 def _expected_window(deliveries, window_buckets):
-    """Independent window model: last write wins, floor filtering."""
+    """Independent window model: last write wins, then floor filtering.
+
+    A late delivery never enters the window.  A late re-delivery of a
+    live document still replaces it, as it does in the index, and so
+    takes it out of the window.
+    """
     live = {}
     max_bucket = None
     for doc_id, keys, timestamp in deliveries:
-        floor = (
-            None if max_bucket is None
-            else max_bucket - window_buckets + 1
-        )
-        if floor is not None and timestamp < floor:
-            continue  # late: dropped
         live[doc_id] = (keys, timestamp)
         if max_bucket is None or timestamp > max_bucket:
             max_bucket = timestamp
@@ -90,12 +90,17 @@ def _batch_index(expected):
 
 
 def _feed(deliveries):
+    """(window, index): each delivery upserts the index, then commits."""
+    index = ConceptIndex()
     window = WindowedAnalytics(
         WINDOW, assoc_specs=[ASSOC], relfreq_specs=[RELFREQ]
     )
     for doc_id, keys, timestamp in deliveries:
-        window.ingest(doc_id, keys, timestamp)
-    return window
+        index.add_keys(
+            doc_id, keys, timestamp=timestamp, on_duplicate="replace"
+        )
+        window.ingest(index, {doc_id: timestamp})
+    return window, index
 
 
 def _assert_tables_identical(actual, expected):
@@ -110,7 +115,7 @@ def _assert_tables_identical(actual, expected):
 class TestBatchEquivalence:
     def test_membership_matches_independent_model(self, seed):
         deliveries = _deliveries(seed)
-        window = _feed(deliveries)
+        window, _ = _feed(deliveries)
         expected = _expected_window(deliveries, WINDOW)
         assert sorted(window.index.document_ids) == sorted(expected)
         for doc_id, (keys, timestamp) in expected.items():
@@ -119,7 +124,7 @@ class TestBatchEquivalence:
 
     def test_assoc_snapshot_bit_identical(self, seed):
         deliveries = _deliveries(seed)
-        window = _feed(deliveries)
+        window, _ = _feed(deliveries)
         batch = _batch_index(_expected_window(deliveries, WINDOW))
         _assert_tables_identical(
             window.assoc_snapshot(0),
@@ -128,7 +133,7 @@ class TestBatchEquivalence:
 
     def test_relfreq_snapshot_bit_identical(self, seed):
         deliveries = _deliveries(seed)
-        window = _feed(deliveries)
+        window, _ = _feed(deliveries)
         batch = _batch_index(_expected_window(deliveries, WINDOW))
         assert window.relfreq_snapshot(0) == relative_frequency(
             batch, RELFREQ.focus_keys, RELFREQ.candidate_dimension,
@@ -137,7 +142,7 @@ class TestBatchEquivalence:
 
     def test_trend_snapshots_bit_identical(self, seed):
         deliveries = _deliveries(seed)
-        window = _feed(deliveries)
+        window, _ = _feed(deliveries)
         batch = _batch_index(_expected_window(deliveries, WINDOW))
         # Forced buckets reach past both window edges: evicted buckets
         # and buckets not yet seen must come back zero-filled.
@@ -159,42 +164,71 @@ class TestBatchEquivalence:
 
     def test_state_round_trip_preserves_everything(self, seed):
         deliveries = _deliveries(seed)
-        window = _feed(deliveries)
+        window, index = _feed(deliveries)
         restored = WindowedAnalytics(
             WINDOW, assoc_specs=[ASSOC], relfreq_specs=[RELFREQ]
-        ).restore_state(window.to_state())
+        ).restore_state(window.to_state(), index)
         assert restored.to_state() == window.to_state()
-        _assert_tables_identical(
-            restored.assoc_snapshot(0), window.assoc_snapshot(0)
+        assert window_snapshots(restored) == window_snapshots(window)
+
+    def test_snapshots_equal_the_reference_window(self, seed):
+        """Re-deliveries in their own bucket: == the private-index window.
+
+        At-least-once re-delivery repeats a message in the bucket it
+        was first delivered in, so a live document is never
+        re-delivered below the floor here (that edge has its own test).
+        """
+        bucket_of = {}
+        deliveries = []
+        for doc_id, keys, timestamp in _deliveries(seed):
+            timestamp = bucket_of.setdefault(doc_id, timestamp)
+            deliveries.append((doc_id, keys, timestamp))
+        index = ConceptIndex()
+        window = WindowedAnalytics(
+            WINDOW, assoc_specs=[ASSOC], relfreq_specs=[RELFREQ]
         )
-        assert restored.relfreq_snapshot(0) == window.relfreq_snapshot(0)
-        assert restored.late_dropped == window.late_dropped
-        assert restored.evicted == window.evicted
+        reference = ReferenceWindow(
+            WINDOW, assoc_specs=[ASSOC], relfreq_specs=[RELFREQ]
+        )
+        for doc_id, keys, timestamp in deliveries:
+            index.add_keys(
+                doc_id, keys, timestamp=timestamp, on_duplicate="replace"
+            )
+            window.ingest(index, {doc_id: timestamp})
+            reference.ingest(doc_id, keys, timestamp)
+            assert window_snapshots(window) == window_snapshots(reference)
+
+
+def _window_of(*deliveries, window_buckets=2):
+    """(window, index) after ``(doc_id, value, bucket)`` deliveries."""
+    index = ConceptIndex()
+    window = WindowedAnalytics(window_buckets)
+    for doc_id, value, bucket in deliveries:
+        index.add_keys(
+            doc_id, {field_key("a", value)}, timestamp=bucket,
+            on_duplicate="replace",
+        )
+        window.ingest(index, {doc_id: bucket})
+    return window, index
 
 
 class TestWindowMechanics:
     def test_eviction_drops_old_buckets(self):
-        window = WindowedAnalytics(2)
-        window.ingest(0, {field_key("a", "x")}, 0)
-        window.ingest(1, {field_key("a", "x")}, 1)
-        window.ingest(2, {field_key("a", "y")}, 3)
+        window, _ = _window_of((0, "x", 0), (1, "x", 1), (2, "y", 3))
         assert sorted(window.index.document_ids) == [2]
-        assert window.evicted == 2
         assert window.window_floor == 2
         # Dimension values of evicted docs disappear entirely.
         assert window.index.values_of_dimension(("field", "a")) == ["y"]
 
-    def test_late_arrival_dropped_and_counted(self):
-        window = WindowedAnalytics(2)
-        window.ingest(0, {field_key("a", "x")}, 5)
-        assert not window.ingest(1, {field_key("a", "y")}, 2)
-        assert window.late_dropped == 1
+    def test_late_arrival_outside_window(self):
+        window, index = _window_of((0, "x", 5), (1, "y", 2))
         assert len(window) == 1
+        assert window.index.document_ids == [0]
+        assert window.buckets == [5]
+        assert 1 in index  # the index keeps it; the window range skips it
 
     def test_upsert_replaces_keys_and_timestamp(self):
-        window = WindowedAnalytics(5)
-        window.ingest(0, {field_key("a", "x")}, 1)
-        window.ingest(0, {field_key("a", "y")}, 2)
+        window, _ = _window_of((0, "x", 1), (0, "y", 2), window_buckets=5)
         assert len(window) == 1
         assert window.index.keys_of(0) == {field_key("a", "y")}
         assert window.trend_snapshot(field_key("a", "x")) == []
@@ -203,19 +237,57 @@ class TestWindowMechanics:
     def test_missing_timestamp_rejected(self):
         window = WindowedAnalytics(2)
         with pytest.raises(ValueError, match="no timestamp"):
-            window.ingest(0, {field_key("a", "x")}, None)
+            window.ingest(ConceptIndex(), {0: None})
 
     def test_restore_rejects_mismatched_window(self):
-        window = WindowedAnalytics(2)
-        window.ingest(0, {field_key("a", "x")}, 0)
+        window, index = _window_of((0, "x", 0))
         other = WindowedAnalytics(3)
         with pytest.raises(ValueError, match="configured for 3"):
-            other.restore_state(window.to_state())
+            other.restore_state(window.to_state(), index)
 
     def test_empty_window_snapshot_raises_like_batch(self):
         window = WindowedAnalytics(2, assoc_specs=[ASSOC])
         with pytest.raises(ValueError, match="empty window"):
             window.assoc_snapshot(0)
+
+
+class TestOneIndex:
+    """The window owns no documents: it reads the index it is given."""
+
+    def test_window_holds_no_index_of_its_own(self):
+        window, index = _window_of((0, "x", 0), (1, "y", 1))
+        owned = [
+            value for value in vars(window).values()
+            if isinstance(value, ConceptIndex)
+        ]
+        assert owned == [index]
+        assert window.index.is_snapshot
+
+    def test_checkpoint_block_is_width_and_cursor(self):
+        window, _ = _window_of((0, "x", 4), (1, "y", 7), window_buckets=3)
+        assert window.to_state() == {"window_buckets": 3, "max_bucket": 7}
+
+    def test_legacy_window_block_restores(self):
+        """A block with the old document list and counters still loads."""
+        window, index = _window_of((0, "x", 4), (1, "y", 7),
+                                   window_buckets=3)
+        legacy = dict(
+            window.to_state(), late_dropped=2, evicted=5,
+            documents=[{"doc_id": 9, "keys": [["field", "a", "q"]],
+                        "timestamp": 7}],
+        )
+        restored = WindowedAnalytics(3).restore_state(legacy, index)
+        assert restored.to_state() == window.to_state()
+        assert window_snapshots(restored) == window_snapshots(window)
+        assert restored.index.document_ids == [1]
+
+    def test_view_follows_later_index_writes(self):
+        window, index = _window_of((0, "x", 1), (1, "y", 2))
+        before = window.index
+        index.add_keys(2, {field_key("a", "w")}, timestamp=2)
+        window.ingest(index, {2: 2})
+        assert window.index.document_ids == [0, 1, 2]
+        assert before.document_ids == [0, 1]
 
 
 class TestAssocSpecOptions:
