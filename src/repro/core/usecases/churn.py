@@ -234,9 +234,10 @@ class MessageLinkStage(MapStage):
 
         Declared for ``bivoc effects``: ``EntityLinker.link`` scores
         candidates without touching shared state, so the hook only
-        writes the document.  The one thing it fills is its registry's
-        Jaro-Winkler word-pair memo, a cache of a pure function that
-        no result depends on.
+        writes the document.  It fills two caches that no result
+        depends on: the linker's ranked-list memo (one scored list per
+        distinct attribute and token value) and its registry's
+        Jaro-Winkler word-pair memo.
         """
         evidence = link_evidence_text(
             document.channel,

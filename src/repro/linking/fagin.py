@@ -22,6 +22,7 @@ the totals the paper's efficiency argument is about (see
 no-op call per merge).
 """
 
+import heapq
 from dataclasses import dataclass
 
 from repro.obs import get_metrics, get_tracer
@@ -165,7 +166,7 @@ def _threshold_merge(lists, weights, k):
             weight * score for weight, score in zip(weights, frontier)
         )
         if len(best) >= k:
-            kth = sorted(best.values(), reverse=True)[k - 1]
+            kth = heapq.nlargest(k, best.values())[-1]
             if kth >= threshold:
                 break
     ranked = sorted(best.items(), key=lambda pair: (-pair[1], str(pair[0])))

@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from repro.linking.annotators import build_default_annotators
 from repro.linking.fagin import fagin_merge, full_scan_merge, threshold_merge
 from repro.linking.similarity import default_registry
+from repro.obs import get_metrics
+
+#: Ranked lists a linker's memo holds before it starts over (one
+#: seed-1 churn-email study fills 400).
+RANKED_LIST_MEMO_LIMIT = 1 << 13
 
 _MERGE_STRATEGIES = {
     "fagin": fagin_merge,
@@ -39,7 +44,15 @@ class LinkResult:
 
 
 class EntityLinker:
-    """Links documents to entities of a single table."""
+    """Links documents to entities of a single table.
+
+    A linker builds each ranked list once: the scored, sorted
+    candidates of one ``(attribute name, token value)`` pair are kept
+    in a memo that belongs to the linker, starts empty and starts over
+    past :data:`RANKED_LIST_MEMO_LIMIT` lists.  A pickled linker
+    (shipped to a worker process) carries no memo.  Threads that share
+    a linker share its memo; at worst two of them score a list twice.
+    """
 
     def __init__(self, database, table_name, annotators=None,
                  registry=None, weights=None, candidate_limit=25,
@@ -62,6 +75,19 @@ class EntityLinker:
                 f"merge must be one of {sorted(_MERGE_STRATEGIES)}"
             )
         self._merge = _MERGE_STRATEGIES[merge]
+        # (table version, {(attribute name, token value): ranked tuple}),
+        # swapped as one tuple so a reader never pairs a memo with the
+        # wrong version.
+        self._ranked = (None, {})
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_ranked"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._ranked = (None, {})
 
     def weight_of(self, attribute_name):
         """Weight w_j for an attribute (default 1.0)."""
@@ -82,29 +108,66 @@ class EntityLinker:
     def ranked_lists(self, text):
         """Per-(token, attribute) ranked candidate lists and weights.
 
-        Returns ``(lists, weights, tokens)`` ready for the merge.
+        Returns ``(lists, weights, tokens)`` ready for the merge.  Each
+        list is a fresh ``list`` of ``(entity_id, score)``, best first.
+
+        A list is a function of its attribute and token value alone, so
+        it is scored once per ``(attribute name, token value)`` and
+        reused from the linker's memo after that.  The memo assumes the
+        registry's measures and ``candidate_limit`` stay fixed once the
+        linker has linked.  It starts over when the table grows (rows
+        are append-only, so its length versions it) or when
+        :meth:`~repro.store.database.Database.build_indexes` runs again
+        (:attr:`~repro.store.database.Database.generation`).  Counts
+        the lists scored and reused, and the candidates scored, on
+        ``linking.lists.scored``, ``.reused`` and ``.entries``.
         """
         tokens = self.annotators.annotate(text)
+        version = (self.database.generation, len(self.table))
+        memo_version, memo = self._ranked
+        if memo_version != version or len(memo) > RANKED_LIST_MEMO_LIMIT:
+            memo = {}
+            self._ranked = (version, memo)
         lists = []
         weights = []
+        scored = reused = entries = 0
         for token in tokens:
             for attribute in self.table.schema.attributes_of_type(
                 token.attr_type
             ):
-                scored = []
-                for entity in self._candidates_for(attribute, token):
-                    similarity = self.registry.similarity(
-                        attribute.type,
-                        token.value,
-                        entity.values.get(attribute.name),
+                key = (attribute.name, token.value)
+                ranked = memo.get(key)
+                if ranked is None:
+                    candidates = self._candidates_for(attribute, token)
+                    ranked = memo[key] = self._scored(
+                        attribute, token, candidates
                     )
-                    if similarity > 0.0:
-                        scored.append((entity.entity_id, similarity))
-                scored.sort(key=lambda pair: (-pair[1], pair[0]))
-                if scored:
-                    lists.append(scored)
+                    scored += 1
+                    entries += len(candidates)
+                else:
+                    reused += 1
+                if ranked:
+                    lists.append(list(ranked))
                     weights.append(self.weight_of(attribute.name))
+        metrics = get_metrics()
+        metrics.counter("linking.lists.scored").inc(scored)
+        metrics.counter("linking.lists.reused").inc(reused)
+        metrics.counter("linking.lists.entries").inc(entries)
         return lists, weights, tokens
+
+    def _scored(self, attribute, token, candidates):
+        """The nonzero scores of ``candidates``, best first, as a tuple."""
+        scored = []
+        for entity in candidates:
+            similarity = self.registry.similarity(
+                attribute.type,
+                token.value,
+                entity.values.get(attribute.name),
+            )
+            if similarity > 0.0:
+                scored.append((entity.entity_id, similarity))
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        return tuple(scored)
 
     def link(self, text, k=1):
         """Best entity for ``text`` (or top-k ranked candidates)."""

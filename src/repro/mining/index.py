@@ -61,6 +61,16 @@ class ConceptIndex:
         self._frozen = False
         self._shared_postings = set()
         self._shared_dimensions = set()
+        self._writes = 0
+
+    @property
+    def writes(self):
+        """How many writes (adds and removes) this index has taken.
+
+        A reader caching something derived from the index keys it on
+        this count: the cache is current while the count stands still.
+        """
+        return self._writes
 
     def _owned_postings(self, key):
         """The postings set of ``key``, safe to mutate in place.
@@ -165,6 +175,7 @@ class ConceptIndex:
         }
         if self._keep_documents:
             self._texts[doc_id] = text or ""
+        self._writes += 1
         return self
 
     def remove(self, doc_id):
@@ -191,6 +202,7 @@ class ConceptIndex:
                 if not values:
                     del self._dimension_values[dimension]
         self._texts.pop(doc_id, None)
+        self._writes += 1
         return self
 
     @property
@@ -346,4 +358,5 @@ class ConceptIndex:
         view._frozen = True
         view._shared_postings = set()
         view._shared_dimensions = set()
+        view._writes = 0
         return view

@@ -18,6 +18,9 @@ class Database:
         self.name = name
         self._tables = {}
         self._indexes = {}
+        #: Bumped by every :meth:`build_indexes`, so a reader that cached
+        #: candidate results can tell the indexes moved under it.
+        self.generation = 0
 
     def create_table(self, name, schema):
         """Create and register a new table; returns it."""
@@ -51,9 +54,11 @@ class Database:
         """(Re)build fuzzy indexes for every indexed attribute.
 
         Call after bulk loading.  Indexes built earlier are discarded,
-        so this is safe to call repeatedly.
+        so this is safe to call repeatedly; each call bumps
+        :attr:`generation`.
         """
         self._indexes = {}
+        self.generation += 1
         for table in self._tables.values():
             for attribute in table.schema.indexed_attributes():
                 index = build_index_for_attribute(attribute.type)

@@ -76,6 +76,10 @@ class WindowedAnalytics:
         self.relfreq_specs = list(relfreq_specs)
         self._index = None
         self._max_bucket = None
+        # (index, its writes, floor, newest bucket) and the view they
+        # give, swapped as one tuple so a reader never pairs a view with
+        # the wrong key.
+        self._view = (None, None)
 
     def ingest(self, index, buckets):
         """Advance the cursor over one committed batch of ``index``.
@@ -99,10 +103,20 @@ class WindowedAnalytics:
 
     @property
     def index(self):
-        """A frozen view of the index's documents inside the window."""
+        """A frozen view of the index's documents inside the window.
+
+        Built once per index write and cursor: every read between two
+        commits (snapshots, ``len``, :attr:`buckets`) shares one view.
+        """
         if self._max_bucket is None:
             return ConceptIndex().snapshot()
-        return self._index.between(self.window_floor, self._max_bucket)
+        floor = self.window_floor
+        key = (self._index, self._index.writes, floor, self._max_bucket)
+        cached, view = self._view
+        if cached != key:
+            view = self._index.between(floor, self._max_bucket)
+            self._view = (key, view)
+        return view
 
     @property
     def window_floor(self):

@@ -183,6 +183,13 @@ def damerau_levenshtein(a, b):
 def jaro(a, b):
     """Jaro similarity between two strings.
 
+    Each character of ``a`` matches the first unmatched equal character
+    of ``b`` inside the match window.  ``str.find`` finds the equal
+    characters, so only they are visited, not every cell of the window;
+    a find that lands on a matched position searches again past it.
+    The transpositions are the half of the positions at which the
+    matched characters of ``a`` and of ``b``, each in order, differ.
+
     >>> jaro("martha", "marhta") > 0.9
     True
     """
@@ -194,30 +201,23 @@ def jaro(a, b):
     window = max(la, lb) // 2 - 1
     if window < 0:
         window = 0
-    a_matched = [False] * la
     b_matched = [False] * lb
-    matches = 0
+    a_chars = []
     for i, ca in enumerate(a):
-        lo = max(0, i - window)
-        hi = min(lb, i + window + 1)
-        for j in range(lo, hi):
-            if not b_matched[j] and b[j] == ca:
-                a_matched[i] = True
-                b_matched[j] = True
-                matches += 1
-                break
+        hi = i + window + 1
+        j = b.find(ca, i - window if i > window else 0, hi)
+        while j != -1 and b_matched[j]:
+            j = b.find(ca, j + 1, hi)
+        if j != -1:
+            b_matched[j] = True
+            a_chars.append(ca)
+    matches = len(a_chars)
     if matches == 0:
         return 0.0
-    transpositions = 0
-    j = 0
-    for i in range(la):
-        if a_matched[i]:
-            while not b_matched[j]:
-                j += 1
-            if a[i] != b[j]:
-                transpositions += 1
-            j += 1
-    transpositions //= 2
+    b_chars = [cb for cb, matched in zip(b, b_matched) if matched]
+    transpositions = sum(
+        ca != cb for ca, cb in zip(a_chars, b_chars)
+    ) // 2
     return (
         matches / la + matches / lb + (matches - transpositions) / matches
     ) / 3.0

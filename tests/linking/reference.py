@@ -1,16 +1,19 @@
-"""The dynamic-programming similarity kernels, kept as the reference.
+"""The eager linker and its similarity kernels, kept as the reference.
 
 These are the measures the linker scored with before its kernels were
 made cheap: a two-row DP edit distance, a quadratic DP longest common
-substring computed for every pair, and a name measure that calls
-Jaro-Winkler for every word pair.  :func:`reference_registry` plugs
-them into a :class:`SimilarityRegistry` in place of the defaults, so a
-linker built with it scores exactly as before.  Only tests use them.
+substring computed for every pair, a Jaro that scans each match window
+cell by cell, and a name measure that calls Jaro-Winkler for every
+word pair.  :func:`reference_registry` plugs them into a
+:class:`SimilarityRegistry` in place of the defaults, so a linker built
+with it scores exactly as before.  :class:`EagerEntityLinker` builds
+every ranked list afresh, for every token of every document, as the
+linker did before it kept a memo.  Only tests use them.
 """
 
 from repro.linking.similarity import default_registry
+from repro.linking.single import EntityLinker
 from repro.store.schema import AttributeType
-from repro.util.textdist import jaro_winkler
 
 
 def levenshtein(a, b):
@@ -50,6 +53,56 @@ def longest_common_substring(a, b):
                 best = length
         previous = current
     return best
+
+
+def jaro(a, b):
+    """Jaro similarity, scanning each match window cell by cell."""
+    if a == b:
+        return 1.0
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return 0.0
+    window = max(la, lb) // 2 - 1
+    if window < 0:
+        window = 0
+    a_matched = [False] * la
+    b_matched = [False] * lb
+    matches = 0
+    for i, ca in enumerate(a):
+        lo = max(0, i - window)
+        hi = min(lb, i + window + 1)
+        for j in range(lo, hi):
+            if not b_matched[j] and b[j] == ca:
+                a_matched[i] = True
+                b_matched[j] = True
+                matches += 1
+                break
+    if matches == 0:
+        return 0.0
+    transpositions = 0
+    j = 0
+    for i in range(la):
+        if a_matched[i]:
+            while not b_matched[j]:
+                j += 1
+            if a[i] != b[j]:
+                transpositions += 1
+            j += 1
+    transpositions //= 2
+    return (
+        matches / la + matches / lb + (matches - transpositions) / matches
+    ) / 3.0
+
+
+def jaro_winkler(a, b, prefix_scale=0.1, max_prefix=4):
+    """Jaro-Winkler over the reference :func:`jaro`."""
+    base = jaro(a, b)
+    prefix = 0
+    for ca, cb in zip(a, b):
+        if ca != cb or prefix >= max_prefix:
+            break
+        prefix += 1
+    return base + prefix * prefix_scale * (1.0 - base)
 
 
 def name_similarity(token_value, attribute_value):
@@ -101,3 +154,66 @@ def reference_registry():
     for attr_type, measure in REFERENCE_MEASURES.items():
         registry.register(attr_type, measure)
     return registry
+
+
+class EagerEntityLinker(EntityLinker):
+    """An :class:`EntityLinker` that scores every ranked list afresh."""
+
+    def ranked_lists(self, text):
+        """Per-(token, attribute) ranked candidate lists and weights."""
+        tokens = self.annotators.annotate(text)
+        lists = []
+        weights = []
+        for token in tokens:
+            for attribute in self.table.schema.attributes_of_type(
+                token.attr_type
+            ):
+                scored = []
+                for entity in self._candidates_for(attribute, token):
+                    similarity = self.registry.similarity(
+                        attribute.type,
+                        token.value,
+                        entity.values.get(attribute.name),
+                    )
+                    if similarity > 0.0:
+                        scored.append((entity.entity_id, similarity))
+                scored.sort(key=lambda pair: (-pair[1], pair[0]))
+                if scored:
+                    lists.append(scored)
+                    weights.append(self.weight_of(attribute.name))
+        return lists, weights, tokens
+
+
+def threshold_merge(lists, weights, k):
+    """The TA body re-sorting every aggregate to read the k-th best.
+
+    Returns ``(ranked, sequential_accesses, random_accesses)``.
+    """
+    maps = [dict(ranked) for ranked in lists]
+    best = {}
+    sequential = 0
+    random_accesses = 0
+    for depth in range(max((len(ranked) for ranked in lists), default=0)):
+        frontier = []
+        for ranked in lists:
+            if depth >= len(ranked):
+                frontier.append(0.0)
+                continue
+            key, score = ranked[depth]
+            sequential += 1
+            frontier.append(score)
+            if key not in best:
+                random_accesses += len(lists)
+                best[key] = sum(
+                    weight * score_map.get(key, 0.0)
+                    for score_map, weight in zip(maps, weights)
+                )
+        threshold = sum(
+            weight * score for weight, score in zip(weights, frontier)
+        )
+        if len(best) >= k:
+            kth = sorted(best.values(), reverse=True)[k - 1]
+            if kth >= threshold:
+                break
+    ranked = sorted(best.items(), key=lambda pair: (-pair[1], str(pair[0])))
+    return ranked[:k], sequential, random_accesses

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.linking.fagin import fagin_merge, full_scan_merge, threshold_merge
+from tests.linking import reference
 
 LISTS = [
     [("a", 0.9), ("b", 0.8), ("c", 0.1)],
@@ -55,6 +56,21 @@ class TestMergesAgree:
         else:
             for score in scores[1:]:
                 assert score == pytest.approx(scores[0])
+
+    @given(
+        ranked_lists_strategy(),
+        st.lists(st.sampled_from([0.5, 1.0, 4.0]), min_size=4, max_size=4),
+        st.integers(1, 7),
+    )
+    def test_threshold_equals_the_sorting_reference(self, lists, weights, k):
+        # The k-th best aggregate read by a heap, not a full sort: the
+        # same ranking and the same access counts.
+        weights = weights[:len(lists)]
+        result = threshold_merge(lists, weights=weights, k=k)
+        assert (
+            result.ranked, result.sequential_accesses,
+            result.random_accesses,
+        ) == reference.threshold_merge(lists, weights, k)
 
     @given(ranked_lists_strategy())
     def test_threshold_never_more_sequential_than_scan(self, lists):

@@ -12,7 +12,8 @@ strings and token lists cover the kernels past what the corpora reach.
 
 The work gate: on the seed-1 churn-email study, the memo calls
 Jaro-Winkler exactly once per distinct word pair, at most 20% of the
-calls the reference makes.  Each study starts with a cold memo.
+calls the reference (the eager linker over the reference registry)
+makes.  Each study starts with a cold memo.
 """
 
 import pickle
@@ -25,6 +26,7 @@ import pytest
 
 from repro.cleaning import CleaningPipeline
 from repro.core.pipeline import CallRecordLinker
+from repro.core.usecases import churn
 from repro.core.usecases.churn import (
     build_churn_stages,
     link_evidence_text,
@@ -39,7 +41,7 @@ from repro.synth.noise import NoiseConfig, TextNoiser
 from repro.synth.telecom import TelecomConfig, generate_telecom
 from repro.util.textdist import levenshtein
 from tests.linking import reference
-from tests.linking.reference import reference_registry
+from tests.linking.reference import EagerEntityLinker, reference_registry
 
 SEEDS = (1, 2, 3)
 
@@ -302,6 +304,7 @@ class TestWorkGate:
         with pytest.MonkeyPatch.context() as patch:
             expected_calls = jaro_winkler_calls(patch, reference)
             patch.setattr(single, "default_registry", reference_registry)
+            patch.setattr(churn, "EntityLinker", EagerEntityLinker)
             expected = run_churn_study(corpus, channel="email")
         assert len(expected_calls) == SEED1_REFERENCE_JARO_WINKLER_CALLS
 

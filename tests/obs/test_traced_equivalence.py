@@ -10,18 +10,22 @@ guarantee for fully-discarded / fully-skipped micro-batches.
 """
 
 import random
+from dataclasses import asdict
 
 import pytest
 
 from repro.cleaning import CleaningPipeline
+from repro.core.usecases.churn import run_churn_study
 from repro.engine import Document, FunctionStage, MapStage, PipelineRunner
 from repro.exec import make_backend
 from repro.faults import FaultPlan, FaultSpec, InjectedFault, injecting
 from repro.linking.fagin import fagin_merge
+from repro.linking.single import EntityLinker
 from repro.mining.assoc2d import associate
 from repro.mining.index import field_key
 from repro.mining.stage import ConceptIndexStage
 from repro.obs import MetricsRegistry, Tracer, activated
+from repro.store.schema import Schema
 from repro.stream import (
     AssocSpec,
     Checkpointer,
@@ -36,6 +40,7 @@ from tests.cleaning.corpus import (
     counting_searches,
     telecom_corpus,
 )
+from tests.linking.test_similarity_kernels import churn_corpus
 from tests.stream.reference import window_snapshots
 
 
@@ -327,6 +332,56 @@ class TestCleaningEquivalence:
         counters = metrics.snapshot()["counters"]
         assert counters["cleaning.spelling.searches"] == len(searches)
         assert counters["cleaning.spelling.evaluations"] == len(evaluations)
+
+
+class TestLinkingEquivalence:
+    def test_traced_churn_study_matches_untraced(self):
+        """The ranked-list counters are write-only: the study stays ``==``.
+
+        Each counter equals what patched kernels saw in the untraced
+        run: one scored list per candidate search, one entry per
+        candidate scored, and every other list requested reused.
+        """
+        corpus = churn_corpus(1)
+
+        def outputs(result):
+            return (
+                result.total_messages, result.linked_messages,
+                result.unlinked_fraction, result.train_messages,
+                result.train_churner_fraction, result.detection_rate,
+                asdict(result.cleaning_stats),
+                asdict(result.message_report),
+                result.flagged_customers, result.test_churners,
+            )
+
+        searched, requested = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            candidates_for = EntityLinker._candidates_for
+            attributes_of_type = Schema.attributes_of_type
+
+            def counting_candidates(self, *args):
+                found = candidates_for(self, *args)
+                searched.append(len(found))
+                return found
+
+            def counting_attributes(self, *args):
+                found = attributes_of_type(self, *args)
+                requested.append(len(found))
+                return found
+
+            patch.setattr(EntityLinker, "_candidates_for", counting_candidates)
+            patch.setattr(Schema, "attributes_of_type", counting_attributes)
+            untraced = outputs(run_churn_study(corpus, channel="email"))
+        metrics = MetricsRegistry()
+        with activated(Tracer(), metrics):
+            traced = outputs(run_churn_study(corpus, channel="email"))
+        assert traced == untraced
+        counters = metrics.snapshot()["counters"]
+        assert counters["linking.lists.scored"] == len(searched) > 0
+        assert counters["linking.lists.entries"] == sum(searched)
+        assert counters["linking.lists.reused"] == (
+            sum(requested) - len(searched)
+        ) > 0
 
 
 class TestZeroRowFunnel:

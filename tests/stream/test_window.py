@@ -17,7 +17,12 @@ from repro.mining.assoc2d import associate
 from repro.mining.index import ConceptIndex, concept_key, field_key
 from repro.mining.relfreq import relative_frequency
 from repro.mining.trends import emerging_concepts, trend_series
-from repro.stream import AssocSpec, RelFreqSpec, WindowedAnalytics
+from repro.stream import (
+    AssocSpec,
+    RelFreqSpec,
+    WindowedAnalytics,
+    index_to_state,
+)
 from tests.stream.reference import ReferenceWindow, window_snapshots
 
 CITIES = ["seattle", "boston", "denver", "miami"]
@@ -288,6 +293,61 @@ class TestOneIndex:
         window.ingest(index, {2: 2})
         assert window.index.document_ids == [0, 1, 2]
         assert before.document_ids == [0, 1]
+
+
+class TestOneViewPerWrite:
+    """Reads between two writes share one bucket-range view."""
+
+    def _counting_between(self, patch):
+        views = []
+        between = ConceptIndex.between
+
+        def counting(self, lo, hi):
+            views.append((lo, hi))
+            return between(self, lo, hi)
+
+        patch.setattr(ConceptIndex, "between", counting)
+        return views
+
+    def test_one_commit_then_five_reads_builds_one_view(self):
+        index = ConceptIndex()
+        window = WindowedAnalytics(
+            WINDOW, assoc_specs=[ASSOC], relfreq_specs=[RELFREQ]
+        )
+        for doc_id, keys, timestamp in _deliveries(3, n=30):
+            index.add_keys(
+                doc_id, keys, timestamp=timestamp, on_duplicate="replace"
+            )
+            window.ingest(index, {doc_id: timestamp})
+        with pytest.MonkeyPatch.context() as patch:
+            views = self._counting_between(patch)
+            assert len(window) > 0
+            window.assoc_snapshot(0)
+            window.relfreq_snapshot(0)
+            window.trend_snapshot(field_key("car", "suv"))
+            window.emerging_snapshot(("field", "city"))
+            assert window.buckets
+        floor = window.window_floor
+        assert views == [(floor, floor + WINDOW - 1)]
+
+    @pytest.mark.parametrize("write", ["add", "replace", "remove"])
+    def test_write_after_a_read_gives_a_fresh_view(self, write):
+        window, index = _window_of(
+            (0, "x", 1), (1, "y", 2), (2, "z", 2), window_buckets=2
+        )
+        before = index_to_state(window.index)
+        if write == "add":
+            index.add_keys(3, {field_key("a", "w")}, timestamp=2)
+        elif write == "replace":
+            index.add_keys(
+                1, {field_key("a", "v")}, timestamp=2,
+                on_duplicate="replace",
+            )
+        else:
+            index.remove(2)
+        after = index_to_state(window.index)
+        assert after != before
+        assert after == index_to_state(index.between(1, 2))
 
 
 class TestAssocSpecOptions:
