@@ -9,8 +9,8 @@
   for the whole corpus);
 * per stage, the runner counts documents in / out / discarded and the
   stage's wall time, collected into a :class:`PipelineReport`;
-* batches of *pure* stages (see
-  :class:`~repro.engine.stage.Stage.pure`) are mapped across an
+* a *pure* stage (see :class:`~repro.engine.stage.Stage.pure`) with
+  more than one batch is cut into balanced pieces and mapped across an
   execution backend (see :mod:`repro.exec`) with an order-preserving
   map; impure stages always run serially.  Because pure stages process
   documents independently and deterministically, parallel execution is
@@ -22,10 +22,12 @@ across runs — worker spawn is paid once per backend, not once per run.
 The runner never builds or closes a backend: whoever built it (see
 :func:`repro.exec.make_backend`) closes it.
 
-A parallel batch ships to a worker process inside a module-level
-:class:`_StageTask` envelope; per-batch child spans are skipped there
-(the parent tracer is unreachable from a worker process), which cannot
-change results because observability is write-only.
+A parallel stage ships to the worker processes inside one
+module-level :class:`_StageTask` per fan-out: the stage is pickled
+once, and each worker unpickles it once and runs all its pieces on
+that copy.  Per-piece child spans are skipped there (the parent
+tracer is unreachable from a worker process), which cannot change
+results because observability is write-only.
 
 Wall-time measurement is instrumentation only: it is reported, never
 fed back into document flow, and the clock is injectable so tests (and
@@ -42,27 +44,71 @@ tracing never alters document flow, so traced and untraced runs are
 bit-identical in outputs.
 """
 
+import itertools
+import os
+import pickle
 import time
 from dataclasses import dataclass, field
 
 from repro.obs import get_metrics, get_tracer
 
 
-class _StageTask:
-    """Picklable envelope running one stage over one batch.
+#: Stage copies one worker process keeps, oldest dropped first.
+_WORKER_STAGE_LIMIT = 4
 
-    Defined at module level (spawn-safe) and holding only the stage, so
-    it crosses process boundaries whenever the stage itself pickles —
-    which every pure stage must, to run on the process backend.
+#: The worker side of :class:`_StageTask`: fan-out key -> unpickled stage.
+_worker_stages = {}
+
+#: Numbers the fan-outs of this process (with its pid, the task key).
+_fan_outs = itertools.count()
+
+
+class _StageTask:
+    """Picklable envelope running one stage over one piece of a fan-out.
+
+    One task is built per fan-out, at module level (spawn-safe).  It
+    pickles its stage once, the first time it is pickled itself (the
+    backend's preflight), and from then on travels as a key fresh to
+    this fan-out, ``(pid, counter)``, plus those bytes.  A worker
+    unpickles the stage the first time it meets the key and keeps the
+    copy in a small module-level table, so every piece that worker
+    runs in the fan-out shares one stage and the memos it fills (a
+    linker's ranked lists and word pairs).  The bytes ride with every
+    piece, so a worker that does not hold the key (a fresh or spawned
+    interpreter, or an evicted entry) unpickles them once more; a pure
+    stage's output never depends on what its copy ran before, so that
+    costs time only, never a result.
     """
 
     def __init__(self, stage):
-        """``stage`` is the Stage instance to apply per batch."""
+        """``stage`` is the Stage instance to apply per piece."""
         self.stage = stage
+        self.key = (os.getpid(), next(_fan_outs))
+        self._payload = None
+
+    def __getstate__(self):
+        """The key and the stage's bytes, pickled on first use."""
+        if self._payload is None:
+            self._payload = pickle.dumps(self.stage)
+        return {"key": self.key, "payload": self._payload}
+
+    def __setstate__(self, state):
+        """A shipped task: the stage is looked up when first called."""
+        self.key = state["key"]
+        self._payload = state["payload"]
+        self.stage = None
 
     def __call__(self, batch):
-        """One batch through the stage (same output contract)."""
-        return self.stage.process(batch)
+        """One piece through the stage (same output contract)."""
+        stage = self.stage
+        if stage is None:
+            stage = _worker_stages.get(self.key)
+            if stage is None:
+                stage = pickle.loads(self._payload)
+                _worker_stages[self.key] = stage
+                while len(_worker_stages) > _WORKER_STAGE_LIMIT:
+                    del _worker_stages[next(iter(_worker_stages))]
+        return stage.process(batch)
 
 
 @dataclass
@@ -169,16 +215,28 @@ def _batched(items, size):
     return [items[start:start + size] for start in range(0, len(items), size)]
 
 
+def _pieces(items, count):
+    """Cut ``items`` into ``count`` contiguous lists whose lengths
+    differ by at most one (the longer ones first)."""
+    size, longer = divmod(len(items), count)
+    bounds = [index * size + min(index, longer) for index in range(count + 1)]
+    return [items[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
 class PipelineRunner:
     """Executes a stage list over a document corpus.
 
     ``batch_size`` bounds the unit of work handed to each stage (and to
     each worker); ``backend`` is the
     :class:`~repro.exec.ExecBackend` pure stages fan out on (``None``
-    runs every stage inline).  ``clock`` is the timing source for
-    per-stage wall time (defaults to the monotonic performance
-    counter); it is used for reporting only and never influences the
-    documents.
+    runs every stage inline).  A pure stage with more than one batch
+    fans out as ``max(ceil(n / batch_size), 2 * workers)`` equal
+    contiguous pieces of its ``n`` live documents (at most ``n``), so
+    every worker gets at least two and none more than ``batch_size``
+    documents; :attr:`StageStats.batches` counts the pieces.
+    ``clock`` is the timing source for per-stage wall time (defaults
+    to the monotonic performance counter); it is used for reporting
+    only and never influences the documents.
     """
 
     def __init__(self, stages, batch_size=64, clock=None, tracer=None,
@@ -265,7 +323,8 @@ class PipelineRunner:
         """Run one stage over all live documents, batched.
 
         Pure stages with more than one batch map across the injected
-        backend, when there is one that can fan out.
+        backend, when there is one that can fan out, in balanced
+        pieces (see the class docstring).
         """
         backend = self._backend
         batches = _batched(live, self.batch_size)
@@ -275,6 +334,14 @@ class PipelineRunner:
             and stage.pure
             and len(batches) > 1
         )
+        if use_parallel:
+            # Two pieces per worker, so no worker waits on a lone long
+            # batch; never fewer than the batches, so none exceeds
+            # ``batch_size``.
+            batches = _pieces(live, min(
+                len(live),
+                max(len(batches), 2 * backend.effective_workers()),
+            ))
         stats = StageStats(
             name=stage.stage_name,
             docs_in=len(live),
@@ -295,8 +362,8 @@ class PipelineRunner:
         ):
             started = self._clock()
             if use_parallel:
-                # Across the process boundary the batch travels inside
-                # a picklable envelope; per-batch child spans are
+                # Across the process boundary each piece travels inside
+                # the fan-out's envelope; per-piece child spans are
                 # skipped (the parent tracer is unreachable from a
                 # worker), and because observability is write-only,
                 # skipping them cannot change any document.  Order

@@ -191,21 +191,33 @@ class EntityLinker:
         )
 
     def _confirmed(self, entity, tokens):
-        """Check the high-precision confirmation rules, if any."""
+        """Check the high-precision confirmation rules, if any.
+
+        A token's score against the winner is read from the memoised
+        ``(attribute name, token value)`` list when the winner is in
+        it; the registry scores it only when it is absent (the list
+        keeps just its candidates' nonzero scores).  A score depends
+        on the two values alone, and rows are append-only, so any
+        list holding the winner holds its score.
+        """
+        memo = self._ranked[1]
         for attribute_name, min_similarity in self.confirm.items():
             attribute = self.table.schema[attribute_name]
             best = 0.0
             for token in tokens:
                 if token.attr_type is not attribute.type:
                     continue
-                best = max(
-                    best,
-                    self.registry.similarity(
+                score = _score_of(
+                    memo.get((attribute.name, token.value), ()),
+                    entity.entity_id,
+                )
+                if score is None:
+                    score = self.registry.similarity(
                         attribute.type,
                         token.value,
                         entity.values.get(attribute.name),
-                    ),
-                )
+                    )
+                best = max(best, score)
             if best < min_similarity:
                 return False
         return True
@@ -216,3 +228,11 @@ class EntityLinker:
         return [
             self.table.get(entity_id) for entity_id, _ in result.ranked[:n]
         ]
+
+
+def _score_of(ranked, entity_id):
+    """``entity_id``'s score in a ranked list, or None when absent."""
+    for candidate_id, score in ranked:
+        if candidate_id == entity_id:
+            return score
+    return None

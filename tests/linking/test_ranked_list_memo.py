@@ -46,7 +46,7 @@ from tests.linking.test_similarity_kernels import (
 SEEDS = (1, 2, 3)
 
 #: The seed-1 churn-email study's linking work, pinned exactly.
-SEED1_SIMILARITY_EVALUATIONS = 20_877
+SEED1_SIMILARITY_EVALUATIONS = 20_697
 SEED1_CANDIDATE_QUERIES = 398
 SEED1_CANDIDATE_IDS = 19_896
 SEED1_JARO_WINKLER_CALLS = 11_278
