@@ -231,6 +231,16 @@ class ConceptIndex:
         """All indexed document ids, insertion-ordered."""
         return list(self._documents)
 
+    def document_entries(self):
+        """``(doc_id, entry)`` pairs in insertion order (read-only, no copy).
+
+        An entry is a dict with the document's ``"keys"`` set and
+        ``"timestamp"``.  Each add or replace stores a fresh entry and
+        none is ever mutated, so a caller may key a cache on an
+        entry's identity; it must not mutate an entry itself.
+        """
+        return self._documents.items()
+
     def keys_of(self, doc_id):
         """All concept keys of one document."""
         return set(self._documents[doc_id]["keys"])

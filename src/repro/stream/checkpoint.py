@@ -9,7 +9,9 @@ bucket range of that index).  The style follows
 ``*_to_state`` / ``*_from_state`` round-trip functions — and writes
 are atomic (temp file + ``os.replace``) so a crash *during*
 checkpointing leaves the previous checkpoint intact rather than a
-torn file.
+torn file.  A save encodes its payload once, as the canonical JSON
+its checksum covers; an :class:`IndexStateMemo` lets a consumer
+encode each indexed document once rather than once per save.
 
 On top of atomicity, checkpoints are defended in depth:
 
@@ -26,13 +28,18 @@ On top of atomicity, checkpoints are defended in depth:
   chaos suite can prove all of the above under injected failures.
 """
 
-import json
 import os
 
 from repro.faults import call_with_retry, corrupt_point, fault_point
 from repro.mining.index import ConceptIndex
 from repro.obs import get_metrics
-from repro.store.integrity import IntegrityError, decode_stamped, stamp_checksum
+from repro.store.integrity import (
+    EncodedList,
+    IntegrityError,
+    canonical_json,
+    decode_stamped,
+    encode_stamped,
+)
 
 #: Format version stamped into every checkpoint payload, and the only
 #: one :meth:`Checkpointer.load` reads.  Version 3 carries the SHA-256
@@ -52,21 +59,69 @@ def index_to_state(index):
     which is exactly what :func:`index_from_state` needs to rebuild an
     equal index.
     """
-    keep_documents = index.keeps_documents
-    documents = []
-    for doc_id in index.document_ids:
-        entry = {
-            "doc_id": doc_id,
-            "keys": sorted(list(key) for key in index.keys_of(doc_id)),
-            "timestamp": index.timestamp_of(doc_id),
-        }
-        if keep_documents:
-            entry["text"] = index.text_of(doc_id)
-        documents.append(entry)
     return {
-        "keep_documents": keep_documents,
-        "documents": documents,
+        "keep_documents": index.keeps_documents,
+        "documents": [
+            _document_state(index, doc_id, entry)
+            for doc_id, entry in index.document_entries()
+        ],
     }
+
+
+def _document_state(index, doc_id, entry):
+    """One document of :func:`index_to_state`, from its index entry."""
+    state = {
+        "doc_id": doc_id,
+        "keys": sorted(list(key) for key in entry["keys"]),
+        "timestamp": entry["timestamp"],
+    }
+    if index.keeps_documents:
+        state["text"] = index.text_of(doc_id)
+    return state
+
+
+class IndexStateMemo:
+    """:func:`index_to_state` that encodes each document once.
+
+    :meth:`ConceptIndex.add_keys` gives every add or replace a fresh
+    entry and never mutates one, so an entry's identity pins the
+    document's state.  The memo maps an entry (keyed by ``id`` and
+    holding a reference, so the id cannot be reused) to that state and
+    its canonical JSON fragment.  Each call keeps only the entries it
+    visited, so removed and replaced documents drop out; the entries
+    of a restored index are new objects and miss once.
+    """
+
+    def __init__(self):
+        """An empty memo."""
+        self._memo = {}
+        self.encoded = 0  # fragments encoded by the last call
+        self.reused = 0  # fragments reused by the last call
+
+    def index_state(self, index):
+        """``index_to_state(index)``, its documents an :class:`EncodedList`."""
+        memo = self._memo
+        kept = {}
+        documents = []
+        fragments = []
+        encoded = 0
+        for doc_id, entry in index.document_entries():
+            hit = memo.get(id(entry))
+            if hit is None:
+                state = _document_state(index, doc_id, entry)
+                # The entry rides along so its id stays unique.
+                hit = (entry, state, canonical_json(state))
+                encoded += 1
+            kept[id(entry)] = hit
+            documents.append(hit[1])
+            fragments.append(hit[2])
+        self._memo = kept
+        self.encoded = encoded
+        self.reused = len(kept) - encoded
+        return {
+            "keep_documents": index.keeps_documents,
+            "documents": EncodedList(documents, fragments),
+        }
 
 
 def index_from_state(state):
@@ -127,16 +182,15 @@ class Checkpointer:
     def save(self, state):
         """Atomically persist one checkpoint payload.
 
-        The corruption point runs once per save (outside the retry
-        loop), so a retried write lands the same bytes — corrupted or
-        not — that the first attempt would have.
+        The payload is encoded once, canonically, by
+        :func:`~repro.store.integrity.encode_stamped`.  The corruption
+        point runs once per save (outside the retry loop), so a
+        retried write lands the same bytes — corrupted or not — that
+        the first attempt would have.
         """
         payload = dict(state)
         payload["version"] = CHECKPOINT_VERSION
-        data = corrupt_point(
-            "checkpoint.bytes",
-            json.dumps(stamp_checksum(payload)).encode("utf-8"),
-        )
+        data = corrupt_point("checkpoint.bytes", encode_stamped(payload))
         tmp_path = self.path + ".tmp"
 
         def attempt():

@@ -44,7 +44,7 @@ from repro.engine import PipelineReport, PipelineRunner, StageStats
 from repro.faults import fault_point
 from repro.mining.stage import ConceptIndexStage
 from repro.obs import get_metrics, get_tracer
-from repro.stream.checkpoint import index_from_state, index_to_state
+from repro.stream.checkpoint import IndexStateMemo, index_from_state
 
 
 @dataclass
@@ -197,6 +197,7 @@ class StreamConsumer:
             stages, clock=self._clock, tracer=tracer, metrics=metrics,
         )
         self._queue = deque()
+        self._index_states = IndexStateMemo()
         self._committed_offset = -1
         self._since_checkpoint = 0
         self.report = StreamReport()
@@ -382,6 +383,12 @@ class StreamConsumer:
     def checkpoint(self):
         """Snapshot offset + index + window cursor via the checkpointer.
 
+        Each indexed document is encoded once per consumer: the index
+        state comes from an :class:`~repro.stream.checkpoint.IndexStateMemo`
+        keyed on index-entry identity, and the
+        ``stream.checkpoint.documents.encoded`` / ``.reused`` counters
+        say how many documents it encoded and reused.
+
         The snapshot itself is never observed: tracing a checkpoint
         times it and counts it but writes nothing into the state, so
         traced and untraced checkpoints are byte-identical.
@@ -397,7 +404,7 @@ class StreamConsumer:
             state = {
                 "offset": self._committed_offset,
                 "report": self.report.to_json_dict(),
-                "index": index_to_state(self.index),
+                "index": self._index_states.index_state(self.index),
                 "window": (
                     self.window.to_state() if self.window is not None
                     else None
@@ -407,6 +414,12 @@ class StreamConsumer:
         self._since_checkpoint = 0
         self.report.checkpoints += 1
         metrics.counter("stream.checkpoints").inc()
+        metrics.counter("stream.checkpoint.documents.encoded").inc(
+            self._index_states.encoded
+        )
+        metrics.counter("stream.checkpoint.documents.reused").inc(
+            self._index_states.reused
+        )
         fault_point("stream.checkpoint-written")
         return self
 

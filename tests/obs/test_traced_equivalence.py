@@ -9,6 +9,7 @@ ran in worker processes leave no span) and the zero-row funnel
 guarantee for fully-discarded / fully-skipped micro-batches.
 """
 
+import itertools
 import random
 from dataclasses import asdict
 
@@ -26,6 +27,7 @@ from repro.mining.index import field_key
 from repro.mining.stage import ConceptIndexStage
 from repro.obs import MetricsRegistry, Tracer, activated
 from repro.store.schema import Schema
+from repro.stream import checkpoint as checkpoint_module
 from repro.stream import (
     AssocSpec,
     Checkpointer,
@@ -174,8 +176,10 @@ def _filter(document):
         document.discard("filter", "synthetic noise")
 
 
-def _build(checkpoint_path=None):
+def _build(checkpoint_path=None, checkpointer=None, clock=None):
     """A fresh consumer over a freshly generated stream."""
+    if checkpoint_path:
+        checkpointer = Checkpointer(checkpoint_path)
     return StreamConsumer(
         MemorySource(_make_pairs()),
         [
@@ -189,12 +193,28 @@ def _build(checkpoint_path=None):
                 RelFreqSpec((field_key("car", "suv"),), ("field", "city"))
             ],
         ),
-        checkpointer=(
-            Checkpointer(checkpoint_path) if checkpoint_path else None
-        ),
+        checkpointer=checkpointer,
         batch_docs=7,
         checkpoint_interval=2,
+        clock=clock,
     )
+
+
+class _FileRecorder(Checkpointer):
+    """Records each saved file and how many documents it listed."""
+
+    def __init__(self, path):
+        """Checkpoint to ``path``, recording into :attr:`saved`."""
+        super().__init__(path)
+        self.saved = []
+
+    def save(self, state):
+        """Save, then keep the document count and the file's bytes."""
+        super().save(state)
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        self.saved.append((len(state["index"]["documents"]), data))
+        return self
 
 
 def _crashing(event, crash_at):
@@ -263,6 +283,46 @@ class TestStreamEquivalence:
         batch_ids = {s.span_id for s in by_name["stream:batch"]}
         runs = by_name["pipeline:run"]
         assert all(r.parent_id in batch_ids for r in runs)
+
+    def test_traced_checkpoints_match_untraced(self, tmp_path):
+        """The checkpoint counters are write-only: every file stays ``==``.
+
+        On a fixed clock each traced checkpoint file is byte-identical
+        to the untraced one, and the counters equal what the patched
+        fragment encoder saw: one encoding per document first listed,
+        every later listing reused.
+        """
+        def run(name, restore_at):
+            checkpointer = _FileRecorder(tmp_path / name)
+            consumer = _build(
+                checkpointer=checkpointer,
+                clock=itertools.count(0, 0.25).__next__,
+            )
+            consumer.run(max_batches=restore_at, checkpoint_at_end=False)
+            assert consumer.restore()
+            consumer.run()
+            return checkpointer.saved
+
+        encoded = []
+        encode = checkpoint_module.canonical_json
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                checkpoint_module, "canonical_json",
+                lambda value: encoded.append(value) or encode(value),
+            )
+            untraced = run("untraced.ck.json", 3)
+        metrics = MetricsRegistry()
+        with activated(Tracer(), metrics):
+            traced = run("traced.ck.json", 3)
+        assert traced == untraced
+        counters = metrics.snapshot()["counters"]
+        listed = sum(count for count, _ in untraced)
+        assert counters["stream.checkpoint.documents.encoded"] == len(encoded)
+        assert counters["stream.checkpoint.documents.reused"] == (
+            listed - len(encoded)
+        ) > 0
+        # The restored index's documents are new entries: encoded again.
+        assert len(encoded) > untraced[-1][0]
 
     def test_traced_uninterrupted_matches_untraced(self, tmp_path):
         reference = _build()

@@ -32,7 +32,7 @@ CONFIG = CarRentalConfig(
 BATCH_DOCS = 32
 
 #: Checkpoint size of the final state, in bytes, and its tolerance.
-CHECKPOINT_BYTES = 33075
+CHECKPOINT_BYTES = 30260
 CHECKPOINT_TOL_REL = 0.05
 
 
