@@ -8,9 +8,14 @@ the customer name and agent name attributes." (paper Section IV-B)
 
 Each annotator emits :class:`TypedToken` values tagged with the
 :class:`~repro.store.schema.AttributeType` family they should be
-matched against.  Annotators are lexicon- and trigger-based; they must
-tolerate ASR noise (digit words instead of digits, partial names) and
-SMS noise (lingo, typos).
+matched against.  The name, phone, date and amount annotators read the
+tokens of the lowered text; an annotator with ``annotate_tokens`` takes
+them ready-made, so :class:`AnnotatorSuite` tokenizes an ASCII
+document once for all of them.
+
+Annotators are lexicon- and trigger-based; they must tolerate ASR
+noise (digit words instead of digits, partial names) and SMS noise
+(lingo, typos).
 """
 
 import re
@@ -70,7 +75,10 @@ class NameAnnotator:
 
     def annotate(self, text):
         """Extract this annotator's typed tokens from the text."""
-        tokens = tokenize(text, lower=True)
+        return self.annotate_tokens(text, tokenize(text, lower=True))
+
+    def annotate_tokens(self, text, tokens):
+        """:meth:`annotate`, given the lowered tokens of ``text``."""
         spans = []
         i = 0
         while i < len(tokens):
@@ -105,9 +113,12 @@ class PhoneAnnotator:
 
     def annotate(self, text):
         """Extract this annotator's typed tokens from the text."""
+        return self.annotate_tokens(text, tokenize(text.lower()))
+
+    def annotate_tokens(self, text, tokens):
+        """:meth:`annotate`, given the lowered tokens of ``text``."""
         found = []
-        lowered = text.lower()
-        for match in _DIGIT_RUN_RE.finditer(lowered):
+        for match in _DIGIT_RUN_RE.finditer(text.lower()):
             digits = match.group(0)
             if len(digits) > self._max_digits:
                 continue  # card-length runs belong to the CardAnnotator
@@ -115,7 +126,6 @@ class PhoneAnnotator:
                 TypedToken(digits, AttributeType.PHONE, self.source)
             )
         # Spoken digit words: collapse maximal runs.
-        tokens = tokenize(lowered)
         run = []
         for token in tokens + ["<end>"]:
             if token in _WORD_TO_DIGIT:
@@ -142,16 +152,19 @@ class DateAnnotator:
 
     def annotate(self, text):
         """Extract this annotator's typed tokens from the text."""
+        return self.annotate_tokens(text, tokenize(text.lower()))
+
+    def annotate_tokens(self, text, tokens):
+        """:meth:`annotate`, given the lowered tokens of ``text``."""
         found = []
         for match in self._ISO_RE.finditer(text):
             found.append(
                 TypedToken(match.group(0), AttributeType.DATE, self.source)
             )
-        found.extend(self._spoken_dates(text))
+        found.extend(self._spoken_dates(tokens))
         return found
 
-    def _spoken_dates(self, text):
-        tokens = tokenize(text.lower())
+    def _spoken_dates(self, tokens):
         found = []
         for i, token in enumerate(tokens):
             if token not in _MONTHS:
@@ -218,6 +231,10 @@ class AmountAnnotator:
 
     def annotate(self, text):
         """Extract this annotator's typed tokens from the text."""
+        return self.annotate_tokens(text, tokenize(text.lower()))
+
+    def annotate_tokens(self, text, tokens):
+        """:meth:`annotate`, given the lowered tokens of ``text``."""
         found = []
         lowered = text.lower()
         for regex in (self._CURRENCY_RE, self._SUFFIX_RE):
@@ -230,7 +247,6 @@ class AmountAnnotator:
                     )
                 )
         # Spoken amounts: "<number words> dollars"
-        tokens = tokenize(lowered)
         for i, token in enumerate(tokens):
             if token in ("dollars", "rupees") and i >= 1:
                 value, used = _parse_small_number(tokens[max(0, i - 2) : i])
@@ -271,11 +287,27 @@ class AnnotatorSuite:
         self.annotators = list(annotators)
 
     def annotate(self, text):
-        """All typed tokens from all annotators, in annotator order."""
-        tokens = []
+        """All typed tokens from all annotators, in annotator order.
+
+        An ASCII text is tokenized once, lowered, for every annotator
+        with ``annotate_tokens``: there ``tokenize(text, lower=True)
+        == tokenize(text.lower())``.  Lowering can change the length of
+        other text ("İ" lowers to two characters), so each annotator
+        tokenizes that itself.  A subclass that changes ``annotate``
+        must change ``annotate_tokens`` to match.
+        """
+        sharing = text.isascii()
+        shared = None
+        found = []
         for annotator in self.annotators:
-            tokens.extend(annotator.annotate(text))
-        return tokens
+            annotate_tokens = getattr(annotator, "annotate_tokens", None)
+            if annotate_tokens is None or not sharing:
+                found.extend(annotator.annotate(text))
+                continue
+            if shared is None:
+                shared = tokenize(text.lower())
+            found.extend(annotate_tokens(text, shared))
+        return found
 
     def tokens_of_type(self, text, attr_type):
         """Only the extracted tokens of one attribute type."""

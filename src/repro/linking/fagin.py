@@ -14,6 +14,12 @@ Both return the exact top-k under that aggregate and report how many
 sequential/random accesses were spent — the ablation bench compares
 those counts against a full scan.
 
+TA reads each list only through its two accesses, sorted
+(:meth:`SortedList.entry`) and random (:meth:`SortedList.get`), so it
+also takes :class:`SortedList` objects that compute their entries as they
+are read (the linker's lazily scored lists); FA and the scan read
+every list whole.
+
 Each merge is a traced hot path: it runs once per document per linker
 call, so under an active tracer every merge contributes a span tagged
 with its access counts, and the ambient metrics registry accumulates
@@ -42,6 +48,33 @@ class MergeResult:
         return self.ranked[0] if self.ranked else None
 
 
+class SortedList:
+    """Sorted and random access to one ranked list, as TA reads it.
+
+    This class reads a materialised ``[(key, score)]`` list, best
+    first; a subclass may score its entries only when they are read.
+    Iterating yields every entry in order.
+    """
+
+    __slots__ = ("_entries", "_scores")
+
+    def __init__(self, ranked):
+        self._entries = list(ranked)
+        self._scores = dict(self._entries)
+
+    def entry(self, depth):
+        """The ``(key, score)`` at ``depth``, or None past the end."""
+        entries = self._entries
+        return entries[depth] if depth < len(entries) else None
+
+    def get(self, key, default=None):
+        """``key``'s score, or ``default`` when ``key`` is not listed."""
+        return self._scores.get(key, default)
+
+    def __iter__(self):
+        return iter(self._entries)
+
+
 def _as_maps(lists):
     return [dict(ranked) for ranked in lists]
 
@@ -60,7 +93,6 @@ def _observed_merge(name, algorithm, lists, weights, k):
     ``algorithm`` returns, untouched, so traced merges rank
     identically to untraced ones.
     """
-    lists = [list(ranked) for ranked in lists]
     with get_tracer().span(
         f"fagin:{name}",
         category="linking",
@@ -87,7 +119,9 @@ def fagin_merge(lists, weights=None, k=1):
     in *every* list; phase 2 random-accesses the scores of every key
     seen so far and aggregates.  Exact for monotone aggregates.
     """
-    return _observed_merge("fa", _fagin_merge, lists, weights, k)
+    return _observed_merge(
+        "fa", _fagin_merge, _materialised(lists), weights, k
+    )
 
 
 def _fagin_merge(lists, weights, k):
@@ -134,34 +168,40 @@ def threshold_merge(lists, weights=None, k=1):
     reaches the threshold (the aggregate of the current list frontiers)
     — usually far fewer accesses than FA.
     """
-    return _observed_merge("ta", _threshold_merge, lists, weights, k)
+    return _observed_merge("ta", _threshold_merge, list(lists), weights, k)
 
 
 def _threshold_merge(lists, weights, k):
-    """The TA body; ``lists`` already materialised by the wrapper."""
+    """The TA body, reading every list through :class:`SortedList`."""
     if weights is None:
         weights = [1.0] * len(lists)
     if len(weights) != len(lists):
         raise ValueError("one weight per list required")
-    if not lists or all(not ranked for ranked in lists):
-        return MergeResult([], 0, 0)
-    maps = _as_maps(lists)
+    lists = [
+        ranked if isinstance(ranked, SortedList) else SortedList(ranked)
+        for ranked in lists
+    ]
     best = {}
     sequential = 0
     random_accesses = 0
-    max_len = max(len(ranked) for ranked in lists)
-    for depth in range(max_len):
+    depth = 0
+    while True:
         frontier = []
-        for list_index, ranked in enumerate(lists):
-            if depth >= len(ranked):
+        read = False
+        for ranked in lists:
+            entry = ranked.entry(depth)
+            if entry is None:
                 frontier.append(0.0)
                 continue
-            key, score = ranked[depth]
+            key, score = entry
+            read = True
             sequential += 1
             frontier.append(score)
             if key not in best:
                 random_accesses += len(lists)
-                best[key] = _aggregate(key, maps, weights)
+                best[key] = _aggregate(key, lists, weights)
+        if not read:
+            break
         threshold = sum(
             weight * score for weight, score in zip(weights, frontier)
         )
@@ -169,8 +209,14 @@ def _threshold_merge(lists, weights, k):
             kth = heapq.nlargest(k, best.values())[-1]
             if kth >= threshold:
                 break
+        depth += 1
     ranked = sorted(best.items(), key=lambda pair: (-pair[1], str(pair[0])))
     return MergeResult(ranked[:k], sequential, random_accesses)
+
+
+def _materialised(lists):
+    """Every list read whole into a fresh ``list``."""
+    return [list(ranked) for ranked in lists]
 
 
 def full_scan_merge(lists, weights=None, k=1):
@@ -179,7 +225,9 @@ def full_scan_merge(lists, weights=None, k=1):
     Used by the ablation bench to show the access advantage of
     FA/TA.  Returns the same exact top-k.
     """
-    return _observed_merge("scan", _full_scan_merge, lists, weights, k)
+    return _observed_merge(
+        "scan", _full_scan_merge, _materialised(lists), weights, k
+    )
 
 
 def _full_scan_merge(lists, weights, k):

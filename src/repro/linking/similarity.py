@@ -81,6 +81,54 @@ def digits_similarity(token_value, attribute_value):
     return best
 
 
+def name_exact_test(token_value):
+    """A test of ``name_similarity(token_value, v) == 1.0`` for any ``v``.
+
+    The score is 1.0 exactly when every lowered token word is one of
+    the lowered attribute words: Jaro-Winkler is 1.0 only for equal
+    words, and any other best word lies far more than an ulp below it,
+    so the mean of the best scores reaches 1.0 only when all are.  A
+    ``None`` value fails, as :meth:`SimilarityRegistry.similarity`
+    scores it 0.0.
+    """
+    token_words = set(str(token_value).lower().split())
+    if not token_words:
+        return _never
+
+    def test(attribute_value):
+        return attribute_value is not None and token_words.issubset(
+            str(attribute_value).lower().split()
+        )
+
+    return test
+
+
+def digits_exact_test(token_value):
+    """A test of ``digits_similarity(token_value, v) == 1.0`` for any ``v``.
+
+    The score is 1.0 exactly when some whitespace part of the value has
+    the token's digits, and the token has digits: an edit score ``1 -
+    d/L`` is below 1.0 for ``d >= 1``, and a run score ``run/L`` is 1.0
+    only for equal strings.
+    """
+    token_digits = _digits(str(token_value))
+    if not token_digits:
+        return _never
+
+    def test(attribute_value):
+        return attribute_value is not None and any(
+            _digits(part) == token_digits
+            for part in str(attribute_value).split()
+        )
+
+    return test
+
+
+def _never(attribute_value):
+    """The exact-match test of a token no value can score 1.0 against."""
+    return False
+
+
 def _digits(text):
     """The digits of ``text``, in order (``text`` itself when all are)."""
     return text if text.isdigit() else "".join(filter(str.isdigit, text))
@@ -163,6 +211,15 @@ def exact_similarity(token_value, attribute_value):
     )
 
 
+#: Measure -> the factory of its exact-match test.  Only measures whose
+#: score of exactly 1.0 can be recognised without scoring have one;
+#: ``numeric_similarity`` rounds to 1.0 for unequal values.
+_EXACT_TESTS = {
+    name_similarity: name_exact_test,
+    digits_similarity: digits_exact_test,
+}
+
+
 class SimilarityRegistry:
     """Maps attribute types to similarity callables.
 
@@ -195,6 +252,17 @@ class SimilarityRegistry:
     def measure_for(self, attr_type):
         """The measure registered for ``attr_type`` (string fallback)."""
         return self._measures.get(attr_type, string_similarity)
+
+    def exact_test(self, attr_type, token_value):
+        """A test of ``similarity(attr_type, token_value, v) == 1.0``.
+
+        Returns a predicate on attribute values, or None when the
+        measure for ``attr_type`` has no exact-match test: every
+        measure plugged in with :meth:`register` has none, nor has
+        ``numeric_similarity``.
+        """
+        factory = _EXACT_TESTS.get(self.measure_for(attr_type))
+        return None if factory is None else factory(token_value)
 
     def similarity(self, attr_type, token_value, attribute_value):
         """Score ``token_value`` against ``attribute_value``."""

@@ -19,12 +19,13 @@ All indexes share the same tiny interface: ``add(entity_id, value)`` and
 Candidate order never depends on ``PYTHONHASHSEED``.  Postings are
 insertion-ordered dicts keyed by entity id, and a query walks its grams
 and codes in first-occurrence order, so the counts ``Counter`` sees,
-and the order ``most_common`` breaks count ties by, are fixed by the
+and the first-counted order that breaks count ties, are fixed by the
 data alone.  Iterating a ``set`` of ``str`` grams would follow the
 interpreter's hash salt and change which entities make a capped list.
 """
 
 from collections import Counter, defaultdict
+from operator import itemgetter
 
 from repro.store.schema import AttributeType
 from repro.util.phonetics import soundex
@@ -48,6 +49,17 @@ class HashIndex:
 
     def __len__(self):
         return sum(len(ids) for ids in self._postings.values())
+
+
+def _most_counted(counts, limit):
+    """The ``limit`` ids with the highest counts, best first.
+
+    Ties stay in first-counted order.  This is the order of
+    ``Counter.most_common(limit)``, whose ``heapq.nlargest`` is
+    specified as exactly this stable sort, without the heap.
+    """
+    ranked = sorted(counts.items(), key=itemgetter(1), reverse=True)
+    return [entity_id for entity_id, _ in ranked[:limit]]
 
 
 class _SharedKeyIndex:
@@ -77,7 +89,7 @@ class _SharedKeyIndex:
             entity_ids = self._postings.get(key)
             if entity_ids:
                 counts.update(entity_ids.keys())
-        return [entity_id for entity_id, _ in counts.most_common(limit)]
+        return _most_counted(counts, limit)
 
     def __len__(self):
         return self._size
@@ -173,7 +185,7 @@ class CompositeIndex:
             ranked = index.candidates(query, limit=limit)
             for rank, entity_id in enumerate(ranked):
                 scores[entity_id] += len(ranked) - rank
-        return [entity_id for entity_id, _ in scores.most_common(limit)]
+        return _most_counted(scores, limit)
 
     def __len__(self):
         return len(self._indexes[0])

@@ -6,13 +6,15 @@ substring computed for every pair, a Jaro that scans each match window
 cell by cell, and a name measure that calls Jaro-Winkler for every
 word pair.  :func:`reference_registry` plugs them into a
 :class:`SimilarityRegistry` in place of the defaults, so a linker built
-with it scores exactly as before.  :class:`EagerEntityLinker` builds
-every ranked list afresh, for every token of every document, as the
-linker did before it kept a memo.  Only tests use them.
+with it scores exactly as before.  :class:`EagerEntityLinker` scores
+every ranked list in full and afresh, for every token of every
+document, and merges the materialised lists with the TA body below,
+as the linker did before it kept a memo or scored lazily.  Only tests
+use them.
 """
 
 from repro.linking.similarity import default_registry
-from repro.linking.single import EntityLinker
+from repro.linking.single import EntityLinker, LinkResult
 from repro.store.schema import AttributeType
 
 
@@ -157,7 +159,14 @@ def reference_registry():
 
 
 class EagerEntityLinker(EntityLinker):
-    """An :class:`EntityLinker` that scores every ranked list afresh."""
+    """An :class:`EntityLinker` that scores every ranked list afresh.
+
+    It links as the linker did before its lists were memoised or
+    scored lazily: every candidate of every list is scored, the
+    materialised lists go through :func:`threshold_merge` (TA, whatever
+    ``merge`` says), and each confirmation score is asked of the
+    registry.
+    """
 
     def ranked_lists(self, text):
         """Per-(token, attribute) ranked candidate lists and weights."""
@@ -182,6 +191,36 @@ class EagerEntityLinker(EntityLinker):
                     lists.append(scored)
                     weights.append(self.weight_of(attribute.name))
         return lists, weights, tokens
+
+    def link(self, text, k=1):
+        """Best entity for ``text`` (or top-k ranked candidates)."""
+        lists, weights, tokens = self.ranked_lists(text)
+        if not lists:
+            return LinkResult(None, 0.0, [], tokens, self.table_name)
+        ranked, _, _ = threshold_merge(lists, weights, max(k, 1))
+        if not ranked or ranked[0][1] < self.min_score:
+            return LinkResult(None, 0.0, ranked, tokens, self.table_name)
+        best_id, best_score = ranked[0]
+        entity = self.table.get(best_id)
+        if not self._confirmed(entity, tokens):
+            return LinkResult(None, 0.0, ranked, tokens, self.table_name)
+        return LinkResult(entity, best_score, ranked, tokens, self.table_name)
+
+    def _confirmed(self, entity, tokens):
+        """The confirmation rules, every score asked of the registry."""
+        for attribute_name, min_similarity in self.confirm.items():
+            attribute = self.table.schema[attribute_name]
+            best = 0.0
+            for token in tokens:
+                if token.attr_type is attribute.type:
+                    best = max(best, self.registry.similarity(
+                        attribute.type,
+                        token.value,
+                        entity.values.get(attribute.name),
+                    ))
+            if best < min_similarity:
+                return False
+        return True
 
 
 def threshold_merge(lists, weights, k):

@@ -124,3 +124,80 @@ class TestAnnotatorSuite:
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError):
             AnnotatorSuite([])
+
+
+def one_pass_per_annotator(suite, text):
+    """The suite's tokens with every annotator tokenizing for itself."""
+    tokens = []
+    for annotator in suite.annotators:
+        tokens.extend(annotator.annotate(text))
+    return tokens
+
+
+#: Texts where lowering and tokenizing do not commute, or nearly so.
+NON_ASCII_TEXTS = [
+    "İSTANBUL john smith 5558675309 March 3 2009 forty two dollars",
+    "my name is JOHN SMİTH, call 555 867 5309",
+    "Straße mary walker rs 500 K 2009-03-04",
+    "café jon smyth five five five one two three four",
+    "İİ smith march twenty one nineteen ninety",
+]
+
+
+class TestSharedTokenization:
+    """One tokenization of an ASCII text serves every annotator.
+
+    The oracle: the suite's tokens ``==`` each annotator run on its own
+    over the real corpora (seeds 1-3) and non-ASCII texts.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_corpus_texts(self, seed):
+        from repro.synth.noise import NoiseConfig, TextNoiser
+        from tests.linking.test_similarity_kernels import (
+            callcenter_corpus,
+            churn_corpus,
+            customer_calls,
+            message_texts,
+        )
+
+        texts = message_texts(churn_corpus(seed))
+        calls = callcenter_corpus(seed)
+        for noiser in (None, TextNoiser(NoiseConfig.for_sms(), seed=seed)):
+            texts += [text for text, _, _ in customer_calls(calls, noiser)]
+        suite = build_default_annotators()
+        for text in texts:
+            assert suite.annotate(text) == one_pass_per_annotator(
+                suite, text
+            ), text
+        assert any(suite.annotate(text) for text in texts)
+
+    @pytest.mark.parametrize("text", NON_ASCII_TEXTS)
+    def test_non_ascii_texts(self, text):
+        suite = build_default_annotators()
+        assert not text.isascii()
+        assert suite.annotate(text) == one_pass_per_annotator(suite, text)
+
+    def test_ascii_text_is_tokenized_once(self, monkeypatch):
+        from repro.linking import annotators
+
+        calls = []
+        tokenize = annotators.tokenize
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return tokenize(*args, **kwargs)
+
+        monkeypatch.setattr(annotators, "tokenize", counting)
+        suite = build_default_annotators()
+        tokens = suite.annotate("John Smith, 5558675309, forty two dollars")
+        assert len(calls) == 1
+        assert [token.source for token in tokens] == [
+            "name", "phone", "amount",
+        ]
+        # Where lowering splits a character, each annotator tokenizes
+        # for itself, as it did on its own.
+        assert tokenize("İ", lower=True) != tokenize("İ".lower())
+        del calls[:]
+        suite.annotate(NON_ASCII_TEXTS[0])
+        assert len(calls) == 4

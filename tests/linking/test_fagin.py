@@ -1,10 +1,20 @@
-"""Tests for Fagin/Threshold/scan ranked-list merges."""
+"""Tests for Fagin/Threshold/scan ranked-list merges.
+
+TA over the linker's lazily scored lists
+(:class:`~repro.linking.single.LazyRankedList`) is held ``==`` the
+reference TA over the same lists scored in full: the same ranking and
+the same sequential and random access counts.
+"""
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.linking.fagin import fagin_merge, full_scan_merge, threshold_merge
+from repro.linking.single import LazyRankedList
+from repro.store.schema import AttributeType
 from tests.linking import reference
 
 LISTS = [
@@ -124,3 +134,115 @@ class TestAccessAccounting:
         scan = full_scan_merge(lists, k=1)
         assert ta.sequential_accesses < scan.sequential_accesses / 5
         assert ta.top[0] == "w"
+
+
+#: The attribute every lazy list below scores.
+ATTRIBUTE = SimpleNamespace(name="value", type=AttributeType.NAME)
+
+
+class HeldScores:
+    """A registry scoring each candidate with the number it holds.
+
+    With ``exact`` it has the exact-match hook, which certifies the
+    candidates holding 1.0; without it, lists have no head.  It counts
+    the scores it is asked for.
+    """
+
+    def __init__(self, exact):
+        self.calls = 0
+        if exact:
+            self.exact_test = lambda attr_type, token_value: (
+                lambda value: value == 1.0
+            )
+
+    def similarity(self, attr_type, token_value, attribute_value):
+        self.calls += 1
+        return 0.0 if attribute_value is None else attribute_value
+
+
+def lazy_list(registry, scores):
+    """A lazy list over candidates ``i`` holding ``scores[i]``."""
+    candidates = [
+        SimpleNamespace(entity_id=key, values={"value": score})
+        for key, score in scores
+    ]
+    return LazyRankedList(registry, ATTRIBUTE, "token", candidates)
+
+
+def scored_in_full(scores):
+    """The eager list: nonzero scores, ``(-score, id)`` order."""
+    return sorted(
+        ((key, score) for key, score in scores if score > 0.0),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
+
+
+def candidate_scores():
+    """One list's candidates: distinct ids, many ties at 1.0 and 0.0."""
+    score = st.one_of(
+        st.sampled_from([1.0, 1.0, 0.75, 0.5, 0.0]), st.floats(0.0, 1.0)
+    )
+    return st.lists(
+        st.tuples(st.integers(0, 11), score),
+        max_size=8, unique_by=lambda pair: pair[0],
+    )
+
+
+class TestLazyThresholdMerge:
+    @given(
+        st.lists(
+            st.tuples(candidate_scores(), st.booleans()),
+            min_size=1, max_size=4,
+        ),
+        st.lists(st.sampled_from([0.5, 1.0, 4.0]), min_size=4, max_size=4),
+        st.integers(1, 3),
+    )
+    def test_equals_the_reference_over_full_lists(self, drawn, weights, k):
+        # Lists with and without an exact head, empty ones and ones
+        # that run out before the others.
+        weights = weights[:len(drawn)]
+        registries = [HeldScores(exact) for _, exact in drawn]
+        lazy = [
+            lazy_list(registry, scores)
+            for registry, (scores, _) in zip(registries, drawn)
+        ]
+        full = [scored_in_full(scores) for scores, _ in drawn]
+        result = threshold_merge(lazy, weights=weights, k=k)
+        assert (
+            result.ranked, result.sequential_accesses,
+            result.random_accesses,
+        ) == reference.threshold_merge(full, weights, k)
+        for registry, (scores, exact) in zip(registries, drawn):
+            assert registry.calls <= len(scores)
+        assert [list(ranked) for ranked in lazy] == full
+
+    @given(candidate_scores(), st.booleans(), st.integers(-1, 12))
+    def test_random_access_scores_candidates_only(self, scores, exact, key):
+        registry = HeldScores(exact)
+        ranked = lazy_list(registry, scores)
+        held = dict(scores)
+        assert ranked.get(key) == held.get(key)
+        assert ranked.get(key, 0.0) == held.get(key, 0.0)
+        assert list(ranked) == scored_in_full(scores)
+        assert ranked.get(key, 0.0) == held.get(key, 0.0)
+        assert registry.calls == len(scores) - (
+            sum(score == 1.0 for _, score in scores) if exact else 0
+        )
+
+    def test_a_merge_inside_the_heads_scores_nothing(self):
+        registry = HeldScores(exact=True)
+        lists = [
+            lazy_list(registry, [(3, 0.5), (2, 1.0), (1, 1.0)]),
+            lazy_list(registry, [(2, 1.0), (4, 0.9), (5, 0.1)]),
+        ]
+        result = threshold_merge(lists, k=1)
+        assert result.ranked == [(2, 2.0)]
+        assert registry.calls == 0  # key 1 is no candidate of list 2
+        assert [ranked.certified for ranked in lists] == [2, 1]
+
+    def test_fagin_and_scan_read_lazy_lists_whole(self):
+        registry = HeldScores(exact=True)
+        scores = [(3, 0.5), (2, 1.0), (1, 1.0), (4, 0.0)]
+        for merge in (fagin_merge, full_scan_merge):
+            lazy = merge([lazy_list(registry, scores)], k=3)
+            assert lazy == merge([scored_in_full(scores)], k=3)
