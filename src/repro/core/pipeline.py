@@ -96,7 +96,9 @@ class CallRecordLinker:
 
         A traced hot path: each attempt opens a ``link:call-record``
         span tagged with the candidate count and hit/miss, while the
-        ambient metrics registry counts attempts and hits (see
+        ambient metrics registry counts attempts and hits, links
+        certified without scoring (``linking.call_record.certified``)
+        and candidates scored in full (``.scored``; see
         :mod:`repro.obs`).  The span never changes which record wins.
         """
         with get_tracer().span(
@@ -110,7 +112,34 @@ class CallRecordLinker:
         return record
 
     def _link(self, customer_text, agent_name, day, span):
-        """The scoring body; tags the enclosing ``span`` as it goes."""
+        """The scoring body; tags the enclosing ``span`` as it goes.
+
+        The call's ``(attribute, token value, exact test)`` pairs are
+        built once, in token x attribute order.  When there are ``n >=
+        1`` pairs and every one has an exact-match test
+        (:meth:`SimilarityRegistry.exact_test`), the first candidate, in
+        record order, whose customer passes every test wins at ``n``
+        (the sum of ``n`` 1.0s) and nothing is scored.  Otherwise, or
+        when no candidate passes, every candidate is scored in full and
+        the first strict maximum wins; with no pairs every score is 0.0
+        and none wins.  The two agree:
+
+        - No later candidate can beat ``n``: every score is at most
+          1.0, and a float sum rounds monotonically.
+        - Every earlier candidate fails some test, so one of its
+          scores lies below 1.0 by a gap of about ``1/L`` for digits
+          (``L`` the longer digit string), 1/3 for dates and far more
+          than an ulp for names (see :func:`name_exact_test`).  That
+          gap dwarfs the rounding of an ``n``-term sum, so its total
+          stays below ``n``.
+
+        ``numeric_similarity`` can land one ulp below 1.0 and has no
+        test, so a pair scored by it (or by any measure plugged in with
+        ``register``, or a registry without ``exact_test``) always
+        takes the full loop.  The block is not handed to
+        :class:`EntityLinker`'s TA: TA breaks ties by entity id, the
+        block by record order, and two calls of one customer tie.
+        """
         candidates = self._by_agent_day.get((agent_name, day), ())
         span.tag("candidates", len(candidates))
         if not candidates:
@@ -119,27 +148,63 @@ class CallRecordLinker:
         span.tag("tokens", len(tokens))
         if not tokens:
             return None
+        exact_test = getattr(self._registry, "exact_test", None)
+        pairs = [
+            (
+                attribute,
+                token.value,
+                exact_test(attribute.type, token.value)
+                if exact_test else None,
+            )
+            for token in tokens
+            for attribute in self._customers.schema.attributes_of_type(
+                token.attr_type
+            )
+        ]
+        metrics = get_metrics()
         best_record = None
-        best_score = 0.0
-        for record in candidates:
-            customer = self._customers.get(record["customer_ref"])
-            score = 0.0
-            for token in tokens:
-                for attribute in self._customers.schema.attributes_of_type(
-                    token.attr_type
-                ):
-                    score += self._registry.similarity(
-                        attribute.type,
-                        token.value,
-                        customer.values.get(attribute.name),
-                    )
-            if score > best_score:
-                best_score = score
-                best_record = record
+        if pairs and all(test is not None for _, _, test in pairs):
+            best_record = self._certified(candidates, pairs)
+        if best_record is not None:
+            metrics.counter("linking.call_record.certified").inc()
+            best_score = float(len(pairs))
+        else:
+            best_record, best_score = self._scored(candidates, pairs)
+            metrics.counter("linking.call_record.scored").inc(
+                len(candidates)
+            )
         span.tag("best_score", best_score)
         if best_score < self._min_score:
             return None
         return best_record
+
+    def _certified(self, candidates, pairs):
+        """The first record whose customer passes every pair's test."""
+        for record in candidates:
+            values = self._customers.get(record["customer_ref"]).values
+            if all(
+                test(values.get(attribute.name))
+                for attribute, _, test in pairs
+            ):
+                return record
+        return None
+
+    def _scored(self, candidates, pairs):
+        """``(record, score)`` of the first strict maximum of Eqn 2."""
+        similarity = self._registry.similarity
+        best_record = None
+        best_score = 0.0
+        for record in candidates:
+            values = self._customers.get(record["customer_ref"]).values
+            score = 0.0
+            for attribute, token_value, _ in pairs:
+                score += similarity(
+                    attribute.type, token_value, values.get(attribute.name)
+                )
+            if score > best_score:
+                best_score = score
+                best_record = record
+        return best_record, best_score
 
 
 def transcribe_turns(asr, turns, config=None, identity_linker=None,
@@ -278,8 +343,10 @@ class RecordLinkStage(MapStage):
         read-only (``CallRecordLinker.link`` only tags spans and bumps
         counters), so the hook touches nothing but the document and
         the ambient obs layer — inference cannot see through the
-        injected collaborator on its own.  The linker's registry fills
-        its Jaro-Winkler word-pair memo, a cache no result depends on.
+        injected collaborator on its own.  A call whose block holds an
+        exact match is linked without scoring; only a call scored in
+        full fills the registry's Jaro-Winkler word-pair memo, a cache
+        no result depends on.
         """
         transcript = document.require("transcript")
         if self.link_mode == "metadata":

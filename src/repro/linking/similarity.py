@@ -186,6 +186,28 @@ def date_similarity(token_value, attribute_value):
     return matches / 3.0
 
 
+def date_exact_test(token_value):
+    """A test of ``date_similarity(token_value, v) == 1.0`` for any ``v``.
+
+    The score of two ISO dates is the share of equal components, so it
+    is 1.0 exactly when all three are equal (two are 2/3); otherwise it
+    is 1.0 exactly when the raw values are equal.  The test makes the
+    same comparisons without the division.  A ``None`` value fails, as
+    :meth:`SimilarityRegistry.similarity` scores it 0.0.
+    """
+    token_parts = str(token_value).split("-")
+
+    def test(attribute_value):
+        if attribute_value is None:
+            return False
+        attr_parts = str(attribute_value).split("-")
+        if len(token_parts) != 3 or len(attr_parts) != 3:
+            return bool(token_value == attribute_value)
+        return token_parts == attr_parts
+
+    return test
+
+
 def numeric_similarity(token_value, attribute_value):
     """1 minus relative difference, clamped to [0, 1]."""
     try:
@@ -217,6 +239,7 @@ def exact_similarity(token_value, attribute_value):
 _EXACT_TESTS = {
     name_similarity: name_exact_test,
     digits_similarity: digits_exact_test,
+    date_similarity: date_exact_test,
 }
 
 

@@ -9,10 +9,13 @@ word pair.  :func:`reference_registry` plugs them into a
 with it scores exactly as before.  :class:`EagerEntityLinker` scores
 every ranked list in full and afresh, for every token of every
 document, and merges the materialised lists with the TA body below,
-as the linker did before it kept a memo or scored lazily.  Only tests
-use them.
+as the linker did before it kept a memo or scored lazily.
+:class:`ReferenceCallRecordLinker` scores every blocked candidate of a
+call against every identity token, as the call-record linker did
+before it certified exact matches.  Only tests use them.
 """
 
+from repro.core.pipeline import CallRecordLinker
 from repro.linking.similarity import default_registry
 from repro.linking.single import EntityLinker, LinkResult
 from repro.store.schema import AttributeType
@@ -221,6 +224,46 @@ class EagerEntityLinker(EntityLinker):
             if best < min_similarity:
                 return False
         return True
+
+
+class ReferenceCallRecordLinker(CallRecordLinker):
+    """A :class:`CallRecordLinker` that scores every blocked candidate.
+
+    Every candidate's customer is scored against every identity token
+    and attribute, looked up afresh per candidate, and the first strict
+    maximum wins.
+    """
+
+    def _link(self, customer_text, agent_name, day, span):
+        candidates = self._by_agent_day.get((agent_name, day), ())
+        span.tag("candidates", len(candidates))
+        if not candidates:
+            return None
+        tokens = self._annotators.annotate(customer_text)
+        span.tag("tokens", len(tokens))
+        if not tokens:
+            return None
+        best_record = None
+        best_score = 0.0
+        for record in candidates:
+            customer = self._customers.get(record["customer_ref"])
+            score = 0.0
+            for token in tokens:
+                for attribute in self._customers.schema.attributes_of_type(
+                    token.attr_type
+                ):
+                    score += self._registry.similarity(
+                        attribute.type,
+                        token.value,
+                        customer.values.get(attribute.name),
+                    )
+            if score > best_score:
+                best_score = score
+                best_record = record
+        span.tag("best_score", best_score)
+        if best_score < self._min_score:
+            return None
+        return best_record
 
 
 def threshold_merge(lists, weights, k):

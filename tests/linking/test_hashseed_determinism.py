@@ -4,9 +4,11 @@ Each run below is a fresh interpreter under ``PYTHONHASHSEED`` 0, 1 or
 2.  It links the cleaned churn emails of seeds 1-3 through the churn
 study's :class:`EntityLinker` with ``k=5``, takes the two-pass ASR
 identities (:meth:`EntityLinker.top_identities`) of every noised
-car-rental customer turn, and counts the linking work: similarity
-evaluations and candidates returned.  All three runs must print the
-same thing.  Candidate indexes used to iterate ``set``s of string
+car-rental customer turn, links every clean and noised turn to its call
+record through :class:`CallRecordLinker`, and counts the linking work:
+similarity evaluations, candidates returned, and call-record links
+certified and candidates scored.  All three runs must print the same
+thing.  Candidate indexes used to iterate ``set``s of string
 grams, so count ties in ``Counter.most_common`` fell in salt order and
 entities dropped in and out of capped candidate lists.
 """
@@ -27,12 +29,14 @@ SEEDS = (1, 2, 3)
 def probe():
     """Everything the salt could move, as one JSON-ready dict."""
     from repro.cleaning import CleaningPipeline
+    from repro.core.pipeline import CallRecordLinker
     from repro.core.usecases.churn import (
         build_churn_stages,
         link_evidence_text,
     )
     from repro.linking.similarity import SimilarityRegistry
     from repro.linking.single import EntityLinker
+    from repro.obs import MetricsRegistry, Tracer, activated
     from repro.store.database import Database
     from repro.synth.carrental import CarRentalConfig, generate_car_rental
     from repro.synth.noise import NoiseConfig, TextNoiser
@@ -56,6 +60,8 @@ def probe():
 
     ranked = []
     identities = []
+    call_records = []
+    call_record_metrics = MetricsRegistry()
     for seed in SEEDS:
         telecom = generate_telecom(TelecomConfig(
             scale=0.004, n_customers=400, email_churner_fraction=0.2,
@@ -77,17 +83,35 @@ def probe():
             n_customers=160, seed=seed,
         ))
         identity_linker = EntityLinker(car_rental.database, "customers")
+        record_linker = CallRecordLinker(car_rental.database)
         noiser = TextNoiser(NoiseConfig.for_sms(), seed=seed)
         for transcript in car_rental.transcripts:
-            first_pass = noiser.apply(" ".join(
+            customer_text = " ".join(
                 text for speaker, text in transcript.turns
                 if speaker == "customer"
-            ))
+            )
+            first_pass = noiser.apply(customer_text)
             identities.append([
                 entity.entity_id
                 for entity in identity_linker.top_identities(first_pass, n=5)
             ])
-    return {"ranked": ranked, "identities": identities, "work": work}
+            with activated(Tracer(), call_record_metrics):
+                for text in (customer_text, first_pass):
+                    record = record_linker.link(
+                        text, transcript.agent_name, transcript.day
+                    )
+                    call_records.append(
+                        None if record is None else record.entity_id
+                    )
+    counters = call_record_metrics.snapshot()["counters"]
+    work["call_record"] = {
+        name: counters.get(f"linking.call_record.{name}", 0)
+        for name in ("certified", "scored")
+    }
+    return {
+        "ranked": ranked, "identities": identities,
+        "call_records": call_records, "work": work,
+    }
 
 
 def probe_under(hash_seed):
@@ -126,6 +150,9 @@ def test_probe_covers_the_linkers(probes):
     assert sum(len(ids) == 5 for ids in result["identities"]) > 200
     assert result["work"]["similarity"] > 0
     assert result["work"]["candidates"] > 0
+    assert len(result["call_records"]) == 2 * 3 * 96
+    assert result["work"]["call_record"]["certified"] > 0
+    assert result["work"]["call_record"]["scored"] > 0
 
 
 @pytest.mark.parametrize("hash_seed", HASH_SEEDS[1:])
@@ -136,6 +163,11 @@ def test_top5_lists_equal_across_hash_seeds(probes, hash_seed):
 @pytest.mark.parametrize("hash_seed", HASH_SEEDS[1:])
 def test_two_pass_identities_equal_across_hash_seeds(probes, hash_seed):
     assert probes[hash_seed]["identities"] == probes["0"]["identities"]
+
+
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS[1:])
+def test_call_records_equal_across_hash_seeds(probes, hash_seed):
+    assert probes[hash_seed]["call_records"] == probes["0"]["call_records"]
 
 
 @pytest.mark.parametrize("hash_seed", HASH_SEEDS[1:])
