@@ -2,8 +2,8 @@
 
 Two standard text classifiers, enough for the paper's churn study:
 
-* :class:`MultinomialNaiveBayes` — add-one smoothing, adjustable class
-  priors (the imbalance lever).
+* :class:`MultinomialNaiveBayes` — add-one smoothing over the shared
+  tabulated model of :mod:`repro.util.naive_bayes`.
 * :class:`LogisticRegression` — L2-regularised batch gradient descent
   with optional per-class weights.
 
@@ -12,85 +12,41 @@ Both consume lists of feature ``Counter`` objects (from
 ``predict_proba`` returning P(positive).
 """
 
-import math
-
 import numpy as np
 
+from repro.util.naive_bayes import fit_tables, positive_probability
 from repro.util.rng import derive_rng
 
 
 class MultinomialNaiveBayes:
-    """Binary multinomial NB over sparse feature counts."""
+    """Binary multinomial NB over sparse feature counts.
 
-    def __init__(self, smoothing=1.0, class_priors=None):
-        """``class_priors`` is optional ``(p_negative, p_positive)``;
-        defaults to empirical frequencies."""
+    The shared tabulated model of :mod:`repro.util.naive_bayes`, fed
+    each document's feature ``Counter`` items; class priors are the
+    empirical class frequencies.
+    """
+
+    def __init__(self, smoothing=1.0):
         self.smoothing = smoothing
-        self.class_priors = class_priors
-        self._fitted = False
+        self._tables = None
 
     def fit(self, feature_counters, labels):
         """Train on feature Counters with boolean labels."""
-        labels = [bool(label) for label in labels]
-        if len(feature_counters) != len(labels):
-            raise ValueError("features and labels must align")
-        if len(set(labels)) < 2:
-            raise ValueError("need both classes in training data")
-        vocabulary = set()
-        totals = {True: 0.0, False: 0.0}
-        counts = {True: {}, False: {}}
-        docs = {True: 0, False: 0}
-        for features, label in zip(feature_counters, labels):
-            docs[label] += 1
-            bucket = counts[label]
-            for feature, count in features.items():
-                vocabulary.add(feature)
-                bucket[feature] = bucket.get(feature, 0.0) + count
-                totals[label] += count
-        self._vocabulary_size = len(vocabulary)
-        self._counts = counts
-        self._totals = totals
-        if self.class_priors is None:
-            total_docs = docs[True] + docs[False]
-            priors = (docs[False] / total_docs, docs[True] / total_docs)
-        else:
-            priors = self.class_priors
-        if min(priors) <= 0:
-            raise ValueError("class priors must be positive")
-        self._log_priors = {
-            False: math.log(priors[0]),
-            True: math.log(priors[1]),
-        }
-        self._fitted = True
-        return self
-
-    def _log_likelihood(self, features, label):
-        score = self._log_priors[label]
-        denominator = (
-            self._totals[label] + self.smoothing * self._vocabulary_size
+        self._tables = fit_tables(
+            [features.items() for features in feature_counters],
+            labels,
+            self.smoothing,
         )
-        bucket = self._counts[label]
-        for feature, count in features.items():
-            numerator = bucket.get(feature, 0.0) + self.smoothing
-            score += count * math.log(numerator / denominator)
-        return score
+        return self
 
     def predict_proba(self, feature_counters):
         """P(positive) per document."""
-        if not self._fitted:
+        if self._tables is None:
             raise RuntimeError("fit() before predicting")
-        probabilities = []
-        for features in feature_counters:
-            log_pos = self._log_likelihood(features, True)
-            log_neg = self._log_likelihood(features, False)
-            delta = log_pos - log_neg
-            if delta > 50:
-                probabilities.append(1.0)
-            elif delta < -50:
-                probabilities.append(0.0)
-            else:
-                probabilities.append(1.0 / (1.0 + math.exp(-delta)))
-        return probabilities
+        return [
+            positive_probability(self._tables, features.items())
+            for features in feature_counters
+        ]
 
     def predict(self, feature_counters, threshold=0.5):
         """Boolean predictions at a probability threshold."""

@@ -36,10 +36,12 @@ class CallTypeClassifier:
     def __init__(self, smoothing=1.0):
         self.smoothing = smoothing
         self._models = {}
-        self._fitted = False
 
     def fit(self, texts, labels):
-        """Train one-vs-rest NB models from texts and call types."""
+        """Train one-vs-rest NB models from texts and call types.
+
+        Replaces every model of an earlier fit.
+        """
         texts = list(texts)
         labels = list(labels)
         if len(texts) != len(labels):
@@ -48,12 +50,12 @@ class CallTypeClassifier:
         if len(present) < 2:
             raise ValueError("need at least two call types in training")
         features = [_features(text) for text in texts]
-        for call_type in present:
-            binary = [label == call_type for label in labels]
-            self._models[call_type] = MultinomialNaiveBayes(
-                smoothing=self.smoothing
-            ).fit(features, binary)
-        self._fitted = True
+        self._models = {
+            call_type: MultinomialNaiveBayes(smoothing=self.smoothing).fit(
+                features, [label == call_type for label in labels]
+            )
+            for call_type in present
+        }
         return self
 
     @property
@@ -63,7 +65,7 @@ class CallTypeClassifier:
 
     def predict_scores(self, text):
         """{call_type: P(type | text)} from the one-vs-rest models."""
-        if not self._fitted:
+        if not self._models:
             raise RuntimeError("fit() before predicting")
         features = [_features(text)]
         return {

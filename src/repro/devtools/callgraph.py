@@ -267,6 +267,22 @@ def classify_expr(expr, scope):
     return ("unknown", "")
 
 
+def _bound_names(target):
+    """Names an assignment target binds: ``x`` and the names unpacked
+    through tuples, lists and starred targets.
+
+    ``x[k] = v`` and ``x.attr = v`` write *into* ``x`` and bind nothing,
+    so ``x`` keeps the scope class it already had.
+    """
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, ast.Starred):
+        return _bound_names(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _bound_names(elt)]
+    return []
+
+
 def _local_assignments(node):
     """Names a function body binds locally (assignments, loops, withs).
 
@@ -296,19 +312,13 @@ def _local_assignments(node):
                     else [child.target]
                 )
                 for target in targets:
-                    for name_node in ast.walk(target):
-                        if isinstance(name_node, ast.Name):
-                            names.add(name_node.id)
+                    names.update(_bound_names(target))
             elif isinstance(child, (ast.For, ast.AsyncFor)):
-                for name_node in ast.walk(child.target):
-                    if isinstance(name_node, ast.Name):
-                        names.add(name_node.id)
+                names.update(_bound_names(child.target))
             elif isinstance(child, (ast.With, ast.AsyncWith)):
                 for item in child.items:
                     if item.optional_vars is not None:
-                        for name_node in ast.walk(item.optional_vars):
-                            if isinstance(name_node, ast.Name):
-                                names.add(name_node.id)
+                        names.update(_bound_names(item.optional_vars))
             elif isinstance(child, ast.ExceptHandler):
                 if child.name:
                     names.add(child.name)
@@ -324,9 +334,7 @@ def _local_assignments(node):
             # be shared state either way).
             for walked in ast.walk(child):
                 if isinstance(walked, ast.comprehension):
-                    for name_node in ast.walk(walked.target):
-                        if isinstance(name_node, ast.Name):
-                            names.add(name_node.id)
+                    names.update(_bound_names(walked.target))
             visit(child, False)
 
     visit(node, True)
@@ -373,10 +381,18 @@ class _ModuleIndexer:
         return None
 
     def index_symbols(self):
-        """Build the module-level name table (imports + defs)."""
+        """Build the module-level name table (imports, defs, values)."""
         table = {}
         for node in self.tree.body:
-            if isinstance(node, ast.Import):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+                for target in targets:
+                    for name in _bound_names(target):
+                        table[name] = ("symbol", f"{self.module}.{name}")
+            elif isinstance(node, ast.Import):
                 _bind_plain_imports(
                     node, table, self.graph.modgraph.modules
                 )

@@ -187,8 +187,9 @@ BENIGN_METHOD_NAMES = frozenset({
     "exists", "is_dir", "is_file", "resolve", "absolute", "parent",
     "name", "stem", "suffix", "parts",
     # Concept-index read accessors (repro.mining.index): pure lookups
-    # over postings/dimension tables — the count passes of
-    # repro.mining.algebra are verified pure through these.
+    # over postings/dimension tables — the counting functions of the
+    # mining analytics (repro.mining.analytic) are verified pure
+    # through these.
     "postings_view", "documents_with", "count_pair",
     "values_of_dimension", "keys_of_dimension", "keys_of",
     "timestamp_of", "text_of",

@@ -61,7 +61,7 @@ DEFAULT_LAYERS = {
     # facades; same-rank isolation keeps it independent of ``core``.
     "stream": 7,
     # Serving answers queries over the stream layer's epoch snapshots
-    # with the mining algebra, so it sits above both and below the CLI
+    # with the mining analytics, so it sits above both and below the CLI
     # entry points that host it.
     "serve": 8,
     # The seeded differential-testing harness drives the engine, the

@@ -5,8 +5,7 @@ against: an **order-preserving** ``map`` over equal-length column
 iterables, plus lifecycle (``close`` / context manager) and a few
 introspection hooks.  Order preservation is the load-bearing clause —
 callers fold results left-to-right in submission order, so any backend
-satisfying it is bit-identical to serial execution by construction
-(see :mod:`repro.mining.algebra` for the merge-determinism argument).
+satisfying it is bit-identical to serial execution by construction.
 
 :class:`SerialBackend` here runs every task inline; it is the
 reference semantics.  The one implementation that fans out, a warm

@@ -33,8 +33,8 @@ Spawn-safety: envelopes are defined at module level and hold only
 picklable state, so the backend works under the ``spawn`` start method
 (fresh interpreters) as well as ``fork``.  Result determinism does not
 depend on the child interpreter's hash randomization — every analytic
-finalize sorts before emitting — which is asserted by the equivalence
-suites in ``tests/prop`` and ``tests/exec``.
+sorts its result before emitting it — which is asserted by the
+equivalence suites in ``tests/prop`` and ``tests/exec``.
 """
 
 import pickle

@@ -6,31 +6,29 @@ containing even millions of documents."
 
 * :class:`ConceptIndex` — inverted index over concept keys, mixing
   unstructured concepts and structured fields.
-* :mod:`algebra` — the partial/finalize aggregate form every analytic
-  below runs through.
+* :mod:`analytic` — how every analytic below runs: one counting
+  function, then one result constructor.
 * :mod:`relfreq` — relevancy analysis with relative frequency.
 * :mod:`assoc2d` — two-dimensional association analysis with the
   interval-estimated lift of Eqn 4, plus drill-down (Fig 4).
 * :mod:`trends` — concept occurrence over time.
+* :mod:`olap` — an n-dimensional concept cube with slice, dice and
+  roll-up.
 * :mod:`reports` — text renderings of the analysis tables.
 """
 
 from repro.mining.index import ConceptIndex, concept_key, field_key
-from repro.mining.algebra import PartialAggregate, compute
+from repro.mining.analytic import Analytic, compute
 from repro.mining.relfreq import (
-    RelativeFrequencyAggregate,
     RelevancyResult,
     relative_frequency,
 )
 from repro.mining.assoc2d import (
-    AssociationAggregate,
     AssociationCell,
     AssociationTable,
     associate,
 )
 from repro.mining.trends import (
-    EmergingConceptsAggregate,
-    TrendSeriesAggregate,
     emerging_concepts,
     observed_bucket_range,
     trend_series,
@@ -38,7 +36,6 @@ from repro.mining.trends import (
 )
 from repro.mining.olap import (
     ConceptCube,
-    ConceptCubeAggregate,
     CubeCell,
     concept_cube,
 )
@@ -57,25 +54,20 @@ from repro.mining.reports import (
 
 __all__ = [
     "ConceptIndex",
-    "PartialAggregate",
+    "Analytic",
     "compute",
     "concept_key",
     "field_key",
     "relative_frequency",
-    "RelativeFrequencyAggregate",
     "RelevancyResult",
     "AssociationTable",
     "AssociationCell",
-    "AssociationAggregate",
     "associate",
     "trend_series",
     "trend_slope",
-    "TrendSeriesAggregate",
     "observed_bucket_range",
     "emerging_concepts",
-    "EmergingConceptsAggregate",
     "ConceptCube",
-    "ConceptCubeAggregate",
     "concept_cube",
     "CubeCell",
     "AgentKpi",

@@ -10,15 +10,14 @@ with the *lower interval terminal* of the lift
 so sparse cells cannot fake strong associations.  Cells support
 drill-down to the underlying documents (Fig 4).
 
-Counting runs through the partial/finalize form of
-:mod:`repro.mining.algebra`: the partial counts rows, columns and
-cells as integers, and the interval bounds are computed once from
-those integers.
+:func:`association_counts` counts rows, columns and cells as
+integers, and :func:`association_table` computes the interval bounds
+once from those integers (see :mod:`repro.mining.analytic`).
 """
 
 from dataclasses import dataclass
 
-from repro.mining.algebra import PartialAggregate, compute
+from repro.mining.analytic import Analytic, compute
 from repro.obs import get_metrics
 from repro.util.intervals import (
     check_cell_counts,
@@ -132,137 +131,94 @@ class AssociationTable:
         }
 
 
-class AssociationAggregate(PartialAggregate):
-    """The 2-D association analysis as an aggregate.
+def association_counts(index, row_dimension, col_dimension, row_values,
+                       col_values):
+    """The index's marginal and cell counts (integers only).
 
-    Partial state: the index's document total plus integer row, column
-    and co-occurrence counts.
+    Returns ``(grand_total, row_totals, col_totals, pairs)``.  The
+    totals are keyed in table order (``None`` values default to every
+    observed value); ``pairs`` holds the non-zero cell counts.
     """
-
-    analytic = "associate"
-
-    def __init__(self, row_dimension, col_dimension, confidence=0.95,
-                 interval_method="wilson", row_values=None,
-                 col_values=None):
-        """Dimension pair plus scoring knobs; see :func:`associate`.
-
-        Raises ``ValueError`` for a confidence outside (0, 1), an
-        unknown interval method, or a value listed twice in
-        ``row_values``/``col_values`` (its cells would be scored and
-        ranked twice).
-        """
-        check_interval_options(confidence, interval_method)
-        self.row_dimension = tuple(row_dimension)
-        self.col_dimension = tuple(col_dimension)
-        self.confidence = confidence
-        self.interval_method = interval_method
-        self.row_values = _distinct_values(row_values, "row_values")
-        self.col_values = _distinct_values(col_values, "col_values")
-
-    def partial(self, index):
-        """The index's marginal and cell counts (integers only)."""
-        if self.row_values is None:
-            row_values = index.values_of_dimension(self.row_dimension)
-        else:
-            row_values = self.row_values
-        if self.col_values is None:
-            col_values = index.values_of_dimension(self.col_dimension)
-        else:
-            col_values = self.col_values
-        row_totals = {}
-        col_totals = {}
-        pairs = {}
-        col_views = {}
+    if row_values is None:
+        row_values = index.values_of_dimension(row_dimension)
+    if col_values is None:
+        col_values = index.values_of_dimension(col_dimension)
+    row_totals = {}
+    col_totals = {}
+    pairs = {}
+    col_views = {}
+    for col_value in col_values:
+        view = index.postings_view(col_dimension + (col_value,))
+        col_views[col_value] = view
+        col_totals[col_value] = len(view)
+    for row_value in row_values:
+        row_view = index.postings_view(row_dimension + (row_value,))
+        row_totals[row_value] = len(row_view)
+        if not row_view:
+            continue
         for col_value in col_values:
-            view = index.postings_view(
-                self.col_dimension + (col_value,)
-            )
-            col_views[col_value] = view
-            col_totals[col_value] = len(view)
-        for row_value in row_values:
-            row_view = index.postings_view(
-                self.row_dimension + (row_value,)
-            )
-            row_totals[row_value] = len(row_view)
-            if not row_view:
-                continue
-            for col_value in col_values:
-                count = len(row_view & col_views[col_value])
-                if count:
-                    pairs[(row_value, col_value)] = count
-        return {
-            "grand_total": len(index),
-            "row_totals": row_totals,
-            "col_totals": col_totals,
-            "pairs": pairs,
-        }
+            count = len(row_view & col_views[col_value])
+            if count:
+                pairs[(row_value, col_value)] = count
+    return len(index), row_totals, col_totals, pairs
 
-    def finalize(self, state, index):
-        """Score every cell from the integer counts.
 
-        A marginal's upper interval terminal depends only on its total,
-        so each row's and each column's is computed once here; a cell
-        computes only its own lower terminal.  That is
-        ``cells + rows + cols`` interval evaluations per table, counted
-        on ``mining.associate.intervals``.
-        """
-        grand_total = state["grand_total"]
-        if grand_total == 0:
-            raise ValueError("cannot analyse an empty index")
-        # The partial keyed every total in table order.
-        row_totals = state["row_totals"]
-        col_totals = state["col_totals"]
-        row_values = list(row_totals)
-        col_values = list(col_totals)
-        row_high = self._upper_terminals(row_totals, grand_total)
-        col_high = self._upper_terminals(col_totals, grand_total)
-        cells = {}
-        for row_value in row_values:
-            row_total = row_totals[row_value]
-            for col_value in col_values:
-                count = state["pairs"].get((row_value, col_value), 0)
-                col_total = col_totals[col_value]
-                check_cell_counts(count, row_total, col_total, grand_total)
-                cell_low, _ = proportion_interval(
-                    count,
-                    grand_total,
-                    confidence=self.confidence,
-                    method=self.interval_method,
-                )
-                cells[(row_value, col_value)] = AssociationCell(
-                    row_value=row_value,
-                    col_value=col_value,
-                    count=count,
-                    row_total=row_total,
-                    col_total=col_total,
-                    grand_total=grand_total,
-                    strength=lift_from_terminals(
-                        cell_low, row_high[row_value], col_high[col_value]
-                    ),
-                    point_lift=lift_point_estimate(
-                        count, row_total, col_total, grand_total
-                    ),
-                )
-        get_metrics().counter("mining.associate.intervals").inc(
-            len(row_high) + len(col_high)
-            + len(row_values) * len(col_values)
-        )
-        return AssociationTable(
-            index, self.row_dimension, self.col_dimension, cells,
-            row_values, col_values,
-        )
+def association_table(counts, index, row_dimension, col_dimension,
+                      confidence, interval_method):
+    """Score every cell of :func:`association_counts`' counts.
 
-    def _upper_terminals(self, totals, grand_total):
-        """``{value: upper interval terminal of its marginal density}``."""
+    A marginal's upper interval terminal depends only on its total, so
+    each row's and each column's is computed once here; a cell
+    computes only its own lower terminal.  That is
+    ``cells + rows + cols`` interval evaluations per table, counted on
+    ``mining.associate.intervals``.  ``index`` backs the table's
+    drill-down.
+    """
+    grand_total, row_totals, col_totals, pairs = counts
+    if grand_total == 0:
+        raise ValueError("cannot analyse an empty index")
+
+    def upper_terminals(totals):
         return {
             value: proportion_interval(
-                total,
-                grand_total,
-                confidence=self.confidence,
-                method=self.interval_method,
+                total, grand_total, confidence=confidence,
+                method=interval_method,
             )[1]
             for value, total in totals.items()
         }
+
+    row_high = upper_terminals(row_totals)
+    col_high = upper_terminals(col_totals)
+    cells = {}
+    for row_value, row_total in row_totals.items():
+        for col_value, col_total in col_totals.items():
+            count = pairs.get((row_value, col_value), 0)
+            check_cell_counts(count, row_total, col_total, grand_total)
+            cell_low, _ = proportion_interval(
+                count, grand_total, confidence=confidence,
+                method=interval_method,
+            )
+            cells[(row_value, col_value)] = AssociationCell(
+                row_value=row_value,
+                col_value=col_value,
+                count=count,
+                row_total=row_total,
+                col_total=col_total,
+                grand_total=grand_total,
+                strength=lift_from_terminals(
+                    cell_low, row_high[row_value], col_high[col_value]
+                ),
+                point_lift=lift_point_estimate(
+                    count, row_total, col_total, grand_total
+                ),
+            )
+    get_metrics().counter("mining.associate.intervals").inc(
+        len(row_high) + len(col_high) + len(cells)
+    )
+    return AssociationTable(
+        index, row_dimension, col_dimension, cells,
+        row_totals, col_totals,
+    )
 
 
 def _distinct_values(values, what):
@@ -281,14 +237,23 @@ def associate(index, row_dimension, col_dimension, confidence=0.95,
 
     Dimensions are ``("concept", category)`` or ``("field", name)``.
     ``row_values``/``col_values`` default to every observed value and
-    must not list a value twice.
+    must not list a value twice.  A confidence outside (0, 1), an
+    unknown interval method or a repeated value raises ``ValueError``
+    before anything is counted.
     """
-    aggregate = AssociationAggregate(
-        row_dimension,
-        col_dimension,
-        confidence=confidence,
-        interval_method=interval_method,
-        row_values=row_values,
-        col_values=col_values,
-    )
-    return compute(aggregate, index)
+    check_interval_options(confidence, interval_method)
+    row_dimension = tuple(row_dimension)
+    col_dimension = tuple(col_dimension)
+    row_values = _distinct_values(row_values, "row_values")
+    col_values = _distinct_values(col_values, "col_values")
+    return compute(Analytic(
+        "associate",
+        lambda counted: association_counts(
+            counted, row_dimension, col_dimension, row_values, col_values
+        ),
+        lambda counts: association_table(
+            counts, index, row_dimension, col_dimension, confidence,
+            interval_method,
+        ),
+        pure=True,
+    ), index)

@@ -252,7 +252,7 @@ class ConceptIndex:
     def postings_view(self, key):
         """Read-only doc-id set for one concept key (no copy).
 
-        The hot-loop accessor behind the analytics' partials: it hands
+        The hot-loop accessor behind the analytics' counting: it hands
         back the internal postings set, so the caller must not mutate
         it — :meth:`documents_with` is the public read that copies.
         """

@@ -7,15 +7,15 @@ generalises it to an n-dimensional cube over concept-index dimensions
 with the classic operations — slice, dice, roll-up — so analysts can
 pivot freely between unstructured concepts and structured fields.
 
-Cube materialisation runs through the partial/finalize form of
-:mod:`repro.mining.algebra`: the partial counts documents per cell
-coordinate, and finalize wraps those counts in a :class:`ConceptCube`.
+:func:`cube_cells` counts documents per cell coordinate, and
+:func:`concept_cube` wraps those counts in a :class:`ConceptCube` (see
+:mod:`repro.mining.analytic`).
 """
 
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.mining.algebra import PartialAggregate, compute
+from repro.mining.analytic import Analytic, compute
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,7 @@ def cube_coordinate(keys, dimensions):
 
 
 def cube_cells(index, dimensions):
-    """Coordinate -> document count over one index's documents.
-
-    The counting core shared by :class:`ConceptCube` (direct
-    construction) and :class:`ConceptCubeAggregate` (the algebra).
-    """
+    """Coordinate -> document count over one index's documents."""
     cells = Counter()
     for doc_id in index.document_ids:
         coordinate = cube_coordinate(index.keys_of(doc_id), dimensions)
@@ -69,20 +65,14 @@ class ConceptCube:
     carries exactly one value of every dimension; documents missing a
     dimension fall into the ``None`` bucket so totals are conserved.
 
-    ``cells`` injects pre-counted cells (the algebra path of
-    :func:`concept_cube`); without it the constructor scans the index
-    directly.
+    Build one with :func:`concept_cube`; ``cells`` is the
+    :func:`cube_cells` count of ``index`` over ``dimensions``.
     """
 
-    def __init__(self, index, dimensions, cells=None):
-        if not dimensions:
-            raise ValueError("cube needs at least one dimension")
+    def __init__(self, index, dimensions, cells):
         self.index = index
-        self.dimensions = [tuple(d) for d in dimensions]
-        if cells is None:
-            self._cells = cube_cells(index, self.dimensions)
-        else:
-            self._cells = Counter(cells)
+        self.dimensions = dimensions
+        self._cells = cells
 
     def __eq__(self, other):
         """Value equality over dimensions and cell counts.
@@ -172,34 +162,17 @@ class ConceptCube:
         }
 
 
-class ConceptCubeAggregate(PartialAggregate):
-    """Cube materialisation as an aggregate.
-
-    Partial state: ``{coordinate: count}`` for the index's documents;
-    finalize wraps the counts in a :class:`ConceptCube` bound to the
-    index.
-    """
-
-    analytic = "concept-cube"
-
-    def __init__(self, dimensions):
-        """``dimensions`` is the cube's ordered dimension list."""
-        if not dimensions:
-            raise ValueError("cube needs at least one dimension")
-        self.dimensions = [tuple(d) for d in dimensions]
-
-    def partial(self, index):
-        """The index's coordinate counts."""
-        return cube_cells(index, self.dimensions)
-
-    def finalize(self, state, index):
-        """The cube over the counts."""
-        return ConceptCube(index, self.dimensions, cells=state)
-
-
 def concept_cube(index, dimensions):
-    """Materialise a :class:`ConceptCube` through the algebra.
+    """Materialise a :class:`ConceptCube` over ``dimensions``.
 
-    The resulting cube equals ``ConceptCube(index, dimensions)``.
+    ``dimensions`` is the cube's ordered, non-empty dimension list.
     """
-    return compute(ConceptCubeAggregate(dimensions), index)
+    if not dimensions:
+        raise ValueError("cube needs at least one dimension")
+    dimensions = [tuple(d) for d in dimensions]
+    return compute(Analytic(
+        "concept-cube",
+        lambda counted: cube_cells(counted, dimensions),
+        lambda cells: ConceptCube(index, dimensions, cells),
+        pure=True,
+    ), index)

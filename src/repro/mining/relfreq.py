@@ -6,15 +6,14 @@ concepts in the entire data set. ... By sorting phrases in a category
 based on the relative frequencies, relevant concepts for a specific
 data set are revealed."
 
-The analysis is expressed in the partial/finalize form of
-:mod:`repro.mining.algebra`: the partial counts focus and overall
-documents as integers, and every frequency ratio is derived once from
-those integers.
+:func:`relevancy_counts` counts focus and overall documents as
+integers, and :func:`relevancy_ranking` derives every frequency ratio
+once from those integers (see :mod:`repro.mining.analytic`).
 """
 
 from dataclasses import dataclass
 
-from repro.mining.algebra import PartialAggregate, compute
+from repro.mining.analytic import Analytic, compute
 
 
 @dataclass(frozen=True)
@@ -49,64 +48,43 @@ class RelevancyResult:
         return self.focus_frequency / self.overall_frequency
 
 
-class RelativeFrequencyAggregate(PartialAggregate):
-    """Relevancy analysis as an aggregate.
+def relevancy_counts(index, focus_keys, candidate_dimension):
+    """The index's focus and overall document counts (integers only).
 
-    Partial state: the index's document total, its focus-subset size,
-    and per-candidate-key document counts (overall and inside the
-    focus subset) — all integers.
+    Returns ``(overall_total, focus_total, overall, focus)``: the
+    document totals of the index and of the focus subset, and per
+    candidate key its document count overall and inside the subset.
     """
+    focus_docs = set(index.postings_view(focus_keys[0]))
+    for key in focus_keys[1:]:
+        focus_docs &= index.postings_view(key)
+    overall = {}
+    focus = {}
+    for key in index.keys_of_dimension(candidate_dimension):
+        if key in focus_keys:
+            continue
+        key_docs = index.postings_view(key)
+        overall[key] = len(key_docs)
+        focus[key] = len(key_docs & focus_docs)
+    return len(index), len(focus_docs), overall, focus
 
-    analytic = "relative-frequency"
 
-    def __init__(self, focus_keys, candidate_dimension,
-                 min_focus_count=1):
-        """``focus_keys`` select the subset; see :func:`relative_frequency`."""
-        focus_keys = [tuple(key) for key in focus_keys]
-        if not focus_keys:
-            raise ValueError("need at least one focus key")
-        self.focus_keys = focus_keys
-        self.candidate_dimension = tuple(candidate_dimension)
-        self.min_focus_count = min_focus_count
-
-    def partial(self, index):
-        """The index's focus/overall counts (integers only)."""
-        focus_docs = set(index.postings_view(self.focus_keys[0]))
-        for key in self.focus_keys[1:]:
-            focus_docs &= index.postings_view(key)
-        overall = {}
-        focus = {}
-        for key in index.keys_of_dimension(self.candidate_dimension):
-            if key in self.focus_keys:
-                continue
-            key_docs = index.postings_view(key)
-            overall[key] = len(key_docs)
-            focus[key] = len(key_docs & focus_docs)
-        return {
-            "overall_total": len(index),
-            "focus_total": len(focus_docs),
-            "overall": overall,
-            "focus": focus,
-        }
-
-    def finalize(self, state, index):
-        """Rank by relative frequency from the integer counts."""
-        results = []
-        for key in sorted(state["overall"]):
-            focus_count = state["focus"].get(key, 0)
-            if focus_count < self.min_focus_count:
-                continue
-            results.append(
-                RelevancyResult(
-                    key=key,
-                    focus_count=focus_count,
-                    focus_total=state["focus_total"],
-                    overall_count=state["overall"][key],
-                    overall_total=state["overall_total"],
-                )
-            )
-        results.sort(key=lambda r: (-r.relative_frequency, r.key))
-        return results
+def relevancy_ranking(counts, min_focus_count):
+    """Rank by relative frequency from :func:`relevancy_counts`."""
+    overall_total, focus_total, overall, focus = counts
+    results = [
+        RelevancyResult(
+            key=key,
+            focus_count=focus[key],
+            focus_total=focus_total,
+            overall_count=overall[key],
+            overall_total=overall_total,
+        )
+        for key in sorted(overall)
+        if focus[key] >= min_focus_count
+    ]
+    results.sort(key=lambda r: (-r.relative_frequency, r.key))
+    return results
 
 
 def relative_frequency(index, focus_keys, candidate_dimension,
@@ -121,7 +99,15 @@ def relative_frequency(index, focus_keys, candidate_dimension,
     Returns :class:`RelevancyResult` objects, most over-represented
     first (ties broken by key, so the order is deterministic).
     """
-    aggregate = RelativeFrequencyAggregate(
-        focus_keys, candidate_dimension, min_focus_count=min_focus_count
-    )
-    return compute(aggregate, index)
+    focus_keys = [tuple(key) for key in focus_keys]
+    if not focus_keys:
+        raise ValueError("need at least one focus key")
+    candidate_dimension = tuple(candidate_dimension)
+    return compute(Analytic(
+        "relative-frequency",
+        lambda counted: relevancy_counts(
+            counted, focus_keys, candidate_dimension
+        ),
+        lambda counts: relevancy_ranking(counts, min_focus_count),
+        pure=True,
+    ), index)

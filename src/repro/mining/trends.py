@@ -4,13 +4,12 @@
 occurrences of each concept in a certain period may allow us to
 analyze trends in the topics." (paper Section IV-D)
 
-Both analyses run through the partial/finalize form of
-:mod:`repro.mining.algebra`: the partial counts occurrences per bucket
-as integers, and bucket ranges, zero-filling and slopes are derived
-once from those integers.
+Both analyses count occurrences per bucket as integers, and derive
+bucket ranges, zero-filling and slopes once from those integers (see
+:mod:`repro.mining.analytic`).
 """
 
-from repro.mining.algebra import PartialAggregate, compute
+from repro.mining.analytic import Analytic, compute
 
 
 def observed_bucket_range(observed):
@@ -51,64 +50,29 @@ def _series_from_counts(counts, buckets):
     return [(bucket, counts.get(bucket, 0)) for bucket in buckets]
 
 
-class TrendSeriesAggregate(PartialAggregate):
-    """One key's time series as an aggregate.
+def _dimension_bucket_counts(index, dimension):
+    """``{key: {bucket: count}}`` for every key of a dimension.
 
-    Partial state: ``{bucket: count}`` for the key's documents
-    (documents without a timestamp are skipped); finalize zero-fills
-    the range.
+    Keys whose documents all lack timestamps still appear (with empty
+    counts), so the key set is the dimension catalogue.
     """
-
-    analytic = "trend-series"
-
-    def __init__(self, key, buckets=None):
-        """``key`` is a concept key; ``buckets`` forces the range."""
-        self.key = tuple(key)
-        self.buckets = None if buckets is None else list(buckets)
-
-    def partial(self, index):
-        """The key's per-bucket counts."""
-        return _bucket_counts(index, self.key)
-
-    def finalize(self, state, index):
-        """The zero-filled ``(bucket, count)`` series."""
-        return _series_from_counts(state, self.buckets)
+    return {
+        key: _bucket_counts(index, key)
+        for key in index.keys_of_dimension(dimension)
+    }
 
 
-class EmergingConceptsAggregate(PartialAggregate):
-    """Rising-trend ranking of a dimension as an aggregate.
-
-    Partial state: ``{key: {bucket: count}}`` for every key of the
-    dimension — keys whose documents all lack timestamps still appear
-    (with empty counts), so the key set is the dimension catalogue.
-    """
-
-    analytic = "emerging-concepts"
-
-    def __init__(self, dimension, buckets=None, min_total=3):
-        """``dimension`` to rank; see :func:`emerging_concepts`."""
-        self.dimension = tuple(dimension)
-        self.buckets = None if buckets is None else list(buckets)
-        self.min_total = min_total
-
-    def partial(self, index):
-        """Per-key, per-bucket counts."""
-        per_key = {}
-        for key in index.keys_of_dimension(self.dimension):
-            per_key[key] = _bucket_counts(index, key)
-        return per_key
-
-    def finalize(self, state, index):
-        """Rank keys by least-squares slope of their series."""
-        results = []
-        for key in sorted(state):
-            series = _series_from_counts(state[key], self.buckets)
-            total = sum(count for _, count in series)
-            if total < self.min_total:
-                continue
-            results.append((key, trend_slope(series), total))
-        results.sort(key=lambda item: (-item[1], item[0]))
-        return results
+def _emerging_ranking(per_key, buckets, min_total):
+    """Rank keys by least-squares slope of their zero-filled series."""
+    results = []
+    for key in sorted(per_key):
+        series = _series_from_counts(per_key[key], buckets)
+        total = sum(count for _, count in series)
+        if total < min_total:
+            continue
+        results.append((key, trend_slope(series), total))
+    results.sort(key=lambda item: (-item[1], item[0]))
+    return results
 
 
 def trend_series(index, key, buckets=None):
@@ -121,7 +85,14 @@ def trend_series(index, key, buckets=None):
     range (:func:`observed_bucket_range`), so interior zero-count
     periods are reported as zeros rather than silently dropped.
     """
-    return compute(TrendSeriesAggregate(key, buckets=buckets), index)
+    key = tuple(key)
+    buckets = None if buckets is None else list(buckets)
+    return compute(Analytic(
+        "trend-series",
+        lambda counted: _bucket_counts(counted, key),
+        lambda counts: _series_from_counts(counts, buckets),
+        pure=True,
+    ), index)
 
 
 def emerging_concepts(index, dimension, buckets=None, min_total=3):
@@ -132,10 +103,14 @@ def emerging_concepts(index, dimension, buckets=None, min_total=3):
     the paper sketches.  Concepts with fewer than ``min_total``
     occurrences are dropped (their slopes are noise).
     """
-    aggregate = EmergingConceptsAggregate(
-        dimension, buckets=buckets, min_total=min_total
-    )
-    return compute(aggregate, index)
+    dimension = tuple(dimension)
+    buckets = None if buckets is None else list(buckets)
+    return compute(Analytic(
+        "emerging-concepts",
+        lambda counted: _dimension_bucket_counts(counted, dimension),
+        lambda per_key: _emerging_ranking(per_key, buckets, min_total),
+        pure=True,
+    ), index)
 
 
 def trend_slope(series):

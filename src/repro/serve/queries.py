@@ -1,4 +1,4 @@
-"""Declarative query specs and their plans over the algebra.
+"""Declarative query specs and their plans over the mining analytics.
 
 A query arrives as a plain JSON-safe dict — kind plus parameters plus
 optional paper-style drill-down ``filters`` — and leaves this module

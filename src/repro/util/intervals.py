@@ -24,7 +24,7 @@ of the process.  The value is scipy's: stdlib
 
 :func:`lift_from_terminals` is the one place the three interval
 terminals become a lift.  :func:`lift_lower_bound` feeds it one cell's
-three intervals; :meth:`repro.mining.assoc2d.AssociationAggregate.finalize`
+three intervals; :func:`repro.mining.assoc2d.association_table`
 feeds it each marginal's upper terminal computed once per row and per
 column, and one lower terminal per cell.
 """

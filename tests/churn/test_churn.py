@@ -85,17 +85,6 @@ class TestMultinomialNaiveBayes:
         for probability in nb.predict_proba(features):
             assert 0.0 <= probability <= 1.0
 
-    def test_prior_shift_raises_detection(self):
-        features, labels, extractor = toy_training_set()
-        ambiguous = [extractor.extract("my bill and my plan")]
-        neutral = MultinomialNaiveBayes().fit(features, labels)
-        tilted = MultinomialNaiveBayes(class_priors=(0.05, 0.95)).fit(
-            features, labels
-        )
-        assert tilted.predict_proba(ambiguous)[0] > (
-            neutral.predict_proba(ambiguous)[0]
-        )
-
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             MultinomialNaiveBayes().fit([Counter({"a": 1})], [True])

@@ -102,6 +102,11 @@ class TestSpamFilter:
         with pytest.raises(ValueError):
             SpamFilter().fit(["a"], [True, False])
 
+    def test_fit_reads_labels_as_booleans(self):
+        # Two distinct label strings are still one class: both are True.
+        with pytest.raises(ValueError, match="both classes"):
+            SpamFilter().fit(["win cash", "my bill"], ["spam", "ham"])
+
 
 class TestEmailSegmentation:
     def test_headers_extracted(self):

@@ -11,10 +11,26 @@
 * :func:`build_dedupe_stage` — a ``FunctionStage`` mis-declared
   ``pure=True`` whose lambda appends to a closure-captured list:
   the construction-site race finding.
+* :class:`MemoStage` — declared pure, but writes a module-level dict
+  by item: a race, although the write binds no name.
+* :class:`TallyStage` — declared pure, but sets an attribute of a
+  module-level object: a race too.
 """
 
 from fxstage.engine import FunctionStage, MapStage
 from fxstage.noise import jitter
+
+#: Per-key texts shared by every stage instance.
+_MEMO = {}
+
+
+class _Tally:
+    """The last key any stage saw."""
+
+    last = None
+
+
+_TALLY = _Tally()
 
 
 class CachingStage(MapStage):
@@ -61,3 +77,20 @@ def build_dedupe_stage():
         lambda document: seen.append(document.key),
         pure=True,
     )
+
+
+class MemoStage(MapStage):
+    """Memoises per-key texts in a module-level dict — a data race."""
+
+    def apply(self, document):
+        """Annotate ``document`` from the module-level memo."""
+        _MEMO[document.key] = document.text.split()
+        document.tokens = _MEMO[document.key]
+
+
+class TallyStage(MapStage):
+    """Records the last key on a module-level object — a data race."""
+
+    def apply(self, document):
+        """Note ``document``'s key on the shared tally."""
+        _TALLY.last = document.key

@@ -19,7 +19,7 @@ class TestEffectsCommand:
             "effect-pure-mismatch",
             "effect-missed-parallelism",
         }
-        assert payload["summary"]["total"] == 4
+        assert payload["summary"]["total"] == 6
 
     def test_advisories_do_not_gate_by_default(self, capsys, make_package):
         # --fail-on defaults to error: a warning-only report exits 0,

@@ -4,8 +4,9 @@
 imported): a vendored mini-engine plus one stage per finding the
 checker must produce — a ``self._cache`` write in ``apply``, an
 unseeded RNG draw two call-graph hops down, an under-claimed pure
-stage, and a ``FunctionStage(pure=True)`` whose lambda mutates a
-closure-captured list.
+stage, a ``FunctionStage(pure=True)`` whose lambda mutates a
+closure-captured list, and item and attribute writes into module-level
+objects.
 """
 
 from pathlib import Path
@@ -90,6 +91,22 @@ class TestSharedStateRace:
         append_line = _line_of(STAGES_PY, "seen.append")
         assert f"stages.py:{append_line}" in finding.message
 
+    @pytest.mark.parametrize("stage, write, what", [
+        ("MemoStage", "_MEMO[document.key] =", "item of shared '_MEMO'"),
+        ("TallyStage", "_TALLY.last =", "attribute of shared '_TALLY'"),
+    ])
+    def test_write_into_module_level_object(
+        self, fixture_run, stage, write, what
+    ):
+        # ``x[k] = v`` and ``x.attr = v`` bind no name: ``x`` stays the
+        # module-level object, so the write is shared state.
+        races = _findings(fixture_run, RULE_SHARED_STATE)
+        (finding,) = [v for v in races if f"'{stage}'" in v.message]
+        assert finding.line == _line_of(STAGES_PY, f"class {stage}")
+        assert "mutates-global" in finding.message
+        assert what in finding.message
+        assert f"stages.py:{_line_of(STAGES_PY, write)}" in finding.message
+
 
 class TestPureMismatch:
     def test_rng_two_hops_down_is_reported(self, fixture_run):
@@ -134,10 +151,12 @@ class TestVerdictTable:
         assert verdicts[
             "FunctionStage construction in build_dedupe_stage"
         ] == "race"
+        assert verdicts["fxstage.stages.MemoStage"] == "race"
+        assert verdicts["fxstage.stages.TallyStage"] == "race"
 
     def test_finding_count_and_exit_code(self, fixture_run):
         report, _ = fixture_run
-        assert len(report.violations) == 4
+        assert len(report.violations) == 6
         assert report.exit_code() == 1
 
 

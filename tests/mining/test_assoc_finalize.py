@@ -25,7 +25,7 @@ from repro.core import BIVoCConfig, run_insight_analysis
 from repro.core.usecases.churn import StreamAnnotateStage, churn_driver_engine
 from repro.engine import Document, PipelineRunner
 from repro.mining import assoc2d
-from repro.mining.assoc2d import AssociationAggregate, associate
+from repro.mining.assoc2d import association_table, associate
 from repro.mining.stage import ConceptIndexStage
 from repro.obs import MetricsRegistry, Tracer, activated
 from repro.synth.carrental import CarRentalConfig, generate_car_rental
@@ -212,25 +212,31 @@ class TestOracle:
 
 
 class TestOptions:
+    """Bad options and counts raise before anything is counted.
+
+    ``index=None`` stands in for the index: an option check that ran
+    after counting would fail on it with ``AttributeError`` instead.
+    """
+
     @pytest.mark.parametrize("confidence", [0, 0.0, 1, 1.0, 1.5, -0.1])
     def test_confidence_outside_unit_interval_rejected(self, confidence):
         with pytest.raises(ValueError, match="confidence"):
-            AssociationAggregate(PLACE, CHANNEL, confidence=confidence)
+            associate(None, PLACE, CHANNEL, confidence=confidence)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="bayes"):
-            AssociationAggregate(PLACE, CHANNEL, interval_method="bayes")
+            associate(None, PLACE, CHANNEL, interval_method="bayes")
+
+    def test_repeated_value_rejected(self):
+        with pytest.raises(ValueError, match="twice"):
+            associate(None, PLACE, CHANNEL, col_values=["sms", "sms"])
 
     def test_cell_above_its_marginal_rejected(self):
-        aggregate = AssociationAggregate(PLACE, CHANNEL)
-        state = {
-            "grand_total": 10,
-            "row_totals": {"boston": 2},
-            "col_totals": {"email": 5},
-            "pairs": {("boston", "email"): 3},
-        }
+        counts = (10, {"boston": 2}, {"email": 5}, {("boston", "email"): 3})
         with pytest.raises(ValueError, match="cannot exceed"):
-            aggregate.finalize(state, index=None)
+            association_table(
+                counts, None, PLACE, CHANNEL, 0.95, "wilson"
+            )
 
 
 class TestWorkGate:

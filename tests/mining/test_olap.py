@@ -4,7 +4,7 @@ import pytest
 
 from repro.annotation.concepts import AnnotatedDocument, Concept
 from repro.mining.index import ConceptIndex
-from repro.mining.olap import ConceptCube
+from repro.mining.olap import concept_cube
 
 
 @pytest.fixture
@@ -36,18 +36,18 @@ DIMS = [("concept", "place"), ("concept", "vehicle"), ("field", "outcome")]
 
 class TestConceptCube:
     def test_total_conserved(self, index):
-        cube = ConceptCube(index, DIMS)
+        cube = concept_cube(index, DIMS)
         assert cube.total == 6
 
     def test_full_coordinates_cells(self, index):
-        cube = ConceptCube(index, DIMS)
+        cube = concept_cube(index, DIMS)
         cells = cube.cells()
         top = cells[0]
         assert top.coordinates == ("seattle", "suv", "reservation")
         assert top.count == 2
 
     def test_missing_dimension_bucketed_as_none(self, index):
-        cube = ConceptCube(index, DIMS)
+        cube = concept_cube(index, DIMS)
         with_empty = cube.cells(include_empty_coordinates=True)
         none_cells = [
             c for c in with_empty if c.coordinates[0] is None
@@ -55,37 +55,37 @@ class TestConceptCube:
         assert sum(c.count for c in none_cells) == 1
 
     def test_slice(self, index):
-        cube = ConceptCube(index, DIMS)
+        cube = concept_cube(index, DIMS)
         seattle = cube.slice(("concept", "place"), "seattle")
         assert seattle[("suv", "reservation")] == 2
         assert sum(seattle.values()) == 3
 
     def test_slice_unknown_dimension(self, index):
-        cube = ConceptCube(index, DIMS)
+        cube = concept_cube(index, DIMS)
         with pytest.raises(KeyError):
             cube.slice(("field", "nothing"), "x")
 
     def test_rollup_matches_index_counts(self, index):
         from repro.mining.index import field_key
 
-        cube = ConceptCube(index, DIMS)
+        cube = concept_cube(index, DIMS)
         outcome_margin = cube.margin(("field", "outcome"))
         assert outcome_margin["reservation"] == index.count(
             field_key("outcome", "reservation")
         )
 
     def test_rollup_two_dimensions(self, index):
-        cube = ConceptCube(index, DIMS)
+        cube = concept_cube(index, DIMS)
         rolled = cube.rollup([("concept", "place"), ("field", "outcome")])
         assert rolled[("seattle", "reservation")] == 2
 
     def test_rollup_conserves_total(self, index):
-        cube = ConceptCube(index, DIMS)
+        cube = concept_cube(index, DIMS)
         rolled = cube.rollup([("concept", "vehicle")])
         assert sum(rolled.values()) == cube.total
 
     def test_dice(self, index):
-        cube = ConceptCube(index, DIMS)
+        cube = concept_cube(index, DIMS)
         reservations = cube.dice(
             lambda coords: coords[2] == "reservation"
         )
@@ -93,7 +93,7 @@ class TestConceptCube:
 
     def test_empty_dimensions_rejected(self, index):
         with pytest.raises(ValueError):
-            ConceptCube(index, [])
+            concept_cube(index, [])
 
     def test_multivalued_documents_bucketed(self):
         index = ConceptIndex()
@@ -107,6 +107,6 @@ class TestConceptCube:
                 doc_id=0, text="", tokens=[], concepts=concepts
             ),
         )
-        cube = ConceptCube(index, [("concept", "vehicle")])
+        cube = concept_cube(index, [("concept", "vehicle")])
         cells = cube.cells()
         assert cells[0].coordinates == ("<multi>",)
