@@ -11,6 +11,7 @@ from repro.annotation.concepts import AnnotatedDocument
 from repro.annotation.dictionary import DomainDictionary
 from repro.annotation.patterns import PatternSet
 from repro.annotation.pos import LazyTags, PosTagger
+from repro.obs import get_metrics
 from repro.util.tokenize import tokenize
 
 
@@ -22,6 +23,10 @@ class AnnotationEngine:
     computed lazily through :class:`~repro.annotation.pos.LazyTags`:
     ``tagger.tag_token`` runs only on positions a PoS element tests,
     once per position per document.
+
+    Each :meth:`annotate` adds one to the ``annotation.documents``
+    counter and its pattern-pass windows to
+    ``annotation.patterns.attempts`` (write-only, like every counter).
     """
 
     def __init__(self, dictionary=None, patterns=(), tagger=None):
@@ -51,9 +56,12 @@ class AnnotationEngine:
             for concept in dictionary_concepts:
                 for position in range(concept.start, concept.end):
                     categories_by_position[position].add(concept.category)
-        pattern_concepts = self._pattern_set.match(
+        pattern_concepts, attempts = self._pattern_set.scan(
             tokens, LazyTags(tokens, self.tagger), categories_by_position
         )
+        metrics = get_metrics()
+        metrics.counter("annotation.documents").inc()
+        metrics.counter("annotation.patterns.attempts").inc(attempts)
         concepts = sorted(
             dictionary_concepts + pattern_concepts,
             key=lambda c: (c.start, c.end),

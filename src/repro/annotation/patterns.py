@@ -153,15 +153,27 @@ class PatternSet:
         ``categories_by_position`` is read only when a pattern has a
         ``<category>`` element.
         """
+        return self.scan(tokens, pos_tags, categories_by_position)[0]
+
+    def scan(self, tokens, pos_tags, categories_by_position):
+        """``(concepts, attempts)``: :meth:`match` and its work.
+
+        ``attempts`` is the number of :meth:`_attempt` calls, one per
+        (pattern, start) window the dispatch table let through.
+        """
         size = len(tokens)
-        hits = [
+        windows = [
             (start, index)
             for start, index in self._heads(
                 tokens, pos_tags, categories_by_position
             )
             if start + self._widths[index] <= size
-            and self._attempt(index, start, tokens, pos_tags,
-                              categories_by_position)
+        ]
+        hits = [
+            (start, index)
+            for start, index in windows
+            if self._attempt(index, start, tokens, pos_tags,
+                             categories_by_position)
         ]
         hits.sort()
         concepts = []
@@ -179,7 +191,7 @@ class PatternSet:
                 end=end,
                 source="pattern",
             ))
-        return concepts
+        return concepts, len(windows)
 
     def _heads(self, tokens, pos_tags, categories_by_position):
         """(start, pattern index) pairs whose first element matches."""

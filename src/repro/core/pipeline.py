@@ -4,11 +4,13 @@ Mirrors the architecture of the paper's Fig 3 for the call-center side
 as a declarative stage graph on the :mod:`repro.engine` runner: call
 audio (simulated) is transcribed per speaker turn, the transcript is
 linked to its reservation-warehouse record, the annotation engine
-extracts concepts from the right conversational regions (intent from
-the customer's opening, agent utterances after the rate quote), and
-everything lands in a :class:`~repro.mining.index.ConceptIndex` ready
-for association analysis.  Every stage reports docs in/out and wall
-time through the runner's :class:`~repro.engine.PipelineReport`.
+annotates the whole call once, the derive stage reads the right
+conversational regions from that annotation by token range (intent
+from the customer's opening, value selling and discounts from the
+agent's side), and everything lands in a
+:class:`~repro.mining.index.ConceptIndex` ready for association
+analysis.  Every stage reports docs in/out and wall time through the
+runner's :class:`~repro.engine.PipelineReport`.
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +33,7 @@ from repro.linking.single import EntityLinker
 from repro.mining.stage import ConceptIndexStage
 from repro.obs import get_metrics, get_tracer
 from repro.store.query import Query
+from repro.util.tokenize import tokenize
 from repro.util.turns import split_speakers
 
 
@@ -363,7 +366,7 @@ class RecordLinkStage(MapStage):
 
 
 class AnnotateStage(MapStage):
-    """Concept annotation over the full call and the agent's side."""
+    """Concept annotation of the whole call, once."""
 
     name = "annotate"
 
@@ -371,12 +374,15 @@ class AnnotateStage(MapStage):
         """``engine`` is the domain AnnotationEngine (read-only)."""
         self.engine = engine
 
-    def process_document(self, document):  # bivoc: effects[mutates-param]
-        """Annotate full text (indexed) and agent text (flags).
+    def process_document(
+        self, document
+    ):  # bivoc: effects[mutates-param, ambient-obs]
+        """Annotate the full text; :class:`DeriveStage` reads its regions.
 
         Declared for ``bivoc effects``: ``AnnotationEngine.annotate``
-        builds a fresh AnnotatedDocument from read-only dictionaries,
-        so the only effect is writing the document's artifacts.
+        builds a fresh AnnotatedDocument from read-only dictionaries
+        and bumps its write-only counters, so the hook touches only
+        the document and the ambient obs layer.
         """
         document.put(
             "annotated",
@@ -384,14 +390,40 @@ class AnnotateStage(MapStage):
                 document.require("full_text"), doc_id=document.doc_id
             ),
         )
-        document.put(
-            "agent_doc",
-            self.engine.annotate(document.require("agent_text")),
-        )
+
+
+def _straddles(concepts, cut):
+    """True when a dictionary concept spans the token boundary ``cut``."""
+    return any(
+        concept.source == "dictionary" and concept.start < cut < concept.end
+        for concept in concepts
+    )
+
+
+def _intent_of(intents):
+    """"strong" / "weak" / "unknown" from the opening's intent canonicals."""
+    if STRONG_START in intents and WEAK_START not in intents:
+        return "strong"
+    if WEAK_START in intents and STRONG_START not in intents:
+        return "weak"
+    return "unknown"
 
 
 class DeriveStage(MapStage):
-    """Derive intent and agent-utterance flags; stage the index row."""
+    """Derive intent and agent-utterance flags; stage the index row.
+
+    Both regions are token ranges of the full text's annotation.  No
+    token crosses a space, so the full text's tokens are the customer
+    tokens followed by the agent tokens, and the opening's tokens are
+    a prefix of them.  With ``c`` the customer token count and ``m``
+    the opening's, the agent flags are the categories of the concepts
+    starting at or after ``c``, and the intent is read from the
+    ``intent`` concepts ending by ``m``.  These are the concepts the
+    agent text or the opening would get if annotated on its own
+    (DESIGN.md, "Annotating a call once"), unless a dictionary concept
+    straddles the cut: its longest-first scan then steps over the cut,
+    so that region is annotated from its own text instead.
+    """
 
     name = "derive"
 
@@ -401,31 +433,42 @@ class DeriveStage(MapStage):
         """``engine`` is the domain AnnotationEngine (read-only)."""
         self.engine = engine
 
-    def _detect_intent(self, opening_text):
-        """"strong" / "weak" / "unknown" from the customer opening."""
-        document = self.engine.annotate(opening_text)
-        intents = {
-            concept.canonical
-            for concept in document.concepts_in(INTENT_CATEGORY)
-        }
-        if STRONG_START in intents and WEAK_START not in intents:
-            return "strong"
-        if WEAK_START in intents and STRONG_START not in intents:
-            return "weak"
-        return "unknown"
+    def _concepts_of(self, document, name):
+        """Concepts of the document's ``name`` text, annotated alone."""
+        return self.engine.annotate(document.require(name)).concepts
 
-    def process_document(self, document):  # bivoc: effects[mutates-param]
+    def process_document(
+        self, document
+    ):  # bivoc: effects[mutates-param, ambient-obs]
         """Write intent/flag artifacts and the structured index row.
 
-        Declared for ``bivoc effects``: intent detection annotates via
-        the read-only domain engine; everything written lands on the
-        document.
+        Declared for ``bivoc effects``: the regions are read from the
+        full text's concepts, or annotated by the read-only domain
+        engine, which bumps write-only counters; everything written
+        lands on the document.
         """
-        agent_doc = document.require("agent_doc")
+        concepts = document.require("annotated").concepts
+        counts = [
+            len(tokenize(part)) for part in document.require("customer_parts")
+        ]
+        customer_end, opening_end = sum(counts), sum(counts[:2])
+        if _straddles(concepts, customer_end):
+            agent = self._concepts_of(document, "agent_text")
+        else:
+            agent = [c for c in concepts if c.start >= customer_end]
+        if _straddles(concepts, opening_end):
+            opening = self._concepts_of(document, "opening")
+        else:
+            opening = [c for c in concepts if c.end <= opening_end]
         record = document.require("record")
-        intent = self._detect_intent(document.require("opening"))
-        value_selling = agent_doc.has_category(VALUE_SELLING_CATEGORY)
-        discount = agent_doc.has_category(DISCOUNT_CATEGORY)
+        intent = _intent_of({
+            concept.canonical
+            for concept in opening
+            if concept.category == INTENT_CATEGORY
+        })
+        agent_categories = {concept.category for concept in agent}
+        value_selling = VALUE_SELLING_CATEGORY in agent_categories
+        discount = DISCOUNT_CATEGORY in agent_categories
         document.put("detected_intent", intent)
         document.put("value_selling", value_selling)
         document.put("discount", discount)

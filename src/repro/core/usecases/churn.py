@@ -133,12 +133,15 @@ class DriverAnnotateStage(MapStage):
         """``engine`` is the telecom churn-driver AnnotationEngine."""
         self.engine = engine
 
-    def process_document(self, document):  # bivoc: effects[mutates-param]
+    def process_document(
+        self, document
+    ):  # bivoc: effects[mutates-param, ambient-obs]
         """Write the annotated/index_fields/timestamp artifacts.
 
         Declared for ``bivoc effects``: ``AnnotationEngine.annotate``
-        builds a fresh AnnotatedDocument from read-only dictionaries,
-        so the hook only writes the document.
+        builds a fresh AnnotatedDocument from read-only dictionaries
+        and bumps write-only counters, so the hook only writes the
+        document and the ambient obs layer.
         """
         document.put(
             "annotated",
@@ -186,12 +189,15 @@ class StreamAnnotateStage(MapStage):
         """``engine`` is the churn-driver AnnotationEngine."""
         self.engine = engine
 
-    def process_document(self, document):  # bivoc: effects[mutates-param]
+    def process_document(
+        self, document
+    ):  # bivoc: effects[mutates-param, ambient-obs]
         """Write the annotated artifact.
 
         Declared for ``bivoc effects``: ``AnnotationEngine.annotate``
-        builds a fresh AnnotatedDocument from read-only dictionaries,
-        so the hook only writes the document.
+        builds a fresh AnnotatedDocument from read-only dictionaries
+        and bumps write-only counters, so the hook only writes the
+        document and the ambient obs layer.
         """
         document.put(
             "annotated",
@@ -283,11 +289,15 @@ class FeaturizeStage(MapStage):
         """``extractor`` defaults to the standard ChurnFeatureExtractor."""
         self.extractor = extractor or ChurnFeatureExtractor()
 
-    def process_document(self, document):  # bivoc: effects[mutates-param]
+    def process_document(
+        self, document
+    ):  # bivoc: effects[mutates-param, ambient-obs]
         """Write the feature-Counter artifact.
 
-        Declared for ``bivoc effects``: the extractor tokenises into a
-        fresh Counter; only the document is written.
+        Declared for ``bivoc effects``: the extractor tokenises and
+        annotates into a fresh Counter, and the annotation bumps
+        write-only counters; only the document and the ambient obs
+        layer are written.
         """
         document.put(
             "features",

@@ -122,12 +122,15 @@ class PropAnnotateStage(MapStage):
         """``engine`` is the shared topic AnnotationEngine."""
         self.engine = engine
 
-    def process_document(self, document):  # bivoc: effects[mutates-param]
+    def process_document(
+        self, document
+    ):  # bivoc: effects[mutates-param, ambient-obs]
         """Write the ``annotated`` artifact.
 
         Declared for ``bivoc effects``: ``AnnotationEngine.annotate``
-        builds a fresh AnnotatedDocument from read-only dictionaries,
-        so the hook only writes the document.
+        builds a fresh AnnotatedDocument from read-only dictionaries
+        and bumps write-only counters, so the hook only writes the
+        document and the ambient obs layer.
         """
         document.put(
             "annotated",

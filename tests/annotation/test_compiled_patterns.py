@@ -5,9 +5,9 @@ dispatch table with lazily tagged PoS) equals
 :func:`~tests.annotation.reference.reference_annotate` (every pattern
 at every start over eager tags), concept list for concept list, order
 included.  It runs the real car-rental and telecom engines over the
-texts the call-center pipeline annotates and over channel-noised
-copies of them, plus a hand-made pattern set that covers every kind
-of pattern head.
+call-center texts (each call's full text, agent text and customer
+opening) and over channel-noised copies of them, plus a hand-made
+pattern set that covers every kind of pattern head.
 
 The work gate: on the seed-1 call-center corpus the compiled pass
 tries at most 1% of the (pattern, start) windows the reference tries.
@@ -29,16 +29,16 @@ from repro.annotation import (
 )
 from repro.annotation.domains import build_car_rental_patterns
 from repro.annotation.patterns import PatternSet
-from repro.core import BIVoCConfig, run_insight_analysis
 from repro.synth.carrental import CarRentalConfig, generate_car_rental
 from repro.synth.noise import NoiseConfig, TextNoiser
 from repro.synth.telecom import TelecomConfig, generate_telecom
+from repro.util.turns import split_speakers
 from tests.annotation.reference import reference_annotate, reference_windows
 
 SEEDS = (1, 2, 3)
 
-#: Reference windows over one seed-1 call-center study (96 calls, each
-#: annotated as full text, agent text and customer opening).
+#: Reference windows over the seed-1 call-center corpus (96 calls, each
+#: as full text, agent text and customer opening).
 SEED1_REFERENCE_WINDOWS = 587_412
 
 
@@ -51,19 +51,23 @@ def callcenter_corpus(seed):
 
 
 def annotated_texts(corpus):
-    """Every text one insight study passes to ``annotate``, in order."""
+    """The full, agent and opening text of every call, in call order.
+
+    These are the three texts each call of an insight study was
+    annotated as before the study annotated the full text alone; the
+    pattern oracle and the window pin keep testing all three.  The
+    joins are :class:`~repro.core.pipeline.ComposeTextStage`'s.
+    """
     texts = []
-    original = AnnotationEngine.annotate
-
-    def recording(self, text, *args, **kwargs):
-        texts.append(text)
-        return original(self, text, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(AnnotationEngine, "annotate", recording)
-        run_insight_analysis(
-            corpus, BIVoCConfig(use_asr=False, link_mode="content")
-        )
+    for transcript in corpus.transcripts:
+        customer_parts, agent_parts = split_speakers(transcript.turns)
+        customer_text = " ".join(customer_parts)
+        agent_text = " ".join(agent_parts)
+        texts += [
+            f"{customer_text} {agent_text}",
+            agent_text,
+            " ".join(customer_parts[:2]),
+        ]
     return texts
 
 

@@ -2,8 +2,9 @@
 
 The acceptance bar for the obs layer — activating a tracer and a
 metrics registry around the engine, the stream consumer, the linking
-hot paths, the association finalize or the cleaning pipeline must not
-change a single output bit.  Also pins the span hierarchy
+hot paths, the annotation engine (the call-center study), the
+association finalize or the cleaning pipeline must not change a single
+output bit.  Also pins the span hierarchy
 (pipeline:run -> stage -> batch, stream:batch above them; batches that
 ran in worker processes leave no span) and the zero-row funnel
 guarantee for fully-discarded / fully-skipped micro-batches.
@@ -15,7 +16,11 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.annotation import build_car_rental_engine
+from repro.annotation.matcher import AnnotationEngine
+from repro.annotation.patterns import PatternSet
 from repro.cleaning import CleaningPipeline
+from repro.core import BIVoCConfig, run_insight_analysis
 from repro.core.usecases.churn import run_churn_study
 from repro.engine import Document, FunctionStage, MapStage, PipelineRunner
 from repro.exec import make_backend
@@ -36,6 +41,10 @@ from repro.stream import (
     StreamConsumer,
     WindowedAnalytics,
     index_to_state,
+)
+from tests.annotation.test_compiled_patterns import (
+    annotated_texts,
+    callcenter_corpus,
 )
 from tests.cleaning.corpus import (
     counting_evaluations,
@@ -442,6 +451,77 @@ class TestLinkingEquivalence:
         assert counters["linking.lists.reused"] == (
             sum(requested) - len(searched)
         ) > 0
+
+
+#: Pattern-pass windows tried over the seed-1 call-center corpus's full,
+#: agent and opening texts (96 calls, 288 texts).
+SEED1_THREE_TEXT_ATTEMPTS = 1_866
+
+
+def counting_annotation(patch):
+    """Patch the engine and pattern set; returns (annotated, attempts)."""
+    annotated, attempts = [], []
+    annotate, attempt = AnnotationEngine.annotate, PatternSet._attempt
+
+    def counting_annotate(self, text, *args, **kwargs):
+        annotated.append(text)
+        return annotate(self, text, *args, **kwargs)
+
+    def counting_attempt(self, *args):
+        attempts.append(args[:2])
+        return attempt(self, *args)
+
+    patch.setattr(AnnotationEngine, "annotate", counting_annotate)
+    patch.setattr(PatternSet, "_attempt", counting_attempt)
+    return annotated, attempts
+
+
+class TestAnnotationEquivalence:
+    def test_traced_callcenter_study_matches_untraced(self):
+        """The annotation counters are write-only: the study stays ``==``.
+
+        ``annotation.documents`` counts the patched engine's
+        ``annotate`` calls and ``annotation.patterns.attempts`` the
+        patched pattern set's ``_attempt`` calls, in the untraced run.
+        """
+        corpus = callcenter_corpus(1)
+        config = BIVoCConfig(use_asr=False, link_mode="content")
+
+        def outputs(study):
+            analysis = study.analysis
+            return (
+                analysis.calls, index_to_state(analysis.index),
+                analysis.link_attempts, analysis.link_successes,
+                analysis.stats, study.intent_table,
+                study.utterance_tables, study.location_vehicle_table,
+            )
+
+        with pytest.MonkeyPatch.context() as patch:
+            annotated, attempts = counting_annotation(patch)
+            untraced = outputs(run_insight_analysis(corpus, config))
+        metrics = MetricsRegistry()
+        with activated(Tracer(), metrics):
+            traced = outputs(run_insight_analysis(corpus, config))
+        assert traced == untraced
+        counters = metrics.snapshot()["counters"]
+        assert counters["annotation.documents"] == len(annotated) == 96
+        assert counters["annotation.patterns.attempts"] == len(attempts) > 0
+
+    def test_three_text_set_attempts(self):
+        """Each call's full, agent and opening text: 1,866 attempts."""
+        texts = annotated_texts(callcenter_corpus(1))
+        engine = build_car_rental_engine()
+        with pytest.MonkeyPatch.context() as patch:
+            annotated, attempts = counting_annotation(patch)
+            untraced = [engine.annotate(text) for text in texts]
+        metrics = MetricsRegistry()
+        with activated(Tracer(), metrics):
+            traced = [engine.annotate(text) for text in texts]
+        assert traced == untraced
+        counters = metrics.snapshot()["counters"]
+        assert counters["annotation.documents"] == len(annotated) == 288
+        assert counters["annotation.patterns.attempts"] == len(attempts)
+        assert len(attempts) == SEED1_THREE_TEXT_ATTEMPTS
 
 
 class TestZeroRowFunnel:
