@@ -39,7 +39,13 @@ class DictionaryEntry:
 
 
 class DomainDictionary:
-    """Longest-match dictionary over token streams."""
+    """Longest-match dictionary over token streams.
+
+    Entries are bucketed by their first surface token, longest surface
+    first.  Each bucket item keeps what matching reads of the entry:
+    the tokens after the first (a list, to compare with a slice of the
+    token list), the surface width and the joined surface.
+    """
 
     def __init__(self, entries=()):
         self._by_first_token = defaultdict(list)
@@ -56,10 +62,11 @@ class DomainDictionary:
                 )
             entry = DictionaryEntry(entry, canonical, category, pos)
         self._entries.append(entry)
-        bucket = self._by_first_token[entry.surface_tokens[0]]
-        bucket.append(entry)
+        span = entry.surface_tokens
+        bucket = self._by_first_token[span[0]]
+        bucket.append((list(span[1:]), len(span), " ".join(span), entry))
         # Keep longest surfaces first so matching is longest-first.
-        bucket.sort(key=lambda e: -len(e.surface_tokens))
+        bucket.sort(key=lambda item: -item[1])
         return self
 
     def __len__(self):
@@ -77,31 +84,35 @@ class DomainDictionary:
 
         Returns :class:`~repro.annotation.concepts.Concept` objects in
         document order; overlapping matches are resolved left-to-right,
-        longest-first (a matched span is consumed).
+        longest-first (a matched span is consumed).  Tokens are compared
+        lower-cased.  The engine's tokens already are: when lowering
+        their join changes nothing it would change no token either, so
+        one lowering of the join stands in for one per token.
         """
-        tokens = [token.lower() for token in tokens]
+        tokens = list(tokens)
+        joined = " ".join(tokens)
+        if joined != joined.lower():
+            tokens = [token.lower() for token in tokens]
+        buckets = self._by_first_token
+        starts = [i for i, token in enumerate(tokens) if token in buckets]
         concepts = []
-        i = 0
-        while i < len(tokens):
-            matched = None
-            for entry in self._by_first_token.get(tokens[i], ()):
-                span = entry.surface_tokens
-                if tuple(tokens[i : i + len(span)]) == span:
-                    matched = entry
-                    break  # longest-first ordering makes this greedy
-            if matched is None:
-                i += 1
+        end = 0  # tokens before ``end`` are consumed
+        for i in starts:
+            if i < end:
                 continue
-            width = len(matched.surface_tokens)
-            concepts.append(
-                Concept(
-                    canonical=matched.canonical,
-                    category=matched.category,
-                    surface=" ".join(tokens[i : i + width]),
-                    start=i,
-                    end=i + width,
-                    source="dictionary",
-                )
-            )
-            i += width
+            for rest, width, surface, entry in buckets[tokens[i]]:
+                # Longest-first ordering makes the first hit greedy.
+                if tokens[i + 1 : i + width] == rest:
+                    end = i + width
+                    concepts.append(
+                        Concept(
+                            canonical=entry.canonical,
+                            category=entry.category,
+                            surface=surface,
+                            start=i,
+                            end=end,
+                            source="dictionary",
+                        )
+                    )
+                    break
         return concepts

@@ -70,33 +70,40 @@ def default_spelling_corpus():
 class CompiledVocabulary:
     """Read-only correction tables compiled from one corpus.
 
-    ``counts`` maps each word to its frequency and ``ranks`` to its
-    first-occurrence rank.  ``deletes`` is the symmetric-delete index
-    (Garbe's SymSpell idea): every string reachable from a vocabulary
-    word by up to ``max_edit`` single-character deletes maps to the
-    tuple of words it is reachable from, in rank order.  The mappings
-    are :class:`types.MappingProxyType` views, so correctors can share
-    one instance without sharing mutable state.
+    ``counts`` maps each word to its frequency, in first-occurrence
+    (rank) order, and ``scan`` maps it to its position in a scan of the
+    vocabulary by length, then rank.  ``deletes`` is the
+    symmetric-delete index (Garbe's SymSpell idea): every string
+    reachable from a vocabulary word by up to ``max_edit``
+    single-character deletes maps to the tuple of words it is reachable
+    from, in rank order.  The mappings are
+    :class:`types.MappingProxyType` views, so correctors can share one
+    instance without sharing mutable state.
     """
 
     counts: MappingProxyType
     total: int
-    ranks: MappingProxyType
+    scan: MappingProxyType
     deletes: MappingProxyType
     max_edit: int
 
 
 def _deletes(word, depth):
-    """``word`` and every string made from it by up to ``depth`` deletes."""
+    """``word`` and every string made from it by up to ``depth`` deletes.
+
+    Positions are deleted left to right: a variant cut at ``i`` is only
+    cut again at ``i`` or later, so each set of deleted positions is
+    cut once, not once per order of its deletes.
+    """
     variants = {word}
-    frontier = {word}
+    frontier = [(word, 0)]
     for _ in range(depth):
-        frontier = {
-            variant[:i] + variant[i + 1:]
-            for variant in frontier
-            for i in range(len(variant))
-        }
-        variants |= frontier
+        frontier = [
+            (variant[:i] + variant[i + 1:], i)
+            for variant, start in frontier
+            for i in range(start, len(variant))
+        ]
+        variants.update([variant for variant, _ in frontier])
     return variants
 
 
@@ -116,11 +123,13 @@ def compile_vocabulary(sentences, max_edit_distance):
     for word in counts:
         for variant in _deletes(word, max_edit_distance):
             deletes.setdefault(variant, []).append(word)
+    # counts is in rank order and sorted() is stable: length, then rank.
+    scan = sorted(counts, key=len)
     return CompiledVocabulary(
         counts=MappingProxyType(counts),
         total=sum(counts.values()),
-        ranks=MappingProxyType(
-            {word: rank for rank, word in enumerate(counts)}
+        scan=MappingProxyType(
+            {word: position for position, word in enumerate(scan)}
         ),
         deletes=MappingProxyType(
             {variant: tuple(words) for variant, words in deletes.items()}
@@ -163,22 +172,20 @@ class SpellCorrector:
         :func:`~repro.util.textdist.damerau_levenshtein`), so the union
         of the postings of the word's own deletes holds every candidate.
         Only that pool is verified, in the order of a scan by length
-        then first occurrence, so ``max`` breaks score ties as a full
-        scan of the vocabulary would.  Counts one search, and one
-        distance evaluation per pooled word, on
+        then first occurrence (``scan``), so ``max`` breaks score ties
+        as a full scan of the vocabulary would.  Counts one search, and
+        one distance evaluation per pooled word, on
         ``cleaning.spelling.searches`` and ``.evaluations``.
         """
         tables = self._tables
-        pool = set()
-        for variant in _deletes(word, tables.max_edit):
-            pool.update(tables.deletes.get(variant, ()))
+        pool = set().union(*filter(None, map(
+            tables.deletes.get, _deletes(word, tables.max_edit)
+        )))
         metrics = get_metrics()
         metrics.counter("cleaning.spelling.searches").inc()
         metrics.counter("cleaning.spelling.evaluations").inc(len(pool))
         found = []
-        for candidate in sorted(
-            pool, key=lambda c: (len(c), tables.ranks[c])
-        ):
+        for candidate in sorted(pool, key=tables.scan.__getitem__):
             distance = damerau_levenshtein(word, candidate)
             if distance <= tables.max_edit:
                 found.append((candidate, distance))

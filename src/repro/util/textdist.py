@@ -144,6 +144,12 @@ def damerau_levenshtein(a, b):
     ``k`` deletes, which is what makes the spelling corrector's
     symmetric-delete index exact.
 
+    Bit-parallel (Hyyrö, Nordic J. Computing 2003): the column
+    recurrence of :func:`levenshtein`, whose diagonal-zero vector
+    ``zero`` gains one term for transpositions, read from the previous
+    column's match and diagonal-zero vectors.  Every complemented
+    vector is masked to ``len(a)`` bits.
+
     >>> damerau_levenshtein("teh", "the")
     1
     >>> damerau_levenshtein("ca", "abc")
@@ -151,33 +157,39 @@ def damerau_levenshtein(a, b):
     """
     if a == b:
         return 0
-    n, m = len(a), len(b)
-    if n == 0:
-        return m
-    if m == 0:
+    n = len(a)
+    if not n:
+        return len(b)
+    if not b:
         return n
-    rows = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        rows[i][0] = i
-    for j in range(m + 1):
-        rows[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            best = min(
-                rows[i - 1][j] + 1,
-                rows[i][j - 1] + 1,
-                rows[i - 1][j - 1] + cost,
-            )
-            if (
-                i > 1
-                and j > 1
-                and a[i - 1] == b[j - 2]
-                and a[i - 2] == b[j - 1]
-            ):
-                best = min(best, rows[i - 2][j - 2] + 1)
-            rows[i][j] = best
-    return rows[n][m]
+    match = {}
+    bit = 1
+    for item in a:
+        match[item] = match.get(item, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    last = 1 << (n - 1)
+    plus, minus = full, 0
+    zero = prev_eq = 0  # the previous column's diagonal zeros and match
+    distance = n
+    for item in b:
+        eq = match.get(item, 0)
+        # Bit i is set where a[i-1:i+1] is the last two items of b so
+        # far, swapped, and the previous column's bit i-1 of ``zero``
+        # was clear: there the transposition beats the diagonal.
+        transposed = ((~zero & eq) << 1) & prev_eq
+        zero = (((eq & plus) + plus) ^ plus) | eq | transposed | minus
+        h_plus = minus | (~(zero | plus) & full)
+        h_minus = plus & zero
+        if h_plus & last:
+            distance += 1
+        elif h_minus & last:
+            distance -= 1
+        h_plus = (h_plus << 1) | 1
+        plus = ((h_minus << 1) | ~(zero | h_plus)) & full
+        minus = h_plus & zero
+        prev_eq = eq
+    return distance
 
 
 def jaro(a, b):

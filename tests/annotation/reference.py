@@ -1,9 +1,14 @@
-"""The naive pattern pass, kept as the reference for the compiled one.
+"""The naive annotation passes, kept as references for the compiled ones.
 
 Every pattern is tried at every start position, element by element,
 against eagerly computed PoS tags: the engine's pattern pass before
-patterns were compiled into a dispatch table.  Only tests use it.
+patterns were compiled into a dispatch table.  The dictionary pass
+lowers every token and splits every surface it tries, as
+``DomainDictionary.match`` did before its buckets kept each entry's
+span.  Only tests use them.
 """
+
+from collections import defaultdict
 
 from repro.annotation.concepts import AnnotatedDocument, Concept
 from repro.util.tokenize import tokenize
@@ -61,11 +66,48 @@ def reference_windows(engine, text):
     )
 
 
+def reference_dictionary_match(dictionary, tokens):
+    """``dictionary.match(tokens)``: longest match, entry by entry."""
+    by_first_token = defaultdict(list)
+    for entry in dictionary:
+        bucket = by_first_token[entry.surface_tokens[0]]
+        bucket.append(entry)
+        bucket.sort(key=lambda e: -len(e.surface_tokens))
+    tokens = [token.lower() for token in tokens]
+    concepts = []
+    i = 0
+    while i < len(tokens):
+        matched = None
+        for entry in by_first_token.get(tokens[i], ()):
+            span = entry.surface_tokens
+            if tuple(tokens[i : i + len(span)]) == span:
+                matched = entry
+                break  # longest-first ordering makes this greedy
+        if matched is None:
+            i += 1
+            continue
+        width = len(matched.surface_tokens)
+        concepts.append(
+            Concept(
+                canonical=matched.canonical,
+                category=matched.category,
+                surface=" ".join(tokens[i : i + width]),
+                start=i,
+                end=i + width,
+                source="dictionary",
+            )
+        )
+        i += width
+    return concepts
+
+
 def reference_annotate(engine, text, doc_id=None, metadata=None):
-    """``engine.annotate`` computed by the naive pass."""
+    """``engine.annotate`` computed by the naive passes."""
     tokens = tokenize(text, lower=True)
     pos_tags = engine.tagger.tag(tokens)
-    dictionary_concepts = engine.dictionary.match(tokens)
+    dictionary_concepts = reference_dictionary_match(
+        engine.dictionary, tokens
+    )
     categories_by_position = [set() for _ in tokens]
     for concept in dictionary_concepts:
         for position in range(concept.start, concept.end):

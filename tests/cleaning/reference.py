@@ -1,7 +1,12 @@
 """Reference cleaning kernels, kept to check the compiled ones with ``==``.
 
+:func:`reference_osa_distance` is the optimal-string-alignment distance
+as the full O(n*m) dynamic program, as before the bit-parallel kernel.
+:func:`reference_deletes` makes every delete variant once per order of
+its deletes, as before each set of deleted positions was cut once.
+
 :class:`ReferenceSpellCorrector` is the linear-scan corrector: candidate
-generation runs the distance function against every vocabulary word
+generation runs the reference distance against every vocabulary word
 within the edit budget in length, in order of length then first
 occurrence, as before candidates came from a symmetric-delete index.
 
@@ -17,8 +22,54 @@ from collections import Counter
 
 from repro.cleaning.spamfilter import _synthetic_training_set
 from repro.cleaning.spelling import default_spelling_corpus
-from repro.util.textdist import damerau_levenshtein
 from repro.util.tokenize import words as tokenize_words
+
+
+def reference_osa_distance(a, b):
+    """OSA distance (adjacent transpositions count once) by full DP."""
+    if a == b:
+        return 0
+    n, m = len(a), len(b)
+    if n == 0:
+        return m
+    if m == 0:
+        return n
+    rows = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        rows[i][0] = i
+    for j in range(m + 1):
+        rows[0][j] = j
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            best = min(
+                rows[i - 1][j] + 1,
+                rows[i][j - 1] + 1,
+                rows[i - 1][j - 1] + cost,
+            )
+            if (
+                i > 1
+                and j > 1
+                and a[i - 1] == b[j - 2]
+                and a[i - 2] == b[j - 1]
+            ):
+                best = min(best, rows[i - 2][j - 2] + 1)
+            rows[i][j] = best
+    return rows[n][m]
+
+
+def reference_deletes(word, depth):
+    """``word`` and every string made from it by up to ``depth`` deletes."""
+    variants = {word}
+    frontier = {word}
+    for _ in range(depth):
+        frontier = {
+            variant[:i] + variant[i + 1:]
+            for variant in frontier
+            for i in range(len(variant))
+        }
+        variants |= frontier
+    return variants
 
 
 class ReferenceSpellCorrector:
@@ -68,7 +119,7 @@ class ReferenceSpellCorrector:
         found = []
         for length in self._lengths(word):
             for candidate in self._by_length.get(length, ()):
-                distance = damerau_levenshtein(word, candidate)
+                distance = reference_osa_distance(word, candidate)
                 if distance <= self._max_edit:
                     found.append((candidate, distance))
         return found

@@ -188,7 +188,7 @@ class TestSharedTables:
         with pytest.raises(TypeError):
             tables.counts["balance"] = 1
         with pytest.raises(TypeError):
-            tables.ranks["zzzz"] = 0
+            tables.scan["zzzz"] = 0
         with pytest.raises(TypeError):
             tables.deletes["balance"] = ()
         assert all(
