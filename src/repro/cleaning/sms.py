@@ -90,10 +90,6 @@ class SmsNormalizer:
         self._table[variant.lower()] = standard
         return self
 
-    def normalize_token(self, token):
-        """Standard form of one token (unchanged when unknown)."""
-        return self._table.get(token.lower(), token)
-
     def normalize(self, text):
         """Normalise a whole message, preserving word order."""
         tokens = text.split()
@@ -107,5 +103,5 @@ class SmsNormalizer:
                     continue
                 normalized.append(token)
                 continue
-            normalized.append(self.normalize_token(token))
+            normalized.append(self._table.get(lowered, token))
         return " ".join(normalized)

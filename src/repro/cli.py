@@ -907,7 +907,7 @@ def build_parser():
     serve.add_argument("--port", type=int, default=8321,
                        help="bind port (0 picks a free port)")
     serve.add_argument("--cache-capacity", type=int, default=128,
-                       help="epoch-keyed result cache entries")
+                       help="result cache entries (one per spec)")
     serve.add_argument(
         "--cache-ttl", type=float, default=None,
         help="result cache TTL seconds (default: no TTL; epoch "

@@ -38,8 +38,10 @@ The runner is also the engine's observability anchor (see
 :mod:`repro.obs`): every run opens a ``pipeline:run`` span, every
 stage a ``stage:<name>`` span, and every inline batch a ``batch``
 span nested in its stage, while a metrics registry accumulates
-document counters and per-stage wall-time histograms.  Both default
-to the ambient collectors, which are no-ops unless a trace is active —
+document counters and per-stage wall-time histograms.  Both are the
+ambient collectors, resolved at each run, which are no-ops unless a
+trace is active (so ``bivoc trace`` reaches a runner built long before
+tracing was activated) —
 tracing never alters document flow, so traced and untraced runs are
 bit-identical in outputs.
 """
@@ -239,14 +241,8 @@ class PipelineRunner:
     only and never influences the documents.
     """
 
-    def __init__(self, stages, batch_size=64, clock=None, tracer=None,
-                 metrics=None, backend=None):
+    def __init__(self, stages, batch_size=64, clock=None, backend=None):
         """``stages`` is an ordered list of Stage instances.
-
-        ``tracer``/``metrics`` override the ambient observability
-        collectors for this runner (``None`` means "resolve the
-        ambient slot at each run", which is how ``bivoc trace``
-        reaches a runner built long before tracing was activated).
 
         ``backend`` is used by every :meth:`run` and left open: one
         backend can serve many runs, and whoever built it closes it.
@@ -262,8 +258,6 @@ class PipelineRunner:
         self.batch_size = batch_size
         # Instrumentation-only clock (injectable; see module docstring).
         self._clock = clock if clock is not None else time.perf_counter
-        self._tracer = tracer
-        self._metrics = metrics
         self._backend = backend
 
     def __enter__(self):
@@ -282,10 +276,8 @@ class PipelineRunner:
         parallel output stays bit-identical to serial on all backends
         (order-preserving map, pure stages only).
         """
-        tracer = self._tracer if self._tracer is not None else get_tracer()
-        metrics = (
-            self._metrics if self._metrics is not None else get_metrics()
-        )
+        tracer = get_tracer()
+        metrics = get_metrics()
         live = list(documents)
         all_discarded = []
         report = PipelineReport(total_in=len(live))

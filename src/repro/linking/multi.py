@@ -40,8 +40,7 @@ class MultiTypeLinker:
     """
 
     def __init__(self, database, table_names, annotators=None,
-                 registry=None, weights=None, candidate_limit=25,
-                 merge="threshold"):
+                 registry=None, weights=None, candidate_limit=25):
         if not table_names:
             raise ValueError("need at least one table")
         self.database = database
@@ -55,7 +54,6 @@ class MultiTypeLinker:
                 annotators=annotators,
                 registry=registry,
                 candidate_limit=candidate_limit,
-                merge=merge,
             )
         self._push_weights()
 

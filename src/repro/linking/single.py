@@ -16,24 +16,13 @@ one of them by key.
 from dataclasses import dataclass
 
 from repro.linking.annotators import build_default_annotators
-from repro.linking.fagin import (
-    SortedList,
-    fagin_merge,
-    full_scan_merge,
-    threshold_merge,
-)
+from repro.linking.fagin import SortedList, threshold_merge
 from repro.linking.similarity import default_registry
 from repro.obs import get_metrics
 
 #: Ranked lists a linker's memo holds before it starts over (one
 #: seed-1 churn-email study fills 400).
 RANKED_LIST_MEMO_LIMIT = 1 << 13
-
-_MERGE_STRATEGIES = {
-    "fagin": fagin_merge,
-    "threshold": threshold_merge,
-    "scan": full_scan_merge,
-}
 
 
 @dataclass
@@ -178,7 +167,7 @@ class EntityLinker:
 
     def __init__(self, database, table_name, annotators=None,
                  registry=None, weights=None, candidate_limit=25,
-                 merge="threshold", min_score=0.0, confirm=None):
+                 min_score=0.0, confirm=None):
         """``confirm`` maps attribute names to a minimum similarity one
         of the document's tokens must reach against the winning entity
         (high-precision mode: "accept only with near-exact phone
@@ -192,11 +181,6 @@ class EntityLinker:
         self.candidate_limit = candidate_limit
         self.min_score = min_score
         self.confirm = dict(confirm or {})
-        if merge not in _MERGE_STRATEGIES:
-            raise ValueError(
-                f"merge must be one of {sorted(_MERGE_STRATEGIES)}"
-            )
-        self._merge = _MERGE_STRATEGIES[merge]
         # (table version, {(attribute name, token value): LazyRankedList}),
         # swapped as one tuple so a reader never pairs a memo with the
         # wrong version.
@@ -300,10 +284,10 @@ class EntityLinker:
     def link(self, text, k=1):
         """Best entity for ``text`` (or top-k ranked candidates).
 
-        TA reads the memoised lazy lists; FA and the scan read them
-        whole.  A list with no exact head is scored in full before the
-        merge and left out when that leaves it empty, as
-        :meth:`ranked_lists` leaves it out.
+        The threshold algorithm (TA) merges the memoised lazy lists,
+        reading each only as deep as it must.  A list with no exact
+        head is scored in full before the merge and left out when that
+        leaves it empty, as :meth:`ranked_lists` leaves it out.
         """
         tokens = self.annotators.annotate(text)
         lists = []
@@ -314,7 +298,7 @@ class EntityLinker:
                 weights.append(weight)
         if not lists:
             return LinkResult(None, 0.0, [], tokens, self.table_name)
-        merged = self._merge(lists, weights=weights, k=max(k, 1))
+        merged = threshold_merge(lists, weights=weights, k=max(k, 1))
         ranked = merged.ranked
         if not ranked or ranked[0][1] < self.min_score:
             return LinkResult(None, 0.0, ranked, tokens, self.table_name)

@@ -11,9 +11,10 @@ bit-identical to the batch computations:
   assoc2d / trends / emerging / cube / drilldown / status) with
   paper-style drill-down filters, canonicalized for caching and
   planned onto the existing batch analytics;
-* :mod:`~repro.serve.cache` — the epoch-keyed LRU result cache: keys
-  carry the epoch, so advancing the stream invalidates every stale
-  entry by construction and a cached result can never be stale;
+* :mod:`~repro.serve.cache` — the LRU result cache, one entry per
+  spec stamped with its epoch: an entry hits only at its own epoch, so
+  advancing the stream invalidates every stale entry by construction
+  and a cached result can never be stale;
 * :mod:`~repro.serve.engine` — :class:`QueryEngine`, executing specs
   against the current :class:`~repro.stream.epoch.EpochStore` snapshot,
   with ``query:*`` spans and

@@ -1,18 +1,26 @@
-"""The epoch-keyed result cache: stale answers are unrepresentable.
+"""The epoch-stamped result cache: stale answers are unrepresentable.
 
 Classic result caches pair a TTL with explicit invalidation hooks and
-still serve stale data in the gap.  This cache keys every entry by
-``(analytic fingerprint, epoch)`` — the canonical spec string plus the
-epoch the result was computed at — so advancing the stream *is* the
-invalidation: a lookup always carries the current epoch, entries from
-older epochs simply never match again, and :meth:`evict_before`
-reclaims their memory eagerly on publication.
+still serve stale data in the gap.  This cache holds at most one entry
+per canonical :class:`~repro.serve.queries.QuerySpec`, stamped with
+the epoch its value was computed at, and every lookup carries the
+epoch of the snapshot it answers from.  An entry hits only at its own
+epoch, so advancing the stream *is* the invalidation, and this module
+is the one place that rule lives:
+
+* an entry from an older epoch is dropped, as a miss;
+* an entry from a newer epoch is a miss but stays, so a slow reader
+  still on an old snapshot never evicts a fresher answer;
+* :meth:`QueryCache.put` never replaces an entry from a newer epoch.
+
+There is no separate purge: a stale entry is replaced when its spec is
+asked again, or falls out under the LRU bound.
 
 Eviction is LRU over a bounded capacity, with an optional TTL for
 deployments that also want time-based bounds (the TTL clock is
 injectable and defaults to ``time.perf_counter``; it only ever
 *removes* entries, so it can affect latency but never correctness —
-the correctness argument rests on the epoch key alone).
+the correctness argument rests on the epoch stamp alone).
 
 Hit / miss / eviction counters and a size gauge land in the ambient
 :class:`~repro.obs.MetricsRegistry` under ``query.cache_*``.
@@ -29,7 +37,7 @@ from repro.obs import get_metrics
 
 
 class QueryCache:
-    """LRU + optional-TTL cache keyed by (fingerprint, epoch)."""
+    """LRU + optional-TTL cache: one epoch-stamped entry per spec."""
 
     def __init__(self, capacity=128, ttl=None, clock=None):
         """``capacity`` bounds entries; ``ttl`` seconds (None = no TTL).
@@ -45,66 +53,54 @@ class QueryCache:
         self.ttl = ttl
         self._clock = clock if clock is not None else time.perf_counter
         self._lock = threading.Lock()
-        self._entries = OrderedDict()  # (fingerprint, epoch) -> (value, born)
+        self._entries = OrderedDict()  # spec -> (epoch, value, born)
 
     def _metrics(self):
         """The ambient metrics registry (resolved per call)."""
         return get_metrics()
 
-    def get(self, fingerprint, epoch):
+    def get(self, spec, epoch):
         """The cached ``(hit, value)`` pair for one spec at one epoch.
 
-        ``hit`` is False on a miss *or* a TTL expiry (the expired
-        entry is evicted); the value is only meaningful when ``hit``.
+        ``hit`` is True only when the entry was computed at ``epoch``
+        and its TTL holds.  An entry from an older epoch or past its
+        TTL is evicted; one from a newer epoch is kept.  The value is
+        only meaningful when ``hit``.
         """
         metrics = self._metrics()
-        key = (fingerprint, epoch)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and self.ttl is not None:
-                if self._clock() - entry[1] > self.ttl:
-                    del self._entries[key]
-                    entry = None
+            entry = self._entries.get(spec)
+            if entry is not None:
+                stamped, value, born = entry
+                if stamped < epoch or (
+                    self.ttl is not None and self._clock() - born > self.ttl
+                ):
+                    del self._entries[spec]
                     metrics.counter("query.cache_evictions").inc()
-            if entry is None:
-                metrics.counter("query.cache_misses").inc()
-                return False, None
-            self._entries.move_to_end(key)
-            metrics.counter("query.cache_hits").inc()
-            return True, entry[0]
+                elif stamped == epoch:
+                    self._entries.move_to_end(spec)
+                    metrics.counter("query.cache_hits").inc()
+                    return True, value
+            metrics.counter("query.cache_misses").inc()
+            return False, None
 
-    def put(self, fingerprint, epoch, value):
-        """Store one computed result, evicting LRU entries over capacity."""
+    def put(self, spec, epoch, value):
+        """Store one result computed at ``epoch``; returns ``value``.
+
+        An entry from a newer epoch is left in place.  LRU entries
+        are evicted over capacity.
+        """
         metrics = self._metrics()
-        key = (fingerprint, epoch)
         with self._lock:
-            self._entries[key] = (value, self._clock())
-            self._entries.move_to_end(key)
+            entry = self._entries.get(spec)
+            if entry is None or entry[0] <= epoch:
+                self._entries[spec] = (epoch, value, self._clock())
+            self._entries.move_to_end(spec)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 metrics.counter("query.cache_evictions").inc()
             metrics.gauge("query.cache_size").set(len(self._entries))
         return value
-
-    def evict_before(self, epoch):
-        """Drop every entry computed at an epoch below ``epoch``.
-
-        Called on epoch advance: entries keyed by older epochs can
-        never be returned again (lookups carry the current epoch), so
-        this only reclaims memory early — correctness never depends on
-        it.  Returns the number of entries dropped.
-        """
-        metrics = self._metrics()
-        with self._lock:
-            stale = [
-                key for key in self._entries if key[1] < epoch
-            ]
-            for key in stale:
-                del self._entries[key]
-            if stale:
-                metrics.counter("query.cache_evictions").inc(len(stale))
-                metrics.gauge("query.cache_size").set(len(self._entries))
-        return len(stale)
 
     def clear(self):
         """Drop every entry (counts as evictions)."""

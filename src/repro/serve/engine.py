@@ -14,6 +14,12 @@ index a batch caller would pass, which is what makes the served
 ``==`` bit-identity contract hold by construction rather than by
 testing luck.
 
+A query's only identity is its canonical
+:class:`~repro.serve.queries.QuerySpec`: the result cache and the
+last-good answers are both keyed by it.  The engine asks the cache at
+the snapshot's epoch and never purges it; which entry is stale is the
+cache's rule alone (:mod:`repro.serve.cache`).
+
 The engine is also where the resilience layer meets serving:
 
 * ``retry`` absorbs transient execution faults (the computation passes
@@ -56,7 +62,7 @@ class QueryResult:
     seq: int     # dense publication number of that snapshot
     kind: str    # the spec's query kind
     value: object  # rich analytic result (what == is asserted on)
-    cached: bool   # served from the epoch-keyed cache?
+    cached: bool   # served from the epoch-stamped cache?
     degraded: bool = False  # last-good answer served under an open breaker?
 
     def to_wire(self):
@@ -76,8 +82,8 @@ class QueryEngine:
 
     ``epochs`` is the :class:`~repro.stream.epoch.EpochStore` the
     ingesting consumer publishes into.  ``cache`` is an optional
-    :class:`~repro.serve.cache.QueryCache`; the engine evicts entries
-    below the current epoch whenever it observes an advance.
+    :class:`~repro.serve.cache.QueryCache`, keyed by the spec and
+    asked at the snapshot's epoch; it alone decides staleness.
     ``clock`` injects the latency time source (defaults to
     ``time.perf_counter``); timing is observability-only.
 
@@ -109,10 +115,8 @@ class QueryEngine:
         self.breakers = breakers
         self._retry_sleep = retry_sleep
         self._clock = clock if clock is not None else time.perf_counter
-        self._purge_lock = Lock()
-        self._purged_below = None  # highest epoch we evicted below
         self._last_good_lock = Lock()
-        self._last_good = {}  # fingerprint -> QueryResult (degraded pool)
+        self._last_good = {}  # spec -> QueryResult (degraded pool)
 
     def query(self, payload):
         """Answer one query payload (or pre-parsed spec).
@@ -184,11 +188,7 @@ class QueryEngine:
                 self.cache is not None and spec.kind in CACHEABLE_KINDS
             )
             if use_cache:
-                self._purge_stale(snapshot.epoch)
-                fingerprint = spec.fingerprint()
-                cached, value = self.cache.get(
-                    fingerprint, snapshot.epoch
-                )
+                cached, value = self.cache.get(spec, snapshot.epoch)
             if not cached:
 
                 def compute():
@@ -206,7 +206,7 @@ class QueryEngine:
                         deadline.check()
                     value = compute()
                 if use_cache:
-                    self.cache.put(fingerprint, snapshot.epoch, value)
+                    self.cache.put(spec, snapshot.epoch, value)
             if spec.kind == "status":
                 value = self._status_body(snapshot, value)
             span.tag("cached", cached)
@@ -228,7 +228,7 @@ class QueryEngine:
         if result.degraded or spec.kind not in CACHEABLE_KINDS:
             return
         with self._last_good_lock:
-            self._last_good[spec.fingerprint()] = result
+            self._last_good[spec] = result
 
     def _serve_degraded(self, spec, metrics):
         """The last good answer for ``spec``, marked degraded.
@@ -240,7 +240,7 @@ class QueryEngine:
         if spec.kind not in CACHEABLE_KINDS:
             return None
         with self._last_good_lock:
-            last = self._last_good.get(spec.fingerprint())
+            last = self._last_good.get(spec)
         if last is None:
             return None
         metrics.counter("query.degraded").inc()
@@ -253,16 +253,6 @@ class QueryEngine:
             cached=True,
             degraded=True,
         )
-
-    def _purge_stale(self, epoch):
-        """Evict cache entries below ``epoch`` once per advance."""
-        with self._purge_lock:
-            if self._purged_below is not None and (
-                epoch <= self._purged_below
-            ):
-                return
-            self._purged_below = epoch
-        self.cache.evict_before(epoch)
 
     def _status_body(self, snapshot, stats):
         """Enrich the raw snapshot stats into the status response."""

@@ -14,8 +14,9 @@ same snapshot.
 
 Canonicalization matters for the cache: two payloads meaning the same
 query (filters spelled explicitly vs. lowered, lists vs. tuples,
-key order) normalize to one :meth:`QuerySpec.fingerprint`, so they hit
-one cache slot per epoch.
+key order) parse to one ``==`` and equally hashed :class:`QuerySpec`,
+and that spec is the query's only identity: the result cache and the
+engine's last-good answers are both keyed by it.
 
 Supported filters (``"filters": {...}``) and their lowerings:
 
@@ -32,7 +33,6 @@ serving layer refuses rather than silently answering a different
 question.
 """
 
-import json
 from dataclasses import dataclass
 
 from repro.mining.assoc2d import associate
@@ -136,18 +136,34 @@ def _reject_filters(filters, kind, *names):
             )
 
 
-def _bucket_range(filters):
-    """The ``buckets`` filter as a concrete inclusive integer range."""
-    lo_hi = filters.pop("buckets")
-    try:
-        lo, hi = lo_hi
-    except (TypeError, ValueError):
-        raise QueryError(
-            f"buckets filter must be [lo, hi], got {lo_hi!r}"
-        ) from None
-    lo = _as_int(lo, "buckets filter lo")
-    hi = _as_int(hi, "buckets filter hi", minimum=lo)
-    return list(range(lo, hi + 1))
+def _take_buckets(payload, filters):
+    """The forced bucket list of a trends / emerging spec, or ``None``.
+
+    Taken from the ``buckets`` parameter or lowered from the
+    ``[lo, hi]`` ``buckets`` filter; either way every bucket is an
+    integer, so the spec hashes and its answer's labels are ints.
+    """
+    buckets = payload.pop("buckets", None)
+    if "buckets" in filters:
+        if buckets is not None:
+            raise QueryError(
+                "give either buckets or a buckets filter, not both"
+            )
+        lo_hi = filters.pop("buckets")
+        try:
+            lo, hi = lo_hi
+        except (TypeError, ValueError):
+            raise QueryError(
+                f"buckets filter must be [lo, hi], got {lo_hi!r}"
+            ) from None
+        lo = _as_int(lo, "buckets filter lo")
+        hi = _as_int(hi, "buckets filter hi", minimum=lo)
+        return tuple(range(lo, hi + 1))
+    if buckets is None:
+        return None
+    return tuple(
+        _as_int(bucket, "bucket") for bucket in _as_list(buckets, "buckets")
+    )
 
 
 @dataclass(frozen=True)
@@ -155,8 +171,10 @@ class QuerySpec:
     """One canonical, cache-addressable analytic query.
 
     ``kind`` is one of :data:`QUERY_KINDS`; ``params`` is the fully
-    lowered, canonical parameter tuple — nested tuples only, so specs
-    are hashable and equality means "same analytic computation".
+    lowered, canonical parameter tuple — nested tuples of strings,
+    numbers, booleans and ``None`` only, so every parsed spec hashes
+    and equality means "same analytic computation".  The spec itself
+    is the cache key: there is no second, serialised identity.
     Build via :meth:`parse`, never by hand.
     """
 
@@ -199,25 +217,6 @@ class QuerySpec:
     def param(self, name):
         """One canonical parameter by name."""
         return dict(self.params)[name]
-
-    def to_wire(self):
-        """The canonical JSON-safe form (lists, not tuples)."""
-        return {"kind": self.kind, "params": _jsonify(dict(self.params))}
-
-    def fingerprint(self):
-        """Stable cache-key string for this exact computation."""
-        return json.dumps(
-            self.to_wire(), sort_keys=True, separators=(",", ":")
-        )
-
-
-def _jsonify(value):
-    """Tuples to lists, recursively — the wire form of params."""
-    if isinstance(value, tuple) or isinstance(value, list):
-        return [_jsonify(item) for item in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    return value
 
 
 def _params(mapping):
@@ -299,19 +298,9 @@ def _parse_trends(payload, filters):
         key = payload.pop("key")
     except KeyError:
         raise QueryError("trends needs 'key'") from None
-    buckets = payload.pop("buckets", None)
-    if "buckets" in filters:
-        if buckets is not None:
-            raise QueryError(
-                "give either buckets or a buckets filter, not both"
-            )
-        buckets = _bucket_range(filters)
     return _params({
         "key": _as_key(key, "key"),
-        "buckets": (
-            None if buckets is None
-            else tuple(_as_list(buckets, "buckets"))
-        ),
+        "buckets": _take_buckets(payload, filters),
     })
 
 
@@ -328,19 +317,9 @@ def _parse_emerging(payload, filters):
     if dimension is None:
         raise QueryError("emerging needs a dimension "
                          "(or a category filter)")
-    buckets = payload.pop("buckets", None)
-    if "buckets" in filters:
-        if buckets is not None:
-            raise QueryError(
-                "give either buckets or a buckets filter, not both"
-            )
-        buckets = _bucket_range(filters)
     return _params({
         "dimension": _as_dimension(dimension, "dimension"),
-        "buckets": (
-            None if buckets is None
-            else tuple(_as_list(buckets, "buckets"))
-        ),
+        "buckets": _take_buckets(payload, filters),
         "min_total": _as_int(
             payload.pop("min_total", 3), "min_total", minimum=0
         ),
@@ -542,7 +521,7 @@ _RUNNERS = {
     "status": _run_status,
 }
 
-#: Kinds whose results are cached per (fingerprint, epoch).  Status is
+#: Kinds whose results are cached, one entry per spec.  Status is
 #: excluded: it is already O(1) and callers expect live cache counters.
 CACHEABLE_KINDS = frozenset(QUERY_KINDS) - {"status"}
 

@@ -31,7 +31,9 @@ The wall clock is instrumentation only and injectable, exactly as in
 span (the runner's ``pipeline:run`` span nests inside it), every
 checkpoint a ``stream:checkpoint`` span and every restore a
 ``stream:restore`` span, while stream counters land in the ambient
-metrics registry.  Nothing observed feeds back into delivery, window
+metrics registry.  Both collectors are the ambient ones, resolved at
+each call, so an already-built consumer is traceable by activation.
+Nothing observed feeds back into delivery, window
 state or checkpoints — a traced crash/resume run ends bit-identical
 to an untraced uninterrupted one (asserted in ``tests/obs``).
 """
@@ -140,17 +142,13 @@ class StreamConsumer:
 
     def __init__(self, source, stages, window=None, checkpointer=None,
                  batch_docs=32, queue_capacity=4, checkpoint_interval=4,
-                 clock=None, tracer=None, metrics=None, epochs=None):
+                 clock=None, epochs=None):
         """Wire the consumer; raises on an unsafe index stage.
 
         Every micro-batch runs inline, on the calling thread, through
         an embedded :class:`~repro.engine.PipelineRunner`: a batch is
         committed within milliseconds, which no per-batch process
         fan-out can pay for.
-
-        ``tracer``/``metrics`` override the ambient observability
-        collectors (``None`` resolves the ambient slot per step, so an
-        already-built consumer is traceable by activation).
 
         ``epochs`` is an optional
         :class:`~repro.stream.epoch.EpochStore`: when given, the
@@ -190,12 +188,8 @@ class StreamConsumer:
                 "and a raising index would crash on the first "
                 "redelivery"
             )
-        self._tracer = tracer
-        self._metrics = metrics
         self.epochs = epochs
-        self._runner = PipelineRunner(
-            stages, clock=self._clock, tracer=tracer, metrics=metrics,
-        )
+        self._runner = PipelineRunner(stages, clock=self._clock)
         self._queue = deque()
         self._index_states = IndexStateMemo()
         self._committed_offset = -1
@@ -214,14 +208,6 @@ class StreamConsumer:
         """Offset of the last committed record (-1 before any)."""
         return self._committed_offset
 
-    def _obs(self):
-        """The (tracer, metrics) pair in effect for this consumer."""
-        tracer = self._tracer if self._tracer is not None else get_tracer()
-        metrics = (
-            self._metrics if self._metrics is not None else get_metrics()
-        )
-        return tracer, metrics
-
     def stage_report(self):
         """Accumulated per-stage totals across every micro-batch.
 
@@ -229,13 +215,12 @@ class StreamConsumer:
         far was discarded or skipped — a silent funnel (zero
         out-count) must show up as a zero row, not a missing row.
         """
-        _, metrics = self._obs()
         report = self._stage_totals.report(
             total_in=self.report.processed + self.report.discarded,
             total_out=self.report.processed,
             wall_time=self.report.wall_time,
         )
-        report.metrics = metrics.snapshot() or None
+        report.metrics = get_metrics().snapshot() or None
         return report
 
     # ------------------------------------------------------------------
@@ -268,7 +253,7 @@ class StreamConsumer:
         self._fill_queue()
         if not self._queue:
             return False
-        tracer, metrics = self._obs()
+        tracer, metrics = get_tracer(), get_metrics()
         records = self._queue.popleft()
         started = self._clock()
         with tracer.span(
@@ -395,7 +380,7 @@ class StreamConsumer:
         """
         if self.checkpointer is None:
             raise RuntimeError("consumer has no checkpointer")
-        tracer, metrics = self._obs()
+        tracer, metrics = get_tracer(), get_metrics()
         with tracer.span(
             "stream:checkpoint",
             category="stream",
@@ -432,7 +417,7 @@ class StreamConsumer:
         """
         if self.checkpointer is None:
             raise RuntimeError("consumer has no checkpointer")
-        tracer, metrics = self._obs()
+        tracer, metrics = get_tracer(), get_metrics()
         state = self.checkpointer.load()
         if state is None:
             return False

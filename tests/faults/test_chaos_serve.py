@@ -187,6 +187,23 @@ class TestDegradedServing:
                 engine.query({"kind": "no-such-kind"})
         assert breakers.breaker("no-such-kind").state == "closed"
 
+    def test_malformed_bucket_lists_do_not_open_the_breaker(self):
+        from repro.serve.queries import QueryError
+
+        breakers = BreakerBoard(failure_threshold=3, cooldown=60.0)
+        pairs, engine = _drained_setup(breakers=breakers)
+        trends = {"kind": "trends", "key": ["field", "city", "boston"]}
+        for _ in range(3):
+            with pytest.raises(QueryError):
+                engine.query({**trends, "buckets": [[1, 2]]})
+        assert breakers.breaker("trends").state == "closed"
+        bucketed = engine.query({**trends, "buckets": [1]})
+        assert bucketed.value == plan_query(
+            QuerySpec.parse({**trends, "buckets": [1]}),
+            reference_index(pairs, len(pairs) - 1),
+        )
+        assert not engine.query(dict(trends)).degraded
+
     def test_degraded_answers_match_last_good_batch(self):
         breakers = BreakerBoard(failure_threshold=2, cooldown=60.0)
         pairs, engine = _drained_setup(breakers=breakers)

@@ -129,19 +129,6 @@ class TestEntityLinker:
         assert name_heavy.entity["name"] == "mary walker"
         assert phone_heavy.entity["name"] == "john smith"
 
-    def test_invalid_merge_strategy(self, db):
-        with pytest.raises(ValueError):
-            EntityLinker(db, "customers", merge="magic")
-
-    def test_merge_strategies_agree(self, db):
-        doc = "jon smith 5558675309"
-        results = {
-            merge: EntityLinker(db, "customers", merge=merge).link(doc)
-            for merge in ("fagin", "threshold", "scan")
-        }
-        entities = {r.entity.entity_id for r in results.values()}
-        assert len(entities) == 1
-
 
 class TestMultiTypeLinker:
     def test_customer_document_resolves_to_customer(self, db):

@@ -1,4 +1,4 @@
-"""QueryCache: LRU + TTL semantics, epoch eviction, metrics."""
+"""QueryCache: LRU + TTL semantics, epoch stamps, metrics."""
 
 import pytest
 
@@ -25,7 +25,7 @@ class TestLRU:
     """Capacity-bounded least-recently-used behaviour."""
 
     def test_miss_then_hit(self):
-        """A stored value comes back on the same (fingerprint, epoch)."""
+        """A stored value comes back for the same spec at its epoch."""
         cache = QueryCache(capacity=4)
         hit, value = cache.get("fp", 3)
         assert not hit and value is None
@@ -34,7 +34,7 @@ class TestLRU:
         assert hit and value == {"answer": 42}
 
     def test_epoch_is_part_of_the_key(self):
-        """The same fingerprint at another epoch is a different entry."""
+        """The same spec at a later epoch misses."""
         cache = QueryCache(capacity=4)
         cache.put("fp", 3, "old")
         hit, _ = cache.get("fp", 9)
@@ -79,17 +79,55 @@ class TestTTL:
 
 
 class TestEpochEviction:
-    """evict_before reclaims entries from superseded epochs."""
+    """One entry per spec, stamped with the epoch it was computed at."""
 
-    def test_evicts_only_older_epochs(self):
-        """Entries at or above the floor survive."""
-        cache = QueryCache(capacity=8)
-        cache.put("a", 3, 1)
-        cache.put("b", 3, 2)
-        cache.put("a", 9, 3)
-        assert cache.evict_before(9) == 2
-        assert cache.get("a", 9) == (True, 3)
+    def test_older_epoch_entry_is_dropped_as_a_miss(self):
+        """A lookup at a later epoch evicts the superseded entry."""
+        metrics = MetricsRegistry()
+        with activated(None, metrics):
+            cache = QueryCache(capacity=8)
+            cache.put("a", 3, 1)
+            cache.put("b", 3, 2)
+            assert cache.get("a", 9) == (False, None)
         assert len(cache) == 1
+        assert cache.get("b", 3) == (True, 2)
+        assert metrics.snapshot()["counters"]["query.cache_evictions"] == 1
+
+    def test_newer_epoch_entry_misses_but_is_kept(self):
+        """A slow reader on an old snapshot never evicts a fresher answer."""
+        cache = QueryCache(capacity=8)
+        cache.put("a", 9, "new")
+        assert cache.get("a", 3) == (False, None)
+        assert cache.get("a", 9) == (True, "new")
+        assert len(cache) == 1
+
+    def test_put_never_replaces_a_newer_entry(self):
+        """A result computed on an old snapshot is not stored over it."""
+        cache = QueryCache(capacity=8)
+        cache.put("a", 9, "new")
+        assert cache.put("a", 3, "old") == "old"
+        assert cache.get("a", 9) == (True, "new")
+        assert cache.get("a", 3) == (False, None)
+        assert len(cache) == 1
+
+    def test_put_replaces_an_older_entry(self):
+        """A spec holds one entry: the newer result takes its slot."""
+        cache = QueryCache(capacity=8)
+        cache.put("a", 3, "old")
+        cache.put("a", 9, "new")
+        assert len(cache) == 1
+        assert cache.get("a", 9) == (True, "new")
+        assert cache.get("a", 3) == (False, None)
+
+    def test_one_entry_per_spec_across_epochs(self):
+        """Advancing epochs never grows the cache past its specs."""
+        cache = QueryCache(capacity=8)
+        for epoch in range(20):
+            for spec in ("a", "b", "c"):
+                assert cache.get(spec, epoch) == (False, None)
+                cache.put(spec, epoch, (spec, epoch))
+                assert cache.get(spec, epoch) == (True, (spec, epoch))
+        assert len(cache) == 3
 
     def test_clear_empties(self):
         """clear drops everything."""

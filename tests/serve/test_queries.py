@@ -84,6 +84,19 @@ class TestParsing:
                  "filters": {"buckets": [4, 1]}}
             )
 
+    @pytest.mark.parametrize("kind", ["trends", "emerging"])
+    @pytest.mark.parametrize("buckets", [
+        [[1, 2]], ["1"], [None], [True, 2], [1.0, 2.0],
+    ], ids=["nested-list", "string", "none", "bool", "float"])
+    def test_bucket_list_entries_must_be_integers(self, kind, buckets):
+        """Every forced bucket is an int: the spec hashes, labels are ints."""
+        target = (
+            {"key": ["field", "city", "boston"]} if kind == "trends"
+            else {"dimension": ["field", "car"]}
+        )
+        with pytest.raises(QueryError, match="bucket must be an integer"):
+            QuerySpec.parse({"kind": kind, "buckets": buckets, **target})
+
     def test_cube_slice_and_rollup_exclusive(self):
         """At most one view operation per cube query."""
         with pytest.raises(QueryError):
@@ -172,7 +185,7 @@ class TestListParameters:
 
 
 class TestCanonicalization:
-    """Equivalent payloads collapse to one fingerprint."""
+    """Equivalent payloads collapse to one equal, equally hashed spec."""
 
     def test_channel_filter_equals_explicit_focus_key(self):
         """The channel filter lowers to the same relfreq spec."""
@@ -189,7 +202,7 @@ class TestCanonicalization:
              "candidates": ["field", "car"]}
         )
         assert filtered == explicit
-        assert filtered.fingerprint() == explicit.fingerprint()
+        assert hash(filtered) == hash(explicit)
 
     def test_focus_order_is_canonical(self):
         """Focus key order never splits the cache."""
@@ -205,7 +218,8 @@ class TestCanonicalization:
                        ["field", "city", "boston"]],
              "candidates": ["field", "channel"]}
         )
-        assert a.fingerprint() == b.fingerprint()
+        assert a == b
+        assert hash(a) == hash(b)
 
     def test_buckets_filter_equals_explicit_range(self):
         """[lo, hi] lowers to the same forced bucket list."""
@@ -219,7 +233,8 @@ class TestCanonicalization:
              "key": ["field", "city", "boston"],
              "buckets": [0, 1, 2, 3]}
         )
-        assert filtered.fingerprint() == explicit.fingerprint()
+        assert filtered == explicit
+        assert hash(filtered) == hash(explicit)
 
     def test_category_filter_equals_explicit_dimension(self):
         """The category filter lowers to the candidate dimension."""
@@ -229,14 +244,8 @@ class TestCanonicalization:
         explicit = QuerySpec.parse(
             {"kind": "emerging", "dimension": ["concept", "issue"]}
         )
-        assert filtered.fingerprint() == explicit.fingerprint()
-
-    def test_fingerprint_is_json_stable(self):
-        """Fingerprints are canonical JSON of the wire form."""
-        spec = QuerySpec.parse({"kind": "status"})
-        assert spec.fingerprint() == (
-            '{"kind":"status","params":{}}'
-        )
+        assert filtered == explicit
+        assert hash(filtered) == hash(explicit)
 
 
 class TestPlanIdentity:

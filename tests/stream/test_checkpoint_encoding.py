@@ -34,7 +34,7 @@ from repro.engine import Document
 from repro.faults import FaultPlan, FaultSpec, InjectedFault, injecting
 from repro.mining.index import ConceptIndex, field_key
 from repro.mining.stage import ConceptIndexStage
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, activated
 from repro.prop import generate_case
 from repro.prop.harness import TOPIC_DIMENSION, build_stages, make_documents
 from repro.store.integrity import (
@@ -154,7 +154,7 @@ def _drain(consumer, checkpointer):
 # ----------------------------------------------------------------------
 
 
-def _telecom(seed, metrics=None):
+def _telecom(seed):
     """A builder of the ``telecom-stream`` consumer over seed's corpus."""
     messages = stream_order(telecom_corpus(seed))
 
@@ -184,7 +184,6 @@ def _telecom(seed, metrics=None):
             checkpointer=checkpointer,
             batch_docs=10,
             checkpoint_interval=4,
-            metrics=metrics,
         )
 
     return build
@@ -200,8 +199,9 @@ class TestTelecomStream:
     def test_work_gate(self, tmp_path):
         """Each indexed document version is encoded once, at tolerance 0."""
         metrics = MetricsRegistry()
-        consumer, checkpointer = _checked(_telecom(1, metrics), tmp_path)
-        consumer.run(checkpoint_at_end=False)
+        with activated(None, metrics):
+            consumer, checkpointer = _checked(_telecom(1), tmp_path)
+            consumer.run(checkpoint_at_end=False)
         counters = metrics.snapshot()["counters"]
         encoded = counters["stream.checkpoint.documents.encoded"]
         reused = counters["stream.checkpoint.documents.reused"]
