@@ -88,13 +88,6 @@ class Slot:
         """The candidate words of this slot, best-scored first."""
         return [word for word, _ in self.candidates]
 
-    def score_of(self, word):
-        """Acoustic score of one candidate word in this slot."""
-        for candidate, score in self.candidates:
-            if candidate == word:
-                return score
-        raise KeyError(f"{word!r} not in slot")
-
 
 @dataclass
 class ConfusionNetwork:

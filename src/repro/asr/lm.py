@@ -52,11 +52,6 @@ class NGramLM:
                     self._context_totals[n][context] += 1
         return self
 
-    @property
-    def vocabulary_size(self):
-        """Number of distinct training words."""
-        return len(self.vocabulary)
-
     def _order_prob(self, n, context, word):
         total = self._context_totals[n].get(context, 0)
         if total == 0:

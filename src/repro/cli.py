@@ -29,15 +29,6 @@ def _add_common(parser):
                         help="corpus random seed")
 
 
-def _add_workers_option(parser):
-    """The fan-out knob of the batch commands (``tables``, ``churn``)."""
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes for the pure stages of this batch run "
-             "(0 or 1 = inline; parallel output is bit-identical)",
-    )
-
-
 def _add_engine_options(parser):
     """Pipeline-engine knobs shared by the staged commands."""
     parser.add_argument(
@@ -71,11 +62,7 @@ def cmd_tables(args):
     )
     study = run_insight_analysis(
         corpus,
-        BIVoCConfig(
-            use_asr=args.asr,
-            link_mode="content",
-            workers=args.workers,
-        ),
+        BIVoCConfig(use_asr=args.asr, link_mode="content"),
     )
     if args.stage_stats:
         print(study.analysis.stage_report.render_text())
@@ -183,10 +170,7 @@ def cmd_churn(args):
         TelecomConfig(scale=args.scale, n_customers=args.customers,
                       seed=args.seed)
     )
-    result = run_churn_study(
-        corpus, channel=args.channel, workers=args.workers,
-        driver_index=True,
-    )
+    result = run_churn_study(corpus, channel=args.channel, driver_index=True)
     if args.stage_stats:
         print(result.stage_report.render_text())
         print()
@@ -210,18 +194,12 @@ def cmd_churn(args):
 
 
 def _build_carrental_stream(args):
-    """Stream wiring for the car-rental feed: source, stages, window."""
+    """Stream wiring for the car-rental feed: ``(source, stages)``."""
     from repro.core import BIVoCConfig
     from repro.core.pipeline import BIVoCSystem
     from repro.engine import Document
-    from repro.mining.index import field_key
     from repro.mining.stage import ConceptIndexStage
-    from repro.stream import (
-        AssocSpec,
-        MemorySource,
-        RelFreqSpec,
-        WindowedAnalytics,
-    )
+    from repro.stream import MemorySource
     from repro.synth.carrental import CarRentalConfig, generate_car_rental
 
     corpus = generate_car_rental(
@@ -253,23 +231,11 @@ def _build_carrental_stream(args):
         )
         for transcript in arrivals
     )
-    window = WindowedAnalytics(
-        args.window,
-        assoc_specs=[
-            AssocSpec(("field", "city"), ("field", "car_type"))
-        ],
-        relfreq_specs=[
-            RelFreqSpec(
-                (field_key("detected_intent", "strong"),),
-                ("field", "call_type"),
-            )
-        ],
-    )
-    return source, stages, window
+    return source, stages
 
 
 def _build_telecom_stream(args):
-    """Stream wiring for the telecom feed: source, stages, window."""
+    """Stream wiring for the telecom feed: ``(source, stages)``."""
     from repro.cleaning.stage import CleaningStage
     from repro.core.usecases.churn import (
         StreamAnnotateStage,
@@ -277,7 +243,7 @@ def _build_telecom_stream(args):
     )
     from repro.engine import Document
     from repro.mining.stage import ConceptIndexStage
-    from repro.stream import AssocSpec, MemorySource, WindowedAnalytics
+    from repro.stream import MemorySource
     from repro.synth.telecom import TelecomConfig, generate_telecom
 
     corpus = generate_telecom(
@@ -309,26 +275,47 @@ def _build_telecom_stream(args):
         )
         for message in arrivals
     )
-    window = WindowedAnalytics(
-        args.window,
-        assoc_specs=[
-            AssocSpec(("concept", "churn driver"), ("field", "channel"))
-        ],
-    )
-    return source, stages, window
+    return source, stages
 
 
 def cmd_stream(args):
     """Run the incremental streaming consumer over a synthetic feed."""
+    from repro.mining.index import field_key
     from repro.mining.reports import render_association, render_relevancy
-    from repro.stream import Checkpointer, StreamConsumer
+    from repro.stream import (
+        AssocSpec,
+        Checkpointer,
+        RelFreqSpec,
+        StreamConsumer,
+        WindowedAnalytics,
+    )
 
     if args.source == "carrental":
-        source, stages, window = _build_carrental_stream(args)
+        source, stages = _build_carrental_stream(args)
         bucket_name = "day"
+        window = WindowedAnalytics(
+            args.window,
+            assoc_specs=[
+                AssocSpec(("field", "city"), ("field", "car_type"))
+            ],
+            relfreq_specs=[
+                RelFreqSpec(
+                    (field_key("detected_intent", "strong"),),
+                    ("field", "call_type"),
+                )
+            ],
+        )
     else:
-        source, stages, window = _build_telecom_stream(args)
+        source, stages = _build_telecom_stream(args)
         bucket_name = "month"
+        window = WindowedAnalytics(
+            args.window,
+            assoc_specs=[
+                AssocSpec(
+                    ("concept", "churn driver"), ("field", "channel")
+                )
+            ],
+        )
     checkpointer = (
         Checkpointer(args.checkpoint) if args.checkpoint else None
     )
@@ -393,9 +380,9 @@ def cmd_serve(args):
     from repro.stream import Checkpointer, EpochStore, StreamConsumer
 
     if args.source == "carrental":
-        source, stages, _ = _build_carrental_stream(args)
+        source, stages = _build_carrental_stream(args)
     else:
-        source, stages, _ = _build_telecom_stream(args)
+        source, stages = _build_telecom_stream(args)
     retry = (
         RetryPolicy(max_attempts=args.retry, seed=args.seed)
         if args.retry > 1 else None
@@ -533,7 +520,7 @@ def cmd_chaos(args):
     def build_consumer(checkpointer):
         # Rebuilt from scratch per (re)start: a crash loses every bit
         # of in-memory state, so the resume path must too.
-        source, stages, _ = _build_carrental_stream(args)
+        source, stages = _build_carrental_stream(args)
         return StreamConsumer(
             source,
             stages,
@@ -781,7 +768,6 @@ def build_parser():
 
     tables = sub.add_parser("tables", help="regenerate Tables II-IV")
     _add_common(tables)
-    _add_workers_option(tables)
     _add_engine_options(tables)
     tables.add_argument(
         "--source", choices=("carrental",), default="carrental",
@@ -806,7 +792,6 @@ def build_parser():
 
     churn = sub.add_parser("churn", help="run the SecVI churn study")
     _add_common(churn)
-    _add_workers_option(churn)
     _add_engine_options(churn)
     churn.add_argument("--scale", type=float, default=0.05,
                        help="fraction of the paper's message volume")
@@ -887,8 +872,6 @@ def build_parser():
                        help="telecom: fraction of paper message volume")
     serve.add_argument("--customers", type=int, default=1000,
                        help="telecom: number of customers")
-    serve.add_argument("--window", type=int, default=3,
-                       help=argparse.SUPPRESS)  # stream-builder compat
     serve.add_argument("--batch-docs", type=int, default=25,
                        help="documents per ingestion micro-batch")
     serve.add_argument(
@@ -973,8 +956,6 @@ def build_parser():
                        help="carrental: number of days")
     chaos.add_argument("--batch-docs", type=int, default=16,
                        help="documents per ingestion micro-batch")
-    chaos.add_argument("--window", type=int, default=3,
-                       help=argparse.SUPPRESS)
     chaos.set_defaults(func=cmd_chaos)
 
     prop = sub.add_parser(

@@ -78,10 +78,6 @@ class CallTypeClassifier:
         scores = self.predict_scores(text)
         return max(scores.items(), key=lambda pair: pair[1])[0]
 
-    def predict_many(self, texts):
-        """Predicted call type per text."""
-        return [self.predict(text) for text in texts]
-
 
 @dataclass(frozen=True)
 class RoutingReport:

@@ -30,14 +30,6 @@ class BIVoCConfig:
     # with the first pass, plus the agent roster.
     two_pass: bool = False
     two_pass_top_n: int = 5
-    # Engine execution knobs: documents flow through the stage graph in
-    # batches of ``batch_size``.  ``workers`` alone picks how pure
-    # stages run: 0 and 1 inline, more on a pool of that many worker
-    # processes, which ``run_insight_analysis`` builds and closes
-    # (bit-identical to serial — see repro.engine.runner and
-    # repro.exec).
-    batch_size: int = 64
-    workers: int = 0
 
     def __post_init__(self):
         if self.link_mode not in ("content", "metadata"):
@@ -45,7 +37,3 @@ class BIVoCConfig:
                 f"link_mode must be 'content' or 'metadata', "
                 f"got {self.link_mode!r}"
             )
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")

@@ -487,6 +487,19 @@ class DeriveStage(MapStage):
         document.put("timestamp", document.require("transcript").day)
 
 
+def call_documents(corpus):
+    """One engine document per call of a car-rental corpus."""
+    return [
+        Document(
+            doc_id=transcript.call_id,
+            channel="call",
+            text=transcript.text,
+            artifacts={"transcript": transcript},
+        )
+        for transcript in corpus.transcripts
+    ]
+
+
 class BIVoCSystem:
     """End-to-end system facade for the call-center study."""
 
@@ -552,28 +565,11 @@ class BIVoCSystem:
             index_stage or ConceptIndexStage(),
         ]
 
-    def process_call_center(self, corpus, backend=None):
-        """Run the full pipeline over a car-rental corpus.
-
-        ``backend`` is the execution backend the runner's pure stages
-        fan out on (``None`` = inline; see
-        :class:`~repro.engine.PipelineRunner`); the caller closes
-        it.
-        """
+    def process_call_center(self, corpus):
+        """Run the full pipeline over a car-rental corpus, inline."""
         stages = self.build_call_stages(corpus)
         index_stage = stages[-1]
-        documents = [
-            Document(
-                doc_id=transcript.call_id,
-                channel="call",
-                text=transcript.text,
-                artifacts={"transcript": transcript},
-            )
-            for transcript in corpus.transcripts
-        ]
-        result = PipelineRunner(
-            stages, batch_size=self.config.batch_size, backend=backend
-        ).run(documents)
+        result = PipelineRunner(stages).run(call_documents(corpus))
 
         processed = []
         link_attempts = 0

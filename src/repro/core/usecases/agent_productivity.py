@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 from repro.core.config import BIVoCConfig
 from repro.core.pipeline import BIVoCSystem
-from repro.exec import make_backend
 from repro.mining.assoc2d import associate
 from repro.synth.carrental import (
     CarRentalConfig,
@@ -54,15 +53,12 @@ _OUTCOMES = ["reservation", "unbooked"]
 def run_insight_analysis(corpus, config=None):
     """Run the BIVoC pipeline and build the paper's tables.
 
-    ``config.workers`` picks the execution: 0 and 1 run inline, more
-    build one process pool that wide, which serves the engine's pure
-    stages and is closed here (the order-preserving fan-out keeps every
-    table bit-identical to the serial run).
+    The engine runs every call inline: the one costly stage, ASR, is
+    impure and never fans out, and a process pool costs more than the
+    rest of the graph saves.
     """
     config = config or BIVoCConfig()
-    system = BIVoCSystem(config=config)
-    with make_backend("process", config.workers) as backend:
-        analysis = system.process_call_center(corpus, backend=backend)
+    analysis = BIVoCSystem(config=config).process_call_center(corpus)
     index = analysis.index
     intent_table = associate(
         index,

@@ -42,14 +42,6 @@ class ChurnStudyResult:
     stage_report: object = None  # engine PipelineReport for the run
     driver_index: object = None  # churn-driver concept index (opt-in)
 
-    @property
-    def customer_precision(self):
-        """Of flagged customers, the share that truly churned."""
-        if not self.flagged_customers:
-            return 0.0
-        correct = len(self.flagged_customers & self.test_churners)
-        return correct / len(self.flagged_customers)
-
 
 def analyse_churn_drivers(corpus, channel="email", spell_correct=False):
     """Relative prevalence of each churn driver among churner messages.
@@ -118,39 +110,6 @@ def link_evidence_text(channel, cleaned_text, raw_text):
     return f"{cleaned_text} {lines[0]}"
 
 
-class DriverAnnotateStage(MapStage):
-    """Annotate cleaned messages with churn-driver concepts.
-
-    Opt-in tail of the churn graph (see :func:`build_driver_index_stages`):
-    tags each surviving message with the shared "churn driver" category
-    and stages the index row (channel field + month time bucket) for
-    the concept index stage that follows.
-    """
-
-    name = "annotate-drivers"
-
-    def __init__(self, engine):
-        """``engine`` is the telecom churn-driver AnnotationEngine."""
-        self.engine = engine
-
-    def process_document(
-        self, document
-    ):  # bivoc: effects[mutates-param, ambient-obs]
-        """Write the annotated/index_fields/timestamp artifacts.
-
-        Declared for ``bivoc effects``: ``AnnotationEngine.annotate``
-        builds a fresh AnnotatedDocument from read-only dictionaries
-        and bumps write-only counters, so the hook only writes the
-        document and the ambient obs layer.
-        """
-        document.put(
-            "annotated",
-            self.engine.annotate(document.require("cleaned_text")),
-        )
-        document.put("index_fields", {"channel": document.channel})
-        document.put("timestamp", document.require("message").month)
-
-
 def churn_driver_engine():
     """The shared churn-driver :class:`AnnotationEngine`.
 
@@ -176,11 +135,11 @@ def churn_driver_engine():
 
 
 class StreamAnnotateStage(MapStage):
-    """Annotate streamed cleaned messages with churn-driver concepts.
+    """Annotate cleaned messages with churn-driver concepts.
 
-    The streaming sibling of :class:`DriverAnnotateStage`: the stream
-    source stages ``index_fields`` (and any time bucket) on its
-    documents up front, so this hook writes only the annotation.
+    Serves the telecom stream and the churn study's driver index alike:
+    the document source stages ``index_fields`` (and any time bucket)
+    on its documents up front, so this hook writes only the annotation.
     """
 
     name = "annotate"
@@ -208,17 +167,16 @@ class StreamAnnotateStage(MapStage):
 def build_driver_index_stages():
     """The opt-in churn-driver indexing tail of the churn graph.
 
-    Returns ``[DriverAnnotateStage, ConceptIndexStage]``: annotate the
+    Returns ``[StreamAnnotateStage, ConceptIndexStage]``: annotate the
     surviving cleaned messages with the shared "churn driver" concept
     category and index them, so the VoC mining analytics (emerging
     drivers, driver x channel association) run over the churn corpus.
+    The documents must carry their index row (see
+    :func:`churn_documents`).
     """
     from repro.mining.stage import ConceptIndexStage
 
-    return [
-        DriverAnnotateStage(churn_driver_engine()),
-        ConceptIndexStage(),
-    ]
+    return [StreamAnnotateStage(churn_driver_engine()), ConceptIndexStage()]
 
 
 class MessageLinkStage(MapStage):
@@ -334,37 +292,56 @@ def build_churn_stages(corpus, pipeline=None, linker=None,
     ]
 
 
-def _channelled_messages(corpus, channel):
-    """``(channel, message)`` pairs for the requested channel(s)."""
+def churn_documents(corpus, channel, driver_index=False):
+    """One engine document per message of the requested channel(s).
+
+    ``driver_index=True`` stages each document's index row (the
+    channel field and the month time bucket) for the driver index
+    stages; without it the documents carry only the message.
+    """
     if channel == "email":
-        return [("email", m) for m in corpus.emails]
-    if channel == "sms":
-        return [("sms", m) for m in corpus.sms]
-    if channel == "both":
+        channelled = [("email", m) for m in corpus.emails]
+    elif channel == "sms":
+        channelled = [("sms", m) for m in corpus.sms]
+    elif channel == "both":
         # The paper's §VI setup: "We took emails and sms messages for
         # one month and identified potential churners based on these
         # communications" — both channels feed one classifier.
-        return [("email", m) for m in corpus.emails] + [
+        channelled = [("email", m) for m in corpus.emails] + [
             ("sms", m) for m in corpus.sms
         ]
-    raise ValueError(f"unknown channel {channel!r}")
+    else:
+        raise ValueError(f"unknown channel {channel!r}")
+    documents = []
+    for index, (message_channel, message) in enumerate(channelled):
+        artifacts = {"message": message}
+        if driver_index:
+            artifacts["index_fields"] = {"channel": message_channel}
+            artifacts["timestamp"] = message.month
+        documents.append(
+            Document(
+                doc_id=index,
+                channel=message_channel,
+                text=message.raw_text,
+                artifacts=artifacts,
+            )
+        )
+    return documents
 
 
 def run_churn_study(corpus, channel="email", split_month=None,
                     classifier=None, undersample_ratio=6.0,
                     threshold=0.5, spell_correct=False,
-                    batch_size=64, workers=0, driver_index=False,
-                    backend="process"):
+                    workers=0, driver_index=False, backend="process"):
     """Run the churn study over one channel of a telecom corpus.
 
     ``split_month`` separates training history from the evaluation
-    month (defaults to the corpus's last month).  ``batch_size``,
-    ``workers`` and ``backend`` are the engine execution knobs:
-    ``workers`` > 1 runs pure stages on a process pool that wide,
-    built once here and closed after the run, unless ``backend`` is
-    ``"serial"`` (a :data:`~repro.exec.BACKEND_KINDS` name), which
-    forces inline execution.  Parallel output is bit-identical to
-    serial.
+    month (defaults to the corpus's last month).  ``workers`` and
+    ``backend`` are the engine execution knobs: ``workers`` > 1 runs
+    pure stages on a process pool that wide, built once here and
+    closed after the run, unless ``backend`` is ``"serial"`` (a
+    :data:`~repro.exec.BACKEND_KINDS` name), which forces inline
+    execution.  Parallel output is bit-identical to serial.
 
     ``driver_index=True`` adds the churn-driver concept index
     (:func:`build_driver_index_stages`) to the graph; the built index
@@ -373,7 +350,7 @@ def run_churn_study(corpus, channel="email", split_month=None,
     config = corpus.config
     if split_month is None:
         split_month = config.n_months - 1
-    channelled = _channelled_messages(corpus, channel)
+    documents = churn_documents(corpus, channel, driver_index)
     stages = build_churn_stages(
         corpus, pipeline=CleaningPipeline(spell_correct=spell_correct)
     )
@@ -383,19 +360,10 @@ def run_churn_study(corpus, channel="email", split_month=None,
         driver_index_stage = driver_stages[-1]
         stages = stages + driver_stages
     cleaning_stage = stages[0]
-    documents = [
-        Document(
-            doc_id=index,
-            channel=message_channel,
-            text=message.raw_text,
-            artifacts={"message": message},
-        )
-        for index, (message_channel, message) in enumerate(channelled)
-    ]
     with make_backend(backend, workers) as runner_backend:
-        result = PipelineRunner(
-            stages, batch_size=batch_size, backend=runner_backend
-        ).run(documents)
+        result = PipelineRunner(stages, backend=runner_backend).run(
+            documents
+        )
 
     prepared = result.documents
     linked = [
@@ -464,7 +432,7 @@ def run_churn_study(corpus, channel="email", split_month=None,
     return ChurnStudyResult(
         channel=channel,
         cleaning_stats=cleaning_stage.stats,
-        total_messages=len(channelled),
+        total_messages=len(documents),
         linked_messages=len(linked),
         unlinked_fraction=unlinked_fraction,
         train_messages=len(train_features),

@@ -77,6 +77,7 @@ class QueryCache:
                 ):
                     del self._entries[spec]
                     metrics.counter("query.cache_evictions").inc()
+                    metrics.gauge("query.cache_size").set(len(self._entries))
                 elif stamped == epoch:
                     self._entries.move_to_end(spec)
                     metrics.counter("query.cache_hits").inc()

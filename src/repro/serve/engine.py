@@ -224,8 +224,16 @@ class QueryEngine:
         )
 
     def _remember_last_good(self, spec, result):
-        """Keep the newest good answer per exact cacheable spec."""
-        if result.degraded or spec.kind not in CACHEABLE_KINDS:
+        """Keep the newest good answer per exact cacheable spec.
+
+        Only an engine with breakers keeps them: its open breaker is
+        the one reader (:meth:`_serve_degraded`).
+        """
+        if (
+            self.breakers is None
+            or result.degraded
+            or spec.kind not in CACHEABLE_KINDS
+        ):
             return
         with self._last_good_lock:
             self._last_good[spec] = result

@@ -108,10 +108,6 @@ class TelecomCorpus:
         """Emails and SMS concatenated."""
         return self.emails + self.sms
 
-    def churn_label(self, entity_id):
-        """True churn status of a customer entity."""
-        return self.database.table("customers").get(entity_id)["churned"]
-
 
 def build_telecom_customer_schema():
     """Schema of the telecom customers table (fuzzy-indexed)."""

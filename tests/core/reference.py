@@ -6,8 +6,11 @@ text and, again, the agent text; :class:`ReferenceDeriveStage`
 annotates the customer opening a third time for its intent and reads
 the agent flags from the agent text's own annotation.
 :class:`ReferenceSystem` is a :class:`~repro.core.pipeline.BIVoCSystem`
-whose stage graph runs them in place of the program's stages.  Only
-tests use them.
+whose stage graph runs them in place of the program's stages.
+
+:class:`ReferenceDriverAnnotateStage` is the churn study's retired
+driver-annotate stage, which staged each message's index row itself
+instead of finding it on the document.  Only tests use these.
 """
 
 from repro.annotation.domains import (
@@ -113,3 +116,22 @@ class ReferenceSystem(BIVoCSystem):
         return reference_stages(
             super().build_call_stages(corpus, index_stage), self.engine
         )
+
+
+class ReferenceDriverAnnotateStage(MapStage):
+    """Churn-driver annotation that also stages the index row."""
+
+    name = "annotate-drivers"
+
+    def __init__(self, engine):
+        """``engine`` is the churn-driver AnnotationEngine."""
+        self.engine = engine
+
+    def process_document(self, document):
+        """Write the annotated/index_fields/timestamp artifacts."""
+        document.put(
+            "annotated",
+            self.engine.annotate(document.require("cleaned_text")),
+        )
+        document.put("index_fields", {"channel": document.channel})
+        document.put("timestamp", document.require("message").month)

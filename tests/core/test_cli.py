@@ -66,9 +66,25 @@ class TestCommands:
         ["tables", "--agents", "2", "--days", "1"],
         ["churn", "--scale", "0.002", "--customers", "50"],
     ], ids=["tables", "churn"])
-    def test_batch_command_rejects_negative_workers(self, argv):
-        with pytest.raises(ValueError, match="workers must be >= 0"):
+    def test_batch_command_rejects_negative_workers(self, argv, capsys):
+        # The batch commands run inline and take no --workers at all,
+        # so any value is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
             main(argv + ["--workers", "-1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("command", ["serve", "chaos"])
+    def test_rejects_window(self, command, capsys):
+        # Only ``stream`` reports a window, so only it takes --window.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--window", "3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --window" in (
+            capsys.readouterr().err
+        )
 
 
 class TestTrace:

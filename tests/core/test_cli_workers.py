@@ -1,11 +1,11 @@
-"""``--workers`` reaches a process pool, and only where it fans out.
+"""No command takes ``--workers``, and none builds a process pool.
 
-The batch commands (``tables``, ``churn``) hand ``--workers`` to their
-pipeline runner: at 2 they build exactly one pool for the whole run,
-at 0 none.  The streaming commands (``stream``, ``serve``, ``chaos``)
-run every micro-batch inline, so they have no ``--workers`` to accept.
-Pools are counted by patching the process backend's executor class,
-as in ``tests/engine/test_pool_hoist.py``.
+The batch commands (``tables``, ``churn``) run their pipeline inline,
+with zero workers, so they build no pool.  The streaming commands
+(``stream``, ``serve``, ``chaos``) run every micro-batch inline too,
+so they have no ``--workers`` to accept.  Pools are counted by
+patching the process backend's executor class, as in
+``tests/engine/test_pool_hoist.py``.
 """
 
 import pytest
@@ -24,15 +24,8 @@ BATCH_ARGV = {
 
 
 @pytest.mark.parametrize("command", sorted(BATCH_ARGV))
-def test_two_workers_build_exactly_one_pool(counting, command):
-    assert main(BATCH_ARGV[command] + ["--workers", "2"]) == 0
-    assert counting.created == 1
-    assert counting.closed == 1
-
-
-@pytest.mark.parametrize("command", sorted(BATCH_ARGV))
 def test_zero_workers_build_no_pool(counting, command):
-    assert main(BATCH_ARGV[command] + ["--workers", "0"]) == 0
+    assert main(BATCH_ARGV[command]) == 0
     assert counting.created == 0
 
 

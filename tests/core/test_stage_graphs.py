@@ -1,18 +1,33 @@
 """Tests for the use cases rebuilt on the staged pipeline engine:
 per-stage instrumentation, the parallel-determinism guarantee, and the
-empty-bodied-email regression."""
+empty-bodied-email regression.
+
+The use cases run the call-centre graph inline and the churn study at
+the runner's default batch size, so the fan-out oracles hand the real
+stage graphs to a :class:`PipelineRunner` with small batches and a
+process backend themselves, and compare it with the inline run."""
 
 import pytest
 
+from repro.cleaning.pipeline import CleaningPipeline
+from repro.cleaning.stage import CleaningStage
 from repro.core.config import BIVoCConfig
-from repro.core.pipeline import BIVoCSystem
+from repro.core.pipeline import BIVoCSystem, call_documents
 from repro.core.usecases.churn import (
+    build_churn_stages,
+    churn_documents,
+    churn_driver_engine,
     link_evidence_text,
     run_churn_study,
 )
+from repro.engine import PipelineRunner
 from repro.exec import ProcessBackend
+from repro.mining.stage import ConceptIndexStage
+from repro.stream.checkpoint import index_to_state
 from repro.synth.carrental import CarRentalConfig, generate_car_rental
 from repro.synth.telecom import Message, TelecomConfig, generate_telecom
+
+from tests.core.reference import ReferenceDriverAnnotateStage
 
 
 @pytest.fixture(scope="module")
@@ -33,23 +48,30 @@ def telecom_corpus():
     return generate_telecom(TelecomConfig(scale=0.03, n_customers=1500))
 
 
-def _call_signature(analysis):
-    """Comparable projection of a call-center analysis."""
-    return [
-        (
-            call.call_id,
-            call.customer_opening,
-            call.agent_text,
-            call.full_text,
-            None
-            if call.linked_record is None
-            else call.linked_record.values.get("customer_ref"),
-            call.detected_intent,
-            call.value_selling,
-            call.discount,
+def _run_call_graph(corpus, config, backend=None):
+    """The call-centre stage graph over ``corpus`` in batches of 8:
+    ``(result, index_state)``."""
+    stages = BIVoCSystem(config).build_call_stages(corpus)
+    result = PipelineRunner(stages, batch_size=8, backend=backend).run(
+        call_documents(corpus)
+    )
+    return result, index_to_state(stages[-1].index)
+
+
+def _assert_fan_out_equals_inline(corpus, config, workers):
+    """The graph on a ``workers``-wide pool engages it and is ``==``
+    the inline run; returns the parallel stage report."""
+    serial, serial_index = _run_call_graph(corpus, config)
+    with ProcessBackend(workers) as backend:
+        parallel, parallel_index = _run_call_graph(
+            corpus, config, backend
         )
-        for call in analysis.calls
-    ]
+    # With >1 batch and pure stages, the executor actually engaged.
+    assert any(s.parallel for s in parallel.report.stages)
+    assert parallel.documents == serial.documents
+    assert parallel.discarded == serial.discarded
+    assert parallel_index == serial_index
+    return parallel.report
 
 
 class TestCallCenterStageGraph:
@@ -84,42 +106,19 @@ class TestCallCenterStageGraph:
         assert not analysis.stage_report.stages[0].parallel
 
     def test_parallel_identical_to_serial(self, car_corpus):
-        serial = BIVoCSystem(
-            BIVoCConfig(use_asr=False, link_mode="content")
-        ).process_call_center(car_corpus)
-        with ProcessBackend(4) as backend:
-            parallel = BIVoCSystem(
-                BIVoCConfig(
-                    use_asr=False,
-                    link_mode="content",
-                    batch_size=8,
-                )
-            ).process_call_center(car_corpus, backend=backend)
-        # With >1 batch and pure stages, the executor actually engaged.
-        assert any(
-            s.parallel for s in parallel.stage_report.stages
+        _assert_fan_out_equals_inline(
+            car_corpus, BIVoCConfig(use_asr=False, link_mode="content"), 4
         )
-        assert _call_signature(serial) == _call_signature(parallel)
-        assert serial.link_attempts == parallel.link_attempts
-        assert serial.link_successes == parallel.link_successes
-        assert len(serial.index) == len(parallel.index)
 
     def test_parallel_asr_identical_to_serial(self, car_corpus):
         """The impure transcribe stage must stay serial under workers,
         keeping the shared noise channel's draw order — and therefore
         the transcripts — bit-identical."""
-        serial = BIVoCSystem(
-            BIVoCConfig(use_asr=True, link_mode="content")
-        ).process_call_center(car_corpus)
-        with ProcessBackend(3) as backend:
-            parallel = BIVoCSystem(
-                BIVoCConfig(
-                    use_asr=True,
-                    link_mode="content",
-                    batch_size=8,
-                )
-            ).process_call_center(car_corpus, backend=backend)
-        assert _call_signature(serial) == _call_signature(parallel)
+        report = _assert_fan_out_equals_inline(
+            car_corpus, BIVoCConfig(use_asr=True, link_mode="content"), 3
+        )
+        assert report.stages[0].name == "transcribe"
+        assert not report.stages[0].parallel
 
 
 class TestChurnStageGraph:
@@ -143,18 +142,61 @@ class TestChurnStageGraph:
         assert report.total_out == clean.docs_out
 
     def test_parallel_identical_to_serial(self, telecom_corpus):
-        serial = run_churn_study(telecom_corpus, channel="sms")
-        parallel = run_churn_study(
-            telecom_corpus, channel="sms", workers=4, batch_size=16
+        def run(backend=None):
+            return PipelineRunner(
+                build_churn_stages(telecom_corpus),
+                batch_size=16,
+                backend=backend,
+            ).run(churn_documents(telecom_corpus, "sms"))
+
+        serial = run()
+        with ProcessBackend(4) as backend:
+            parallel = run(backend)
+        assert any(s.parallel for s in parallel.report.stages)
+        assert parallel.documents == serial.documents
+        assert parallel.discarded == serial.discarded
+
+
+class TestChurnDriverIndex:
+    """The study's driver index: the shared annotate stage over
+    documents that carry their index row == the retired stage that
+    staged the row itself."""
+
+    @pytest.fixture(scope="class")
+    def small_corpus(self):
+        return generate_telecom(
+            TelecomConfig(scale=0.01, n_customers=400, seed=1)
         )
-        assert any(
-            s.parallel for s in parallel.stage_report.stages
+
+    @pytest.mark.parametrize("channel", ["email", "sms", "both"])
+    def test_equals_reference(self, small_corpus, channel):
+        result = run_churn_study(
+            small_corpus, channel=channel, driver_index=True
         )
-        assert serial.detection_rate == parallel.detection_rate
-        assert serial.unlinked_fraction == parallel.unlinked_fraction
-        assert serial.flagged_customers == parallel.flagged_customers
-        assert serial.test_churners == parallel.test_churners
-        assert serial.train_messages == parallel.train_messages
+        names = [s.name for s in result.stage_report.stages]
+        assert names[-2:] == ["annotate", "index"]
+        reference_index = ConceptIndexStage()
+        PipelineRunner([
+            CleaningStage(CleaningPipeline(spell_correct=False)),
+            ReferenceDriverAnnotateStage(churn_driver_engine()),
+            reference_index,
+        ]).run(churn_documents(small_corpus, channel))
+        assert len(result.driver_index) > 0
+        assert index_to_state(result.driver_index) == index_to_state(
+            reference_index.index
+        )
+
+    def test_rows_staged_only_for_the_index(self, small_corpus):
+        plain = churn_documents(small_corpus, "both")
+        rows = churn_documents(small_corpus, "both", driver_index=True)
+        assert all(set(d.artifacts) == {"message"} for d in plain)
+        for document in rows:
+            message = document.artifacts["message"]
+            assert document.artifacts == {
+                "message": message,
+                "index_fields": {"channel": document.channel},
+                "timestamp": message.month,
+            }
 
 
 class TestEmptyBodiedEmailRegression:

@@ -4,9 +4,10 @@ Guards the backend contract: a parallel runner fans every parallel
 stage of every run out on the one backend it was handed, so exactly
 one executor is built no matter how many stages or runs execute; the
 runner never shuts that backend down (whoever builds a backend closes
-it); a workers-N study uses exactly one executor end to end, across
-every engine stage; and parallel output stays
-bit-identical to serial in every configuration.
+it); a workers-N churn study uses exactly one executor end to end,
+across every engine stage, while the call-centre analysis builds none;
+and parallel output stays bit-identical to serial in every
+configuration.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -147,7 +148,8 @@ class TestExternalPool:
 
 
 class TestOneExecutorPerStudy:
-    """A workers-N study builds one executor and closes it once."""
+    """A workers-N churn study builds one executor and closes it once;
+    the call-centre analysis runs inline and builds none."""
 
     def test_insight_analysis(self, counting):
         corpus = generate_car_rental(CarRentalConfig(
@@ -156,18 +158,14 @@ class TestOneExecutorPerStudy:
         ))
         metrics = MetricsRegistry()
         with activated(Tracer(), metrics):
-            study = run_insight_analysis(corpus, BIVoCConfig(
-                use_asr=False, workers=2, batch_size=8,
-            ))
-        # Every parallel stage fanned out on the same executor.
-        parallel = [
-            s for s in study.analysis.stage_report.stages if s.parallel
-        ]
-        assert parallel
-        maps = metrics.snapshot()["counters"]["exec.map.process"]
-        assert maps == len(parallel)
-        assert counting.created == 1
-        assert counting.closed == 1
+            study = run_insight_analysis(
+                corpus, BIVoCConfig(use_asr=False)
+            )
+        assert not any(
+            s.parallel for s in study.analysis.stage_report.stages
+        )
+        assert "exec.map.process" not in metrics.snapshot()["counters"]
+        assert counting.created == 0
 
     def test_churn_study(self, counting):
         corpus = generate_telecom(TelecomConfig(
@@ -176,8 +174,8 @@ class TestOneExecutorPerStudy:
         ))
         result = run_churn_study(
             corpus, channel="email", workers=2, driver_index=True,
-            batch_size=16,
         )
+        # 190 emails are more than one default batch of 64.
         assert any(s.parallel for s in result.stage_report.stages)
         assert counting.created == 1
         assert counting.closed == 1

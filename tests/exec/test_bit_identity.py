@@ -20,7 +20,8 @@ from repro.annotation.dictionary import DictionaryEntry, DomainDictionary
 from repro.annotation.domains import CHURN_DRIVER_SURFACES
 from repro.annotation.matcher import AnnotationEngine
 from repro.core import BIVoCConfig
-from repro.core.pipeline import BIVoCSystem
+from repro.core.pipeline import BIVoCSystem, call_documents
+from repro.engine import PipelineRunner
 from repro.exec import BACKEND_KINDS, make_backend
 from repro.mining.assoc2d import associate
 from repro.mining.index import ConceptIndex
@@ -173,22 +174,31 @@ class TestAnalyticsBitIdentity:
 
 
 class TestPipelineBitIdentity:
-    """The full call-center pipeline per driver equals serial."""
+    """The full call-center stage graph per driver equals serial."""
 
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_carrental_pipeline(self, car_corpus, car_index, driver):
-        system = BIVoCSystem(
-            BIVoCConfig(use_asr=False, link_mode="content")
-        )
+        config = BIVoCConfig(use_asr=False, link_mode="content")
 
-        def run(kind):
+        def run(backend=None):
+            stages = BIVoCSystem(config).build_call_stages(car_corpus)
+            result = PipelineRunner(
+                stages, batch_size=8, backend=backend
+            ).run(call_documents(car_corpus))
+            return result, index_to_state(stages[-1].index)
+
+        def fan_out(kind):
             with make_backend(kind, workers=WORKERS) as backend:
-                return system.process_call_center(
-                    car_corpus, backend=backend
-                )
+                return run(backend)
 
-        result = drive(driver, run)
-        assert index_to_state(result.index) == index_to_state(car_index)
+        serial, serial_index = run()
+        result, index = drive(driver, fan_out)
+        # The process kinds engage the pool; serial runs inline.
+        assert any(s.parallel for s in result.report.stages) == (
+            driver != "serial"
+        )
+        assert result.documents == serial.documents
+        assert index == serial_index == index_to_state(car_index)
 
     @pytest.mark.parametrize("driver", DRIVERS)
     @pytest.mark.parametrize("workers", [1, 4])
@@ -198,7 +208,7 @@ class TestPipelineBitIdentity:
             StreamAnnotateStage,
             churn_driver_engine,
         )
-        from repro.engine import Document, PipelineRunner
+        from repro.engine import Document
         from repro.mining.stage import ConceptIndexStage
 
         def build_and_run(backend=None):

@@ -156,6 +156,22 @@ class TestMetrics:
         gauges = metrics.snapshot()["gauges"]
         assert gauges["query.cache_size"] == 1
 
+    def test_gauge_follows_entries_dropped_by_get(self):
+        """An older-epoch or expired entry dropped on lookup leaves
+        the size gauge at the cache's length."""
+        clock = FakeClock()
+        metrics = MetricsRegistry()
+        with activated(None, metrics):
+            cache = QueryCache(capacity=4, ttl=10.0, clock=clock)
+            cache.put("a", 1, "old")
+            cache.put("b", 1, "aging")
+            assert cache.get("a", 2) == (False, None)   # older epoch
+            assert metrics.snapshot()["gauges"]["query.cache_size"] == 1
+            clock.advance(11.0)
+            assert cache.get("b", 1) == (False, None)   # expired
+        assert len(cache) == 0
+        assert metrics.snapshot()["gauges"]["query.cache_size"] == 0
+
     def test_stats_body(self):
         """stats() reports occupancy for the status endpoint."""
         cache = QueryCache(capacity=3, ttl=5.0, clock=FakeClock())

@@ -116,6 +116,22 @@ class TestCaching:
         ).value["cache"] is None
 
 
+class TestLastGood:
+    """Last-good answers are kept only where an open breaker reads them."""
+
+    def test_no_breakers_keep_nothing(self):
+        """Distinct specs on a breakerless engine store no answers."""
+        engine = QueryEngine(
+            _drained_epochs(), cache=QueryCache(capacity=16)
+        )
+        for i in range(300):
+            engine.query(
+                {"kind": "trends", "key": ["field", "car", f"car-{i}"]}
+            )
+        assert len(engine.cache) == 16
+        assert engine._last_good == {}
+
+
 class TestPooling:
     """Concurrent readers: bit-identical to one serial reader."""
 
