@@ -46,9 +46,14 @@ class AnnotationEngine:
         self._pattern_set = PatternSet(self.patterns + (pattern,))
         return self
 
-    def annotate(self, text, doc_id=None, metadata=None):
-        """Annotate one document; returns an :class:`AnnotatedDocument`."""
-        tokens = tokenize(text, lower=True)
+    def annotate(self, text, doc_id=None, metadata=None, tokens=None):
+        """Annotate one document; returns an :class:`AnnotatedDocument`.
+
+        ``tokens``, when the caller already has them, must be
+        ``tokenize(text, lower=True)``; they are then not built again.
+        """
+        if tokens is None:
+            tokens = tokenize(text, lower=True)
         dictionary_concepts = self.dictionary.match(tokens)
         categories_by_position = None
         if self._pattern_set.uses_categories:

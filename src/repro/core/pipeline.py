@@ -15,6 +15,7 @@ runner's :class:`~repro.engine.PipelineReport`.
 
 from dataclasses import dataclass, field
 
+from repro.annotation import matcher
 from repro.annotation.domains import (
     DISCOUNT_CATEGORY,
     INTENT_CATEGORY,
@@ -33,7 +34,6 @@ from repro.linking.single import EntityLinker
 from repro.mining.stage import ConceptIndexStage
 from repro.obs import get_metrics, get_tracer
 from repro.store.query import Query
-from repro.util.tokenize import tokenize
 from repro.util.turns import split_speakers
 
 
@@ -94,8 +94,14 @@ class CallRecordLinker:
             key = (record["agent_name"], record["day"])
             self._by_agent_day.setdefault(key, []).append(record)
 
-    def link(self, customer_text, agent_name, day):
+    def link(self, customer_text, agent_name, day, tokens=None):
         """Best call record for the transcript, or None.
+
+        ``tokens``, when given, are ``tokenize(customer_text,
+        lower=True)``; the annotators (an
+        :class:`~repro.linking.annotators.AnnotatorSuite`) then
+        read them instead of tokenizing the text again.  Without them,
+        the annotators need only ``annotate(text)``.
 
         A traced hot path: each attempt opens a ``link:call-record``
         span tagged with the candidate count and hit/miss, while the
@@ -107,14 +113,14 @@ class CallRecordLinker:
         with get_tracer().span(
             "link:call-record", category="linking"
         ) as span:
-            record = self._link(customer_text, agent_name, day, span)
+            record = self._link(customer_text, agent_name, day, tokens, span)
         metrics = get_metrics()
         metrics.counter("linking.call_record.attempts").inc()
         if record is not None:
             metrics.counter("linking.call_record.hits").inc()
         return record
 
-    def _link(self, customer_text, agent_name, day, span):
+    def _link(self, customer_text, agent_name, day, tokens, span):
         """The scoring body; tags the enclosing ``span`` as it goes.
 
         The call's ``(attribute, token value, exact test)`` pairs are
@@ -147,9 +153,13 @@ class CallRecordLinker:
         span.tag("candidates", len(candidates))
         if not candidates:
             return None
-        tokens = self._annotators.annotate(customer_text)
-        span.tag("tokens", len(tokens))
-        if not tokens:
+        typed = (
+            self._annotators.annotate(customer_text)
+            if tokens is None
+            else self._annotators.annotate(customer_text, tokens)
+        )
+        span.tag("tokens", len(typed))
+        if not typed:
             return None
         exact_test = getattr(self._registry, "exact_test", None)
         pairs = [
@@ -159,7 +169,7 @@ class CallRecordLinker:
                 exact_test(attribute.type, token.value)
                 if exact_test else None,
             )
-            for token in tokens
+            for token in typed
             for attribute in self._customers.schema.attributes_of_type(
                 token.attr_type
             )
@@ -304,20 +314,44 @@ class TranscribeStage(Stage):
 
 
 class ComposeTextStage(MapStage):
-    """Join speaker parts into the texts downstream stages consume."""
+    """Join speaker parts into the texts downstream stages consume.
+
+    It also builds the call's lowered tokens once, from its parts, as
+    ``tokens``, with two cut points: ``customer_end`` (``c``), the
+    customer's token count, and ``opening_end`` (``m``), the opening's.
+    No token crosses a space, and a token lowers the same wherever it
+    stands, so the tokens of texts joined by spaces are the texts'
+    tokens joined: ``tokens == tokenize(full_text, lower=True)``,
+    ``tokens[:c]`` those of the customer text, ``tokens[c:]`` of the
+    agent text and ``tokens[:m]`` of the opening.
+    """
 
     name = "compose"
 
     def process_document(self, document):
-        """Derive customer/agent/opening/full text artifacts."""
+        """Derive the texts, the call's tokens and their cut points."""
         customer_parts = document.require("customer_parts")
         agent_parts = document.require("agent_parts")
         customer_text = " ".join(customer_parts)
         agent_text = " ".join(agent_parts)
+        opening = " ".join(customer_parts[:2])
         document.put("customer_text", customer_text)
         document.put("agent_text", agent_text)
-        document.put("opening", " ".join(customer_parts[:2]))
+        document.put("opening", opening)
         document.put("full_text", f"{customer_text} {agent_text}")
+        # The annotation engine's own ``tokenize``, looked up on its
+        # module at call time, so a wrapper around it (as perfbench's
+        # ``annotation.tokenize``) sees every tokenization.
+        opening_tokens = matcher.tokenize(opening, lower=True)
+        customer_tokens = opening_tokens + matcher.tokenize(
+            " ".join(customer_parts[2:]), lower=True
+        )
+        document.put(
+            "tokens",
+            customer_tokens + matcher.tokenize(agent_text, lower=True),
+        )
+        document.put("customer_end", len(customer_tokens))
+        document.put("opening_end", len(opening_tokens))
 
 
 class RecordLinkStage(MapStage):
@@ -360,6 +394,9 @@ class RecordLinkStage(MapStage):
                 document.require("customer_text"),
                 transcript.agent_name,
                 transcript.day,
+                tokens=document.require("tokens")[
+                    : document.require("customer_end")
+                ],
             )
             document.put("link_attempted", True)
         document.put("record", record)
@@ -379,6 +416,9 @@ class AnnotateStage(MapStage):
     ):  # bivoc: effects[mutates-param, ambient-obs]
         """Annotate the full text; :class:`DeriveStage` reads its regions.
 
+        The engine reads the call's ``tokens`` rather than tokenizing
+        the full text again.
+
         Declared for ``bivoc effects``: ``AnnotationEngine.annotate``
         builds a fresh AnnotatedDocument from read-only dictionaries
         and bumps its write-only counters, so the hook touches only
@@ -387,7 +427,9 @@ class AnnotateStage(MapStage):
         document.put(
             "annotated",
             self.engine.annotate(
-                document.require("full_text"), doc_id=document.doc_id
+                document.require("full_text"),
+                doc_id=document.doc_id,
+                tokens=document.require("tokens"),
             ),
         )
 
@@ -412,17 +454,16 @@ def _intent_of(intents):
 class DeriveStage(MapStage):
     """Derive intent and agent-utterance flags; stage the index row.
 
-    Both regions are token ranges of the full text's annotation.  No
-    token crosses a space, so the full text's tokens are the customer
-    tokens followed by the agent tokens, and the opening's tokens are
-    a prefix of them.  With ``c`` the customer token count and ``m``
-    the opening's, the agent flags are the categories of the concepts
-    starting at or after ``c``, and the intent is read from the
-    ``intent`` concepts ending by ``m``.  These are the concepts the
-    agent text or the opening would get if annotated on its own
-    (DESIGN.md, "Annotating a call once"), unless a dictionary concept
-    straddles the cut: its longest-first scan then steps over the cut,
-    so that region is annotated from its own text instead.
+    Both regions are token ranges of the full text's annotation, cut
+    at the points :class:`ComposeTextStage` wrote: ``c``, the customer
+    token count, and ``m``, the opening's.  The agent flags are the
+    categories of the concepts starting at or after ``c``, and the
+    intent is read from the ``intent`` concepts ending by ``m``.
+    These are the concepts the agent text or the opening would get if
+    annotated on its own (DESIGN.md, "Annotating a call once"), unless
+    a dictionary concept straddles the cut: its longest-first scan
+    then steps over the cut, so that region is annotated on its own,
+    from ``tokens[c:]`` or ``tokens[:m]``.
     """
 
     name = "derive"
@@ -433,9 +474,14 @@ class DeriveStage(MapStage):
         """``engine`` is the domain AnnotationEngine (read-only)."""
         self.engine = engine
 
-    def _concepts_of(self, document, name):
-        """Concepts of the document's ``name`` text, annotated alone."""
-        return self.engine.annotate(document.require(name)).concepts
+    def _concepts_of(self, document, name, tokens):
+        """Concepts of the document's ``name`` text, annotated alone.
+
+        ``tokens`` are that text's lowered tokens, a slice of the call's.
+        """
+        return self.engine.annotate(
+            document.require(name), tokens=tokens
+        ).concepts
 
     def process_document(
         self, document
@@ -448,16 +494,19 @@ class DeriveStage(MapStage):
         lands on the document.
         """
         concepts = document.require("annotated").concepts
-        counts = [
-            len(tokenize(part)) for part in document.require("customer_parts")
-        ]
-        customer_end, opening_end = sum(counts), sum(counts[:2])
+        tokens = document.require("tokens")
+        customer_end = document.require("customer_end")
+        opening_end = document.require("opening_end")
         if _straddles(concepts, customer_end):
-            agent = self._concepts_of(document, "agent_text")
+            agent = self._concepts_of(
+                document, "agent_text", tokens[customer_end:]
+            )
         else:
             agent = [c for c in concepts if c.start >= customer_end]
         if _straddles(concepts, opening_end):
-            opening = self._concepts_of(document, "opening")
+            opening = self._concepts_of(
+                document, "opening", tokens[:opening_end]
+            )
         else:
             opening = [c for c in concepts if c.end <= opening_end]
         record = document.require("record")

@@ -8,10 +8,22 @@ the customer name and agent name attributes." (paper Section IV-B)
 
 Each annotator emits :class:`TypedToken` values tagged with the
 :class:`~repro.store.schema.AttributeType` family they should be
-matched against.  The name, phone, date and amount annotators read the
-tokens of the lowered text; an annotator with ``annotate_tokens`` takes
-them ready-made, so :class:`AnnotatorSuite` tokenizes an ASCII
-document once for all of them.
+matched against.
+
+The name, phone, date and amount annotators each declare ``triggers``,
+the lowered words their spoken forms start at: name words, digit
+words, month names, "dollars"/"rupees".  :class:`AnnotatorSuite` maps
+every trigger word to the annotators that declared it once, at
+construction, and finds all their positions in one pass over the
+tokens of an ASCII text; each annotator's ``annotate_at`` then reads
+only its own positions.  The card annotator declares no trigger words.
+
+Their regexes (phone digit runs, ISO dates, "$"/"rs"/"inr" and
+"N dollars" amounts, card numbers) all need a digit.  In an ASCII text
+every digit sits inside a token that starts with one, so the suite
+runs them only when the text holds a digit at all.  Any other
+annotator, such as one plugged into the suite by a caller, runs its
+own ``annotate`` over the text.
 
 Annotators are lexicon- and trigger-based; they must tolerate ASR
 noise (digit words instead of digits, partial names) and SMS noise
@@ -47,6 +59,23 @@ _ONES_WORDS = {
 }
 
 _DIGIT_RUN_RE = re.compile(r"\d{5,}")
+_DIGIT_RE = re.compile(r"\d")
+
+
+def _positions(triggers, tokens):
+    """Indexes of the tokens that are in ``triggers``, in order."""
+    return [i for i, token in enumerate(tokens) if token in triggers]
+
+
+def _runs(positions):
+    """Maximal runs of consecutive positions, as ``[start, end)`` pairs."""
+    runs = []
+    for i in positions:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    return runs
 
 
 @dataclass(frozen=True)
@@ -61,9 +90,8 @@ class TypedToken:
 class NameAnnotator:
     """Extracts person-name spans.
 
-    Two mechanisms: trigger phrases ("my name is X Y", "regards\\nX Y")
-    and a name-lexicon scan for adjacent name-ish tokens.  The lexicon
-    scan keeps partially recognised names (a lone surname still counts).
+    A name-lexicon scan groups adjacent name-ish tokens into one span.
+    It keeps partially recognised names (a lone surname still counts).
     """
 
     source = "name"
@@ -71,28 +99,27 @@ class NameAnnotator:
     def __init__(self, name_words=None):
         if name_words is None:
             name_words = set(FIRST_NAMES) | set(SURNAMES)
-        self._name_words = {word.lower() for word in name_words}
+        self.triggers = frozenset(word.lower() for word in name_words)
 
     def annotate(self, text):
         """Extract this annotator's typed tokens from the text."""
-        return self.annotate_tokens(text, tokenize(text, lower=True))
+        tokens = tokenize(text, lower=True)
+        return self.annotate_at(
+            text, tokens, _positions(self.triggers, tokens), True
+        )
 
-    def annotate_tokens(self, text, tokens):
-        """:meth:`annotate`, given the lowered tokens of ``text``."""
-        spans = []
-        i = 0
-        while i < len(tokens):
-            if tokens[i] in self._name_words:
-                j = i
-                while j < len(tokens) and tokens[j] in self._name_words:
-                    j += 1
-                spans.append(" ".join(tokens[i:j]))
-                i = j
-            else:
-                i += 1
+    def annotate_at(self, text, tokens, positions, digits):
+        """Typed tokens from the lowered ``tokens`` of ``text``.
+
+        ``positions`` are the indexes of this annotator's trigger
+        words in ``tokens``; ``digits`` is False only when ``text``
+        holds no digit.
+        """
         return [
-            TypedToken(span, AttributeType.NAME, self.source)
-            for span in spans
+            TypedToken(
+                " ".join(tokens[start:end]), AttributeType.NAME, self.source
+            )
+            for start, end in _runs(positions)
         ]
 
 
@@ -106,6 +133,7 @@ class PhoneAnnotator:
     """
 
     source = "phone"
+    triggers = frozenset(_WORD_TO_DIGIT)
 
     def __init__(self, min_digits=5, max_digits=12):
         self._min_digits = min_digits
@@ -113,33 +141,37 @@ class PhoneAnnotator:
 
     def annotate(self, text):
         """Extract this annotator's typed tokens from the text."""
-        return self.annotate_tokens(text, tokenize(text.lower()))
+        tokens = tokenize(text.lower())
+        return self.annotate_at(
+            text, tokens, _positions(self.triggers, tokens), True
+        )
 
-    def annotate_tokens(self, text, tokens):
-        """:meth:`annotate`, given the lowered tokens of ``text``."""
+    def annotate_at(self, text, tokens, positions, digits):
+        """:meth:`NameAnnotator.annotate_at`, for phone numbers."""
         found = []
-        for match in _DIGIT_RUN_RE.finditer(text.lower()):
-            digits = match.group(0)
-            if len(digits) > self._max_digits:
-                continue  # card-length runs belong to the CardAnnotator
-            found.append(
-                TypedToken(digits, AttributeType.PHONE, self.source)
-            )
+        if digits:
+            for match in _DIGIT_RUN_RE.finditer(text.lower()):
+                digits_run = match.group(0)
+                if len(digits_run) > self._max_digits:
+                    continue  # card-length runs belong to the CardAnnotator
+                found.append(
+                    TypedToken(digits_run, AttributeType.PHONE, self.source)
+                )
         # Spoken digit words: collapse maximal runs.
-        run = []
-        for token in tokens + ["<end>"]:
-            if token in _WORD_TO_DIGIT:
-                run.append(_WORD_TO_DIGIT[token])
-            else:
-                if len(run) >= self._min_digits:
-                    found.append(
-                        TypedToken(
-                            "".join(run[: self._max_digits]),
-                            AttributeType.PHONE,
-                            self.source,
-                        )
+        for start, end in _runs(positions):
+            if end - start >= self._min_digits:
+                found.append(
+                    TypedToken(
+                        "".join(
+                            _WORD_TO_DIGIT[token]
+                            for token in tokens[
+                                start : min(end, start + self._max_digits)
+                            ]
+                        ),
+                        AttributeType.PHONE,
+                        self.source,
                     )
-                run = []
+                )
         return found
 
 
@@ -147,28 +179,26 @@ class DateAnnotator:
     """Extracts dates: ISO strings and spoken "month day year" forms."""
 
     source = "date"
+    triggers = frozenset(_MONTHS)
 
     _ISO_RE = re.compile(r"\b(\d{4})-(\d{2})-(\d{2})\b")
 
     def annotate(self, text):
         """Extract this annotator's typed tokens from the text."""
-        return self.annotate_tokens(text, tokenize(text.lower()))
+        tokens = tokenize(text.lower())
+        return self.annotate_at(
+            text, tokens, _positions(self.triggers, tokens), True
+        )
 
-    def annotate_tokens(self, text, tokens):
-        """:meth:`annotate`, given the lowered tokens of ``text``."""
+    def annotate_at(self, text, tokens, positions, digits):
+        """:meth:`NameAnnotator.annotate_at`, for dates."""
         found = []
-        for match in self._ISO_RE.finditer(text):
-            found.append(
-                TypedToken(match.group(0), AttributeType.DATE, self.source)
-            )
-        found.extend(self._spoken_dates(tokens))
-        return found
-
-    def _spoken_dates(self, tokens):
-        found = []
-        for i, token in enumerate(tokens):
-            if token not in _MONTHS:
-                continue
+        if digits:
+            for match in self._ISO_RE.finditer(text):
+                found.append(
+                    TypedToken(match.group(0), AttributeType.DATE, self.source)
+                )
+        for i in positions:
             day, consumed = _parse_small_number(tokens[i + 1 : i + 3])
             if day is None or not 1 <= day <= 31:
                 continue
@@ -177,7 +207,7 @@ class DateAnnotator:
                 continue
             found.append(
                 TypedToken(
-                    f"{year:04d}-{_MONTHS[token]:02d}-{day:02d}",
+                    f"{year:04d}-{_MONTHS[tokens[i]]:02d}-{day:02d}",
                     AttributeType.DATE,
                     self.source,
                 )
@@ -223,6 +253,7 @@ class AmountAnnotator:
     """Extracts money amounts ("forty two dollars", "rs 500", "$42.50")."""
 
     source = "amount"
+    triggers = frozenset(("dollars", "rupees"))
 
     _CURRENCY_RE = re.compile(
         r"(?:rs\.?|\$|inr)\s*(\d+(?:[.,]\d+)*)", re.IGNORECASE
@@ -231,24 +262,28 @@ class AmountAnnotator:
 
     def annotate(self, text):
         """Extract this annotator's typed tokens from the text."""
-        return self.annotate_tokens(text, tokenize(text.lower()))
+        tokens = tokenize(text.lower())
+        return self.annotate_at(
+            text, tokens, _positions(self.triggers, tokens), True
+        )
 
-    def annotate_tokens(self, text, tokens):
-        """:meth:`annotate`, given the lowered tokens of ``text``."""
+    def annotate_at(self, text, tokens, positions, digits):
+        """:meth:`NameAnnotator.annotate_at`, for money amounts."""
         found = []
-        lowered = text.lower()
-        for regex in (self._CURRENCY_RE, self._SUFFIX_RE):
-            for match in regex.finditer(lowered):
-                found.append(
-                    TypedToken(
-                        match.group(1).replace(",", ""),
-                        AttributeType.MONEY,
-                        self.source,
+        if digits:
+            lowered = text.lower()
+            for regex in (self._CURRENCY_RE, self._SUFFIX_RE):
+                for match in regex.finditer(lowered):
+                    found.append(
+                        TypedToken(
+                            match.group(1).replace(",", ""),
+                            AttributeType.MONEY,
+                            self.source,
+                        )
                     )
-                )
         # Spoken amounts: "<number words> dollars"
-        for i, token in enumerate(tokens):
-            if token in ("dollars", "rupees") and i >= 1:
+        for i in positions:
+            if i >= 1:
                 value, used = _parse_small_number(tokens[max(0, i - 2) : i])
                 if value is not None and used >= 1:
                     found.append(
@@ -263,6 +298,7 @@ class CardAnnotator:
     """Extracts credit-card-like digit runs (12-16 digits)."""
 
     source = "card"
+    triggers = frozenset()
 
     _CARD_RE = re.compile(r"\b(\d[\d -]{10,18}\d)\b")
 
@@ -277,36 +313,71 @@ class CardAnnotator:
                 )
         return found
 
+    def annotate_at(self, text, tokens, positions, digits):
+        """:meth:`annotate`, skipped when the text holds no digit."""
+        return self.annotate(text) if digits else []
+
 
 class AnnotatorSuite:
-    """Runs a set of annotators over a document."""
+    """Runs a set of annotators over a document.
+
+    The trigger table (each trigger word -> the indexes of the
+    annotators that declared it) is built here, once per suite.
+    """
 
     def __init__(self, annotators):
         if not annotators:
             raise ValueError("need at least one annotator")
         self.annotators = list(annotators)
+        self._readers = [
+            getattr(annotator, "annotate_at", None)
+            for annotator in self.annotators
+        ]
+        self._triggered = {}
+        for index, (annotator, reader) in enumerate(
+            zip(self.annotators, self._readers)
+        ):
+            if reader is not None:
+                for word in annotator.triggers:
+                    self._triggered[word] = (
+                        self._triggered.get(word, ()) + (index,)
+                    )
 
-    def annotate(self, text):
+    def annotate(self, text, tokens=None):
         """All typed tokens from all annotators, in annotator order.
 
-        An ASCII text is tokenized once, lowered, for every annotator
-        with ``annotate_tokens``: there ``tokenize(text, lower=True)
-        == tokenize(text.lower())``.  Lowering can change the length of
-        other text ("İ" lowers to two characters), so each annotator
-        tokenizes that itself.  A subclass that changes ``annotate``
-        must change ``annotate_tokens`` to match.
+        ``tokens``, when given, are ``tokenize(text, lower=True)``.  An
+        ASCII text is tokenized at most once, lowered, for every
+        annotator with ``annotate_at``: there ``tokenize(text,
+        lower=True) == tokenize(text.lower())``.  One pass over those
+        tokens finds every annotator's trigger positions.  Lowering can
+        change the length of other text ("İ" lowers to two characters),
+        so each annotator runs its own ``annotate`` over that, and
+        ``tokens`` are not read.  A subclass that changes ``annotate``
+        must change ``annotate_at`` to match.
         """
-        sharing = text.isascii()
-        shared = None
+        if not text.isascii():
+            return [
+                token
+                for annotator in self.annotators
+                for token in annotator.annotate(text)
+            ]
+        if tokens is None:
+            tokens = tokenize(text.lower())
+        triggered = self._triggered
+        positions = [[] for _ in self.annotators]
+        for i in [i for i, token in enumerate(tokens) if token in triggered]:
+            for index in triggered[tokens[i]]:
+                positions[index].append(i)
+        digits = _DIGIT_RE.search(text) is not None
         found = []
-        for annotator in self.annotators:
-            annotate_tokens = getattr(annotator, "annotate_tokens", None)
-            if annotate_tokens is None or not sharing:
+        for annotator, reader, at in zip(
+            self.annotators, self._readers, positions
+        ):
+            if reader is None:
                 found.extend(annotator.annotate(text))
-                continue
-            if shared is None:
-                shared = tokenize(text.lower())
-            found.extend(annotate_tokens(text, shared))
+            else:
+                found.extend(reader(text, tokens, at, digits))
         return found
 
     def tokens_of_type(self, text, attr_type):

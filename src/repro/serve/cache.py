@@ -36,10 +36,14 @@ from collections import OrderedDict
 from repro.obs import get_metrics
 
 
+#: Entries a cache keeps unless told otherwise.
+DEFAULT_CAPACITY = 128
+
+
 class QueryCache:
     """LRU + optional-TTL cache: one epoch-stamped entry per spec."""
 
-    def __init__(self, capacity=128, ttl=None, clock=None):
+    def __init__(self, capacity=DEFAULT_CAPACITY, ttl=None, clock=None):
         """``capacity`` bounds entries; ``ttl`` seconds (None = no TTL).
 
         ``clock`` injects the TTL time source (a zero-argument

@@ -45,11 +45,13 @@ engine returns the same values as a bare one.
 """
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from threading import Lock
 
 from repro.faults import BreakerOpen, Deadline, call_with_retry, fault_point
 from repro.obs import get_metrics, get_tracer
+from repro.serve.cache import DEFAULT_CAPACITY
 from repro.serve.queries import CACHEABLE_KINDS, QueryError, QuerySpec, plan_query
 from repro.serve.wire import result_to_wire
 
@@ -94,6 +96,10 @@ class QueryEngine:
     ``breakers`` is an optional
     :class:`~repro.faults.breaker.BreakerBoard` keyed by query kind.
 
+    The last-good store holds at most as many specs as the cache
+    (:data:`~repro.serve.cache.DEFAULT_CAPACITY` without one) and
+    drops the spec answered least recently.
+
     Thread-safe: concurrent ``query()`` calls share the cache, the
     breakers, the last-good store and the epoch store, each of which
     carries its own lock; the analytics themselves are pure reads of
@@ -116,7 +122,12 @@ class QueryEngine:
         self._retry_sleep = retry_sleep
         self._clock = clock if clock is not None else time.perf_counter
         self._last_good_lock = Lock()
-        self._last_good = {}  # spec -> QueryResult (degraded pool)
+        # spec -> QueryResult (degraded pool), least recently answered
+        # first
+        self._last_good = OrderedDict()
+        self._last_good_capacity = (
+            DEFAULT_CAPACITY if cache is None else cache.capacity
+        )
 
     def query(self, payload):
         """Answer one query payload (or pre-parsed spec).
@@ -227,7 +238,8 @@ class QueryEngine:
         """Keep the newest good answer per exact cacheable spec.
 
         Only an engine with breakers keeps them: its open breaker is
-        the one reader (:meth:`_serve_degraded`).
+        the one reader (:meth:`_serve_degraded`).  Past the store's
+        capacity, the spec answered least recently goes.
         """
         if (
             self.breakers is None
@@ -237,6 +249,9 @@ class QueryEngine:
             return
         with self._last_good_lock:
             self._last_good[spec] = result
+            self._last_good.move_to_end(spec)
+            while len(self._last_good) > self._last_good_capacity:
+                self._last_good.popitem(last=False)
 
     def _serve_degraded(self, spec, metrics):
         """The last good answer for ``spec``, marked degraded.
@@ -249,6 +264,8 @@ class QueryEngine:
             return None
         with self._last_good_lock:
             last = self._last_good.get(spec)
+            if last is not None:
+                self._last_good.move_to_end(spec)
         if last is None:
             return None
         metrics.counter("query.degraded").inc()

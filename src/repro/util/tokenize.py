@@ -22,12 +22,25 @@ _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 _NUMBER_RE = re.compile(r"^\d+(?:[.,]\d+)*$")
 
 
-def tokenize(text, lower=False):
+def tokenize(text, lower=False):  # bivoc: effects[pure]
     """Split ``text`` into word, number and punctuation tokens.
+
+    Declared effect-free for ``bivoc effects``: it only reads ``text``
+    and the module's compiled pattern and returns a fresh list (the
+    effect checker cannot see through a compiled pattern's methods on
+    its own).
 
     >>> tokenize("I'd pay $42.50, sir!")
     ["I'd", 'pay', '$', '42.50', ',', 'sir', '!']
+
+    With ``lower``, an ASCII text is lowered once before matching:
+    lowering maps A-Z to a-z, which every branch of the pattern treats
+    alike, so the matches and their lowered texts are the same.
+    Lowering can change the length of other text ("İ" lowers to two
+    characters), so there each token is lowered after matching.
     """
+    if lower and text.isascii():
+        return _TOKEN_RE.findall(text.lower())
     tokens = _TOKEN_RE.findall(text)
     if lower:
         tokens = [token.lower() for token in tokens]

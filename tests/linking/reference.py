@@ -12,13 +12,29 @@ document, and merges the materialised lists with the TA body below,
 as the linker did before it kept a memo or scored lazily.
 :class:`ReferenceCallRecordLinker` scores every blocked candidate of a
 call against every identity token, as the call-record linker did
-before it certified exact matches.  Only tests use them.
+before it certified exact matches.  :class:`ReferenceAnnotatorSuite`
+runs the typed-token annotators as they ran before they shared one
+trigger pass: each scans every token of the text for itself, and every
+regex runs over every text.  Only tests use them.
 """
 
+import re
+
 from repro.core.pipeline import CallRecordLinker
+from repro.linking.annotators import (
+    _DIGIT_RUN_RE,
+    _MONTHS,
+    _WORD_TO_DIGIT,
+    CardAnnotator,
+    TypedToken,
+    _parse_small_number,
+    _parse_spoken_year,
+)
 from repro.linking.similarity import default_registry
 from repro.linking.single import EntityLinker, LinkResult
 from repro.store.schema import AttributeType
+from repro.synth.lexicon import FIRST_NAMES, SURNAMES
+from repro.util.tokenize import tokenize
 
 
 def levenshtein(a, b):
@@ -234,12 +250,16 @@ class ReferenceCallRecordLinker(CallRecordLinker):
     maximum wins.
     """
 
-    def _link(self, customer_text, agent_name, day, span):
+    def _link(self, customer_text, agent_name, day, tokens, span):
         candidates = self._by_agent_day.get((agent_name, day), ())
         span.tag("candidates", len(candidates))
         if not candidates:
             return None
-        tokens = self._annotators.annotate(customer_text)
+        tokens = (
+            self._annotators.annotate(customer_text)
+            if tokens is None
+            else self._annotators.annotate(customer_text, tokens)
+        )
         span.tag("tokens", len(tokens))
         if not tokens:
             return None
@@ -264,6 +284,226 @@ class ReferenceCallRecordLinker(CallRecordLinker):
         if best_score < self._min_score:
             return None
         return best_record
+
+
+class ReferenceNameAnnotator:
+    """Extracts person-name spans.
+
+    Two mechanisms: trigger phrases ("my name is X Y", "regards\\nX Y")
+    and a name-lexicon scan for adjacent name-ish tokens.  The lexicon
+    scan keeps partially recognised names (a lone surname still counts).
+    """
+
+    source = "name"
+
+    def __init__(self, name_words=None):
+        if name_words is None:
+            name_words = set(FIRST_NAMES) | set(SURNAMES)
+        self._name_words = {word.lower() for word in name_words}
+
+    def annotate(self, text):
+        """Extract this annotator's typed tokens from the text."""
+        return self.annotate_tokens(text, tokenize(text, lower=True))
+
+    def annotate_tokens(self, text, tokens):
+        """:meth:`annotate`, given the lowered tokens of ``text``."""
+        spans = []
+        i = 0
+        while i < len(tokens):
+            if tokens[i] in self._name_words:
+                j = i
+                while j < len(tokens) and tokens[j] in self._name_words:
+                    j += 1
+                spans.append(" ".join(tokens[i:j]))
+                i = j
+            else:
+                i += 1
+        return [
+            TypedToken(span, AttributeType.NAME, self.source)
+            for span in spans
+        ]
+
+
+class ReferencePhoneAnnotator:
+    """Extracts phone-number digit strings.
+
+    Handles both written digits (emails/SMS: "9876543210", "555-867")
+    and spoken digit-word runs from ASR ("five five five eight six
+    seven ...").  Runs shorter than ``min_digits`` are discarded as
+    incidental numbers.
+    """
+
+    source = "phone"
+
+    def __init__(self, min_digits=5, max_digits=12):
+        self._min_digits = min_digits
+        self._max_digits = max_digits
+
+    def annotate(self, text):
+        """Extract this annotator's typed tokens from the text."""
+        return self.annotate_tokens(text, tokenize(text.lower()))
+
+    def annotate_tokens(self, text, tokens):
+        """:meth:`annotate`, given the lowered tokens of ``text``."""
+        found = []
+        for match in _DIGIT_RUN_RE.finditer(text.lower()):
+            digits = match.group(0)
+            if len(digits) > self._max_digits:
+                continue  # card-length runs belong to the CardAnnotator
+            found.append(
+                TypedToken(digits, AttributeType.PHONE, self.source)
+            )
+        # Spoken digit words: collapse maximal runs.
+        run = []
+        for token in tokens + ["<end>"]:
+            if token in _WORD_TO_DIGIT:
+                run.append(_WORD_TO_DIGIT[token])
+            else:
+                if len(run) >= self._min_digits:
+                    found.append(
+                        TypedToken(
+                            "".join(run[: self._max_digits]),
+                            AttributeType.PHONE,
+                            self.source,
+                        )
+                    )
+                run = []
+        return found
+
+
+class ReferenceDateAnnotator:
+    """Extracts dates: ISO strings and spoken "month day year" forms."""
+
+    source = "date"
+
+    _ISO_RE = re.compile(r"\b(\d{4})-(\d{2})-(\d{2})\b")
+
+    def annotate(self, text):
+        """Extract this annotator's typed tokens from the text."""
+        return self.annotate_tokens(text, tokenize(text.lower()))
+
+    def annotate_tokens(self, text, tokens):
+        """:meth:`annotate`, given the lowered tokens of ``text``."""
+        found = []
+        for match in self._ISO_RE.finditer(text):
+            found.append(
+                TypedToken(match.group(0), AttributeType.DATE, self.source)
+            )
+        found.extend(self._spoken_dates(tokens))
+        return found
+
+    def _spoken_dates(self, tokens):
+        found = []
+        for i, token in enumerate(tokens):
+            if token not in _MONTHS:
+                continue
+            day, consumed = _parse_small_number(tokens[i + 1 : i + 3])
+            if day is None or not 1 <= day <= 31:
+                continue
+            year = _parse_spoken_year(tokens[i + 1 + consumed : i + 6])
+            if year is None:
+                continue
+            found.append(
+                TypedToken(
+                    f"{year:04d}-{_MONTHS[token]:02d}-{day:02d}",
+                    AttributeType.DATE,
+                    self.source,
+                )
+            )
+        return found
+
+
+class ReferenceAmountAnnotator:
+    """Extracts money amounts ("forty two dollars", "rs 500", "$42.50")."""
+
+    source = "amount"
+
+    _CURRENCY_RE = re.compile(
+        r"(?:rs\.?|\$|inr)\s*(\d+(?:[.,]\d+)*)", re.IGNORECASE
+    )
+    _SUFFIX_RE = re.compile(r"(\d+(?:[.,]\d+)*)\s*(?:dollars|rupees)")
+
+    def annotate(self, text):
+        """Extract this annotator's typed tokens from the text."""
+        return self.annotate_tokens(text, tokenize(text.lower()))
+
+    def annotate_tokens(self, text, tokens):
+        """:meth:`annotate`, given the lowered tokens of ``text``."""
+        found = []
+        lowered = text.lower()
+        for regex in (self._CURRENCY_RE, self._SUFFIX_RE):
+            for match in regex.finditer(lowered):
+                found.append(
+                    TypedToken(
+                        match.group(1).replace(",", ""),
+                        AttributeType.MONEY,
+                        self.source,
+                    )
+                )
+        # Spoken amounts: "<number words> dollars"
+        for i, token in enumerate(tokens):
+            if token in ("dollars", "rupees") and i >= 1:
+                value, used = _parse_small_number(tokens[max(0, i - 2) : i])
+                if value is not None and used >= 1:
+                    found.append(
+                        TypedToken(
+                            str(value), AttributeType.MONEY, self.source
+                        )
+                    )
+        return found
+
+
+class ReferenceAnnotatorSuite:
+    """Runs a set of annotators over a document."""
+
+    def __init__(self, annotators):
+        if not annotators:
+            raise ValueError("need at least one annotator")
+        self.annotators = list(annotators)
+
+    def annotate(self, text):
+        """All typed tokens from all annotators, in annotator order.
+
+        An ASCII text is tokenized once, lowered, for every annotator
+        with ``annotate_tokens``: there ``tokenize(text, lower=True)
+        == tokenize(text.lower())``.  Lowering can change the length of
+        other text ("İ" lowers to two characters), so each annotator
+        tokenizes that itself.  A subclass that changes ``annotate``
+        must change ``annotate_tokens`` to match.
+        """
+        sharing = text.isascii()
+        shared = None
+        found = []
+        for annotator in self.annotators:
+            annotate_tokens = getattr(annotator, "annotate_tokens", None)
+            if annotate_tokens is None or not sharing:
+                found.extend(annotator.annotate(text))
+                continue
+            if shared is None:
+                shared = tokenize(text.lower())
+            found.extend(annotate_tokens(text, shared))
+        return found
+
+    def tokens_of_type(self, text, attr_type):
+        """Only the extracted tokens of one attribute type."""
+        return [
+            token
+            for token in self.annotate(text)
+            if token.attr_type is attr_type
+        ]
+
+
+def reference_annotators(name_words=None):
+    """The default suite over the per-annotator scans above."""
+    return ReferenceAnnotatorSuite(
+        [
+            ReferenceNameAnnotator(name_words=name_words),
+            ReferencePhoneAnnotator(),
+            ReferenceDateAnnotator(),
+            ReferenceAmountAnnotator(),
+            CardAnnotator(),
+        ]
+    )
 
 
 def threshold_merge(lists, weights, k):

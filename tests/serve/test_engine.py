@@ -5,7 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.obs import MetricsRegistry, Tracer, activated
+from repro.faults import BreakerBoard, BreakerOpen
 from repro.serve import QueryCache, QueryEngine
+from repro.serve.cache import DEFAULT_CAPACITY
 from repro.stream import EpochStore
 
 from tests.serve.corpus import make_consumer, make_pairs
@@ -130,6 +132,57 @@ class TestLastGood:
             )
         assert len(engine.cache) == 16
         assert engine._last_good == {}
+
+    def test_store_keeps_the_cache_capacity(self):
+        """300 distinct specs leave the 16 answered last, and a recent
+        one is still served degraded under an open breaker."""
+        breakers = BreakerBoard()
+        engine = QueryEngine(
+            _drained_epochs(), cache=QueryCache(capacity=16),
+            breakers=breakers,
+        )
+        specs = [
+            {"kind": "trends", "key": ["field", "car", f"car-{i}"]}
+            for i in range(300)
+        ]
+        answers = [engine.query(spec) for spec in specs]
+        assert len(engine._last_good) == 16
+        breakers.breaker("trends").force_open()
+        degraded = engine.query(specs[290])
+        assert degraded.degraded
+        assert degraded.value == answers[290].value
+        with pytest.raises(BreakerOpen):
+            engine.query(specs[0])
+
+    def test_degraded_answer_counts_as_recent(self):
+        """A spec served degraded is kept over one answered before it."""
+        breakers = BreakerBoard()
+        engine = QueryEngine(
+            _drained_epochs(), cache=QueryCache(capacity=2),
+            breakers=breakers,
+        )
+        specs = [
+            {"kind": "trends", "key": ["field", "car", f"car-{i}"]}
+            for i in range(3)
+        ]
+        engine.query(specs[0])
+        engine.query(specs[1])
+        breakers.breaker("trends").force_open()
+        assert engine.query(specs[0]).degraded
+        breakers.breaker("trends").reset()
+        engine.query(specs[2])
+        breakers.breaker("trends").force_open()
+        assert engine.query(specs[0]).degraded
+        with pytest.raises(BreakerOpen):
+            engine.query(specs[1])
+
+    def test_store_without_a_cache_keeps_the_default_capacity(self):
+        engine = QueryEngine(_drained_epochs(), breakers=BreakerBoard())
+        for i in range(DEFAULT_CAPACITY + 5):
+            engine.query(
+                {"kind": "trends", "key": ["field", "car", f"car-{i}"]}
+            )
+        assert len(engine._last_good) == DEFAULT_CAPACITY
 
 
 class TestPooling:

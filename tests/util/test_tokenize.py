@@ -1,5 +1,8 @@
 """Tests for the forgiving VoC tokenizer."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.util.tokenize import is_number_token, sentences, tokenize, words
 
 
@@ -25,6 +28,22 @@ class TestTokenize:
 
     def test_empty_text(self):
         assert tokenize("") == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=st.characters(max_codepoint=0x7F)) | st.text())
+    def test_lowering_is_token_by_token(self, text):
+        """Lowered tokens == each token lowered after matching.
+
+        ASCII text is lowered before matching; the ASCII alphabet draws
+        letters, digits, apostrophes and separators densely.
+        """
+        assert tokenize(text, lower=True) == [
+            token.lower() for token in tokenize(text)
+        ]
+
+    def test_lowering_a_non_ascii_text(self):
+        """"İ" lowers to two characters; its token is lowered whole."""
+        assert tokenize("İSTANBUL", lower=True) == ["i̇", "stanbul"]
 
     def test_noisy_sms_text(self):
         tokens = tokenize("pl confrm rcpt of Rs. 500 @ Karanagar")
